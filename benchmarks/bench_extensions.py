@@ -12,8 +12,8 @@ from repro.core.result import SolverConfig
 from repro.evaluation.ablations import hybrid_direction_ablation
 from repro.evaluation.diagnostics import figure4_investigation
 from repro.ikacc.multi import MultiProblemIKAcc
-from repro.solvers.batched import BatchedJacobianTranspose
 from repro.solvers.jacobian_transpose import JacobianTransposeSolver
+from repro.solvers.registry import make_batch_solver
 
 
 def test_hybrid_direction(benchmark, save_table):
@@ -78,7 +78,7 @@ def test_batched_software_engine(benchmark, suite, save_table):
 
     def run():
         t0 = time.perf_counter()
-        batched = BatchedJacobianTranspose(chain, config=config).solve_batch(
+        batched = make_batch_solver("JT-Serial", chain, config=config).solve_batch(
             targets, q0=q0
         )
         t_batched = time.perf_counter() - t0

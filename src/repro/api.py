@@ -229,8 +229,12 @@ def solve_batch(
 
     Accepts the same arguments as :func:`solve` (minus ``restarts``).
     Solvers with a lock-step engine in ``BATCH_REGISTRY`` (Quick-IK,
-    JT-Serial) advance all unconverged problems simultaneously; every other
-    ``SOLVER_REGISTRY`` name solves per target through the shared driver.
+    JT-Serial, JT-DLS, J-1-SVD, JT-SDLS, fdik, mdik) advance all
+    unconverged problems simultaneously, with one prefix-frame pass per
+    iteration; each result equals :func:`solve` of its target from the same
+    start bit for bit (Quick-IK's engine to 1e-9).  CCD, J-1-SVD+nullspace,
+    JT-Hybrid, and any ``config`` carrying a ``watchdog``, solve per target
+    through the shared driver.
 
     ``options`` is the typed execution policy
     (:class:`~repro.execution.ExecutionOptions`) bundling the kernel spec
@@ -242,7 +246,8 @@ def solve_batch(
 
     ``workers`` shards the batch across that many subprocesses
     (:mod:`repro.parallel`); results are bit-identical for any worker count
-    under the same seed, and identical to the unsharded default.
+    under the same seed, on either kernel, and identical to the unsharded
+    default (a lock-step row never depends on the batch it rides in).
     ``timeout`` bounds one pooled batch in seconds — on expiry, every
     unfinished shard is reported in a
     :class:`~repro.parallel.ParallelExecutionError`.

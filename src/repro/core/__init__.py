@@ -6,7 +6,7 @@ from repro.core.alpha import (
     buss_alpha,
     get_schedule,
 )
-from repro.core.base import IterativeIKSolver
+from repro.core.base import IterativeIKSolver, RowUpdateSolver
 from repro.core.hybrid import HybridSpeculativeSolver
 from repro.core.multistart import SpeculativeRestartSolver, best_seed
 from repro.core.quick_ik import DEFAULT_SPECULATIONS, QuickIKSolver
@@ -18,6 +18,7 @@ __all__ = [
     "buss_alpha",
     "get_schedule",
     "IterativeIKSolver",
+    "RowUpdateSolver",
     "DEFAULT_SPECULATIONS",
     "QuickIKSolver",
     "HybridSpeculativeSolver",

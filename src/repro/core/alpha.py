@@ -17,8 +17,11 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.rows import row_dot
+
 __all__ = [
     "buss_alpha",
+    "buss_alpha_rows",
     "linear_schedule",
     "geometric_schedule",
     "extended_schedule",
@@ -32,32 +35,40 @@ __all__ = [
 FALLBACK_ALPHA = 1e-3
 
 
-def buss_alpha(error: np.ndarray, jjte: np.ndarray) -> float:
-    """Near-optimal Jacobian-transpose step size (Eq. 8).
+def buss_alpha_rows(error: np.ndarray, jjte: np.ndarray) -> np.ndarray:
+    """Near-optimal Jacobian-transpose step size (Eq. 8), one per row.
 
     Parameters
     ----------
     error:
-        Task-space error ``e = X_t - f(theta)``.
+        Task-space errors ``e = X_t - f(theta)``, shape ``(..., 3)``.
     jjte:
-        The vector ``J J^T e`` (the task-space motion produced by a unit
-        ``J^T e`` step, to first order).
+        The vectors ``J J^T e`` (the task-space motion produced by a unit
+        ``J^T e`` step, to first order), same shape.
 
     Returns
     -------
-    float
-        ``<e, JJ^T e> / <JJ^T e, JJ^T e>``, or :data:`FALLBACK_ALPHA` when the
-        denominator vanishes or the value is non-positive/non-finite (which
-        happens exactly at poses where ``e`` lies in the null space of
-        ``J^T`` — the degenerate case the paper's random restarts avoid).
+    numpy.ndarray
+        ``<e, JJ^T e> / <JJ^T e, JJ^T e>`` per row, or
+        :data:`FALLBACK_ALPHA` where the denominator vanishes or the value
+        is non-positive/non-finite (which happens exactly at poses where
+        ``e`` lies in the null space of ``J^T`` — the degenerate case the
+        paper's random restarts avoid).
     """
-    denominator = float(np.dot(jjte, jjte))
-    if denominator <= 0.0:
-        return FALLBACK_ALPHA
-    alpha = float(np.dot(error, jjte)) / denominator
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        return FALLBACK_ALPHA
-    return alpha
+    # The dots run in the inputs' dtype, the ratio in float64.
+    denominator = np.asarray(row_dot(jjte, jjte), dtype=float)
+    numerator = np.asarray(row_dot(error, jjte), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = numerator / denominator
+    bad = (denominator <= 0.0) | ~np.isfinite(alpha) | (alpha <= 0.0)
+    return np.where(bad, FALLBACK_ALPHA, alpha)
+
+
+def buss_alpha(error: np.ndarray, jjte: np.ndarray) -> float:
+    """:func:`buss_alpha_rows` for a single task-space error ``e``."""
+    return float(
+        buss_alpha_rows(np.asarray(error)[None], np.asarray(jjte)[None])[0]
+    )
 
 
 # ----------------------------------------------------------------------

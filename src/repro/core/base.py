@@ -4,6 +4,10 @@ Algorithm 1's outer structure (random initial configuration, iterate until the
 accuracy constraint or the iteration cap) is identical for the Jacobian
 transpose, pseudoinverse, DLS, SDLS, CCD and Quick-IK solvers; each solver
 only customises one iteration via :meth:`IterativeIKSolver._step`.
+
+Solvers whose iteration is one update of ``q`` from ``(q, e, J)`` derive from
+:class:`RowUpdateSolver` and write that update once, as a row function: the
+driver runs it on one row, the lock-step engine on a whole batch.
 """
 
 from __future__ import annotations
@@ -15,10 +19,17 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.core.result import BatchResult, IKResult, SolverConfig, StepOutcome
+from repro.core.rows import row_norm
 from repro.kinematics.chain import KinematicChain
 from repro.telemetry.tracer import NULL_TRACER, Tracer, get_tracer
 
-__all__ = ["IterativeIKSolver"]
+__all__ = ["IterativeIKSolver", "RowUpdateSolver", "task_errors"]
+
+
+def task_errors(targets: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``||X_t - f(q)||`` per row: the one error the driver and the
+    lock-step engines both test for convergence."""
+    return row_norm(targets - positions)
 
 
 class IterativeIKSolver(ABC):
@@ -114,7 +125,7 @@ class IterativeIKSolver(ABC):
         start = time.perf_counter()
         q = self.initial_configuration(q0, rng)
         position = self.chain.end_position(q)
-        error = float(np.linalg.norm(target - position))
+        error = float(task_errors(target, position))
         fk_evaluations = 1
         history = [error] if config.record_history else None
         if traced:
@@ -148,7 +159,7 @@ class IterativeIKSolver(ABC):
             else:
                 position = outcome.position
             if outcome.error is None:
-                error = float(np.linalg.norm(target - position))
+                error = float(task_errors(target, position))
             else:
                 error = float(outcome.error)
             if history is not None:
@@ -272,3 +283,55 @@ class IterativeIKSolver(ABC):
             f"tolerance={self.config.tolerance}, "
             f"max_iterations={self.config.max_iterations})"
         )
+
+
+class RowUpdateSolver(IterativeIKSolver):
+    """A solver whose iteration is one row update with one FK.
+
+    :meth:`update_rows` maps configurations ``q[A, N]``, task errors
+    ``e[A, 3] = X_t - f(q)`` and position Jacobians ``J[A, 3, N]`` at ``q``
+    to the next configurations, advancing the per-row ``state`` arrays of
+    :meth:`initial_state` in place.  It is the family's only copy of its
+    arithmetic, written with :mod:`repro.core.rows` so that a row gets the
+    same bits alone or in any batch: :meth:`_step` runs it on one row, and
+    :class:`~repro.solvers.batched.BatchedRowSolver` on every live row of a
+    batch with one prefix-frame pass per iteration.
+    """
+
+    #: The running solve's one-row state (``None`` until its first step).
+    _state: tuple[np.ndarray, ...] | None = None
+
+    def initial_state(self, rows: int) -> tuple[np.ndarray, ...]:
+        """Per-row state at the start of a solve (none by default)."""
+        return ()
+
+    @abstractmethod
+    def update_rows(
+        self,
+        q: np.ndarray,
+        e: np.ndarray,
+        jacobians: np.ndarray,
+        state: tuple[np.ndarray, ...],
+    ) -> np.ndarray:
+        """One iteration for every row; returns the new configurations."""
+
+    def initial_configuration(
+        self, q0: np.ndarray | None, rng: np.random.Generator | None
+    ) -> np.ndarray:
+        # Every solve starts from fresh state: a reused (or unpickled)
+        # solver must not carry one solve's state into the next.
+        self._state = None
+        return super().initial_configuration(q0, rng)
+
+    def _step(
+        self, q: np.ndarray, position: np.ndarray, target: np.ndarray
+    ) -> StepOutcome:
+        if self._state is None:
+            self._state = self.initial_state(1)
+        q_new = self.update_rows(
+            q[None, :],
+            (target - position)[None, :],
+            self.chain.jacobian_position(q)[None],
+            self._state,
+        )
+        return StepOutcome(q=q_new[0])

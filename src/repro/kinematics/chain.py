@@ -31,7 +31,11 @@ import numpy as np
 from repro.kinematics import transforms
 from repro.kinematics.dh import DHConvention
 from repro.kinematics.joint import Joint, JointType
-from repro.kinematics.kernels import make_kernels, resolve_kernel_mode
+from repro.kinematics.kernels import (
+    make_kernels,
+    position_jacobian,
+    resolve_kernel_mode,
+)
 
 __all__ = ["KinematicChain"]
 
@@ -364,7 +368,21 @@ class KinematicChain:
 
         This is the Jacobian the paper uses: end-effector *position* only.
         """
-        return self._kernels.jacobian_position(self._check_q(q))
+        axes, origins, p_ee = self._screw_frames(q)
+        return position_jacobian(axes, origins, p_ee, self._revolute_mask)
+
+    def fk_jacobian_batch(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """End positions ``(B, 3)`` and position Jacobians ``(B, 3, N)``
+        from one prefix-frame pass.
+
+        The lock-step engine's per-iteration pass: the frames that give a
+        row's Jacobian also give its end position, as the paper's SPU
+        reuses ``1TiC`` for both ``JiC`` and the pose (Fig. 3).  Row ``i``
+        equals :meth:`end_position` / :meth:`jacobian_position` of
+        ``qs[i]`` bit for bit, on either kernel and at any batch size.
+        """
+        axes, origins, p_ee = self._kernels.screw_frames_batch(self._check_qs(qs))
+        return p_ee, position_jacobian(axes, origins, p_ee, self._revolute_mask)
 
     def jacobian_position_batch(self, qs: np.ndarray) -> np.ndarray:
         """Position Jacobians for a batch of configurations; ``(B, 3, N)``.
@@ -372,18 +390,16 @@ class KinematicChain:
         The throughput engine (:mod:`repro.solvers.batched`) evaluates the
         serial block of many IK problems in lock-step with this.
         """
-        return self._kernels.jacobian_position_batch(self._check_qs(qs))
+        return self.fk_jacobian_batch(qs)[1]
 
     def jacobian(self, q: np.ndarray) -> np.ndarray:
         """Full geometric Jacobian (linear over angular); shape ``(6, N)``."""
         axes, origins, p_ee = self._screw_frames(q)
-        linear = np.where(
-            self._revolute_mask[:, None],
-            np.cross(axes, p_ee - origins),
-            axes,
-        )
         angular = np.where(self._revolute_mask[:, None], axes, 0.0)
-        return np.vstack([linear.T, angular.T])
+        return np.vstack([
+            position_jacobian(axes, origins, p_ee, self._revolute_mask),
+            angular.T,
+        ])
 
     # ------------------------------------------------------------------
     # Structure helpers

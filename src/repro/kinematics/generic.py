@@ -355,6 +355,13 @@ class GenericChain:
         qs = np.asarray(qs, dtype=self.dtype)
         return np.stack([self.jacobian_position(q) for q in qs])
 
+    def fk_jacobian_batch(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """End positions ``(B, 3)`` and position Jacobians ``(B, 3, dof)``;
+        row ``i`` equals :meth:`end_position` / :meth:`jacobian_position`."""
+        qs = np.asarray(qs, dtype=self.dtype)
+        positions = np.stack([self.end_position(q) for q in qs])
+        return positions, self.jacobian_position_batch(qs)
+
     def jacobian(self, q: np.ndarray) -> np.ndarray:
         """Full geometric Jacobian; shape ``(6, dof)``."""
         axes, origins, p_ee = self.joint_screws(q)

@@ -30,10 +30,16 @@ analogue: every :class:`~repro.kinematics.chain.KinematicChain` owns a
     ``B x Max`` (problem, candidate) rows at once, instead of ``N`` Python
     iterations.  Same multiply count, a fraction of the dispatch overhead.
   - **One FK pass per iteration is shared.**  The prefix transforms
-    (world frames of every joint) computed for a Jacobian are cached per
-    configuration, so the driver's ``end_position`` / ``fk`` of the same
-    ``q`` reuses them — the software analogue of the SPU pipeline reusing
-    ``1TiC`` for both ``JiC`` and the end-effector pose.
+    (world frames of every joint) yield both the end position and the
+    Jacobian — the software analogue of the SPU pipeline reusing ``1TiC``
+    for both ``JiC`` and the end-effector pose.  A batch gets both from
+    one :meth:`~VectorizedKernels.screw_frames_batch` pass; a single
+    configuration caches its frames, so the driver's ``end_position`` /
+    ``fk`` of the same ``q`` reuses the Jacobian's pass.
+  - **One scan order.**  Prefix frames always come from one log-depth
+    scan (:func:`_affine_prefix_scan`), whatever the row count, so every
+    row of a batch carries the same bits as the same configuration alone
+    (and as any other batch it rides in).
 
 **Cache contract.**  A kernel snapshots its chain's joint parameters at
 construction.  Chains are API-immutable, so the snapshot normally lives for
@@ -67,7 +73,7 @@ __all__ = [
     "ScalarKernels",
     "VectorizedKernels",
     "tree_product",
-    "prefix_scan",
+    "position_jacobian",
 ]
 
 #: Valid kernel modes.
@@ -76,12 +82,6 @@ KERNEL_MODES = ("scalar", "vectorized")
 #: The seed behaviour: link-by-link loops, bit-identical to every release
 #: before the kernel layer existed.
 DEFAULT_KERNEL = "scalar"
-
-#: Batch-row threshold below which the vectorized Jacobian prefix pass uses
-#: the log-depth scan; at larger batches the joint loop is already fully
-#: amortised across rows and the scan's extra multiplies stop paying
-#: (measured crossover between 16 and 64 rows on a 50-DOF chain).
-_SCAN_ROWS_MAX = 16
 
 
 def resolve_kernel_mode(mode: str | None) -> str:
@@ -125,23 +125,6 @@ def tree_product(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, :, :]
 
 
-def prefix_scan(mats: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products of 4x4 transforms along axis ``-3``.
-
-    Hillis-Steele doubling: ``ceil(log2 N)`` stacked matmul rounds instead
-    of ``N`` sequential multiplies.  Returns a new array of the same shape
-    whose entry ``i`` is ``mats[0] @ ... @ mats[i]``.
-    """
-    out = np.array(mats, copy=True)
-    n = out.shape[-3]
-    offset = 1
-    while offset < n:
-        tail = out[..., offset:, :, :].copy()
-        out[..., offset:, :, :] = out[..., : n - offset, :, :] @ tail
-        offset *= 2
-    return out
-
-
 def _affine_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Compose ``(..., 3, 4)`` rigid affine blocks: returns ``a @ b``."""
     out = a[..., :, :3] @ b
@@ -167,36 +150,62 @@ def _affine_tree_product(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, :, :]
 
 
-def _affine_prefix_scan_doubling(mats: np.ndarray) -> np.ndarray:
-    """Hillis-Steele inclusive scan over ``(..., N, 3, 4)`` affine blocks.
+def _compose_strided(mats: np.ndarray, d: int, first: int) -> None:
+    """``mats[i] = mats[i - d] @ mats[i]`` for ``i = first, first + 2d, ...``
+    along axis ``-3``, in one stacked call."""
+    n = mats.shape[-3]
+    if first < n:
+        mats[..., first :: 2 * d, :, :] = _affine_compose(
+            mats[..., first - d : n - d : 2 * d, :, :],
+            mats[..., first :: 2 * d, :, :],
+        )
 
-    Log-depth; the winner for single-configuration Jacobians where the
-    sequential walk cannot amortise its per-joint dispatch.  Consumes
+
+def _affine_prefix_scan(mats: np.ndarray) -> np.ndarray:
+    """Inclusive scan over ``(..., N, 3, 4)`` affine blocks, log-depth.
+
+    Brent-Kung order: an up-sweep leaves the product of every aligned run
+    of ``2d`` joints in its last entry, then a down-sweep fills in the
+    prefixes between them — about ``2 N`` composes in ``2 log2 N``
+    stacked calls, where the Hillis-Steele doubling scan needs about
+    ``N log2 N`` composes.  The order depends on ``N`` alone, so a row's
+    frames do not depend on how many rows share its batch.  Consumes
     ``mats``.
     """
     n = mats.shape[-3]
-    offset = 1
-    while offset < n:
-        tail = mats[..., offset:, :, :].copy()
-        mats[..., offset:, :, :] = _affine_compose(
-            mats[..., : n - offset, :, :], tail
-        )
-        offset *= 2
+    d = 1
+    while 2 * d <= n:
+        _compose_strided(mats, d, 2 * d - 1)
+        d *= 2
+    while d > 1:
+        d //= 2
+        _compose_strided(mats, d, 3 * d - 1)
     return mats
 
 
-def _affine_prefix_scan_sequential(mats: np.ndarray) -> np.ndarray:
-    """Sequential inclusive scan over ``(..., N, 3, 4)`` affine blocks.
+def position_jacobian(
+    axes: np.ndarray,
+    origins: np.ndarray,
+    p_ee: np.ndarray,
+    revolute: np.ndarray,
+) -> np.ndarray:
+    """Position Jacobians ``(..., 3, N)`` from one frame pass (Buss [11]).
 
-    One compose per joint, each batched over all leading rows — the right
-    shape once the row count amortises the dispatch.  Consumes ``mats``.
+    ``axes`` / ``origins`` are the world screw axes and origins
+    ``(..., N, 3)`` and ``p_ee`` the tool points ``(..., 3)``: a revolute
+    column is ``z x (p_ee - o)``, a prismatic one ``z``.  Elementwise, so a
+    batch row equals the same configuration's single Jacobian bit for bit.
     """
-    n = mats.shape[-3]
-    for i in range(1, n):
-        mats[..., i, :, :] = _affine_compose(
-            mats[..., i - 1, :, :], mats[..., i, :, :]
-        )
-    return mats
+    a0, a1, a2 = axes[..., 0], axes[..., 1], axes[..., 2]
+    reach = p_ee[..., None, :] - origins
+    r0, r1, r2 = reach[..., 0], reach[..., 1], reach[..., 2]
+    # ``np.cross``'s own products and differences, without its axis
+    # bookkeeping (this runs once per lock-step iteration).
+    cross = np.stack(
+        (a1 * r2 - a2 * r1, a2 * r0 - a0 * r2, a0 * r1 - a1 * r0), axis=-1
+    )
+    linear = np.where(revolute[:, None], cross, axes)
+    return np.swapaxes(linear, -1, -2)
 
 
 # ----------------------------------------------------------------------
@@ -208,10 +217,11 @@ class ScalarKernels:
     """The original link-by-link FK/Jacobian loops (the differential oracle).
 
     Every method body is the pre-kernel-layer implementation, moved here
-    verbatim so the chain can dispatch between implementations without
-    duplicating them.  Nothing here may change observable floating-point
-    behaviour: the conformance and parallel tiers pin several results
-    bit-for-bit across releases.
+    so the chain can dispatch between implementations without duplicating
+    them; a single configuration's screw frames are the one-row case of the
+    batch pass, which multiplies each row exactly as alone.  Nothing here
+    may change observable floating-point behaviour: the conformance and
+    parallel tiers pin several results bit-for-bit across releases.
     """
 
     mode = "scalar"
@@ -249,31 +259,17 @@ class ScalarKernels:
     def screw_frames(
         self, q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        chain = self.chain
-        locals_ = chain.local_transforms(q)
-        frames = np.empty((chain.dof + 1, 4, 4), dtype=chain.dtype)
-        frames[0] = chain.base
-        for i in range(chain.dof):
-            frames[i + 1] = frames[i] @ locals_[i]
-        p_ee = (frames[chain.dof] @ chain.tool)[:3, 3]
-        if chain.is_standard_convention:
-            screw = frames[: chain.dof]
-        else:
-            screw = frames[: chain.dof] @ chain._const
-        axes = screw[:, :3, 2]
-        origins = screw[:, :3, 3]
-        return axes, origins, p_ee
+        axes, origins, p_ee = self.screw_frames_batch(q[None, :])
+        return axes[0], origins[0], p_ee[0]
 
-    def jacobian_position(self, q: np.ndarray) -> np.ndarray:
-        axes, origins, p_ee = self.screw_frames(q)
-        linear = np.where(
-            self.chain._revolute_mask[:, None],
-            np.cross(axes, p_ee - origins),
-            axes,
-        )
-        return linear.T
+    def screw_frames_batch(
+        self, qs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One prefix-frame pass: ``(axes, origins, p_ee)`` per row.
 
-    def jacobian_position_batch(self, qs: np.ndarray) -> np.ndarray:
+        Each row multiplies exactly like :meth:`fk` of that configuration,
+        so ``p_ee`` equals :meth:`end_position` bit for bit.
+        """
         chain = self.chain
         locals_ = chain.local_transforms_batch(qs)
         batch = locals_.shape[0]
@@ -286,14 +282,7 @@ class ScalarKernels:
             screw = frames[:, : chain.dof]
         else:
             screw = frames[:, : chain.dof] @ chain._const[None]
-        axes = screw[:, :, :3, 2]
-        origins = screw[:, :, :3, 3]
-        linear = np.where(
-            chain._revolute_mask[None, :, None],
-            np.cross(axes, p_ee[:, None, :] - origins),
-            axes,
-        )
-        return np.swapaxes(linear, 1, 2)
+        return screw[:, :, :3, 2], screw[:, :, :3, 3], p_ee
 
     def invalidate(self) -> None:
         """No cached state on the scalar path."""
@@ -485,14 +474,7 @@ class VectorizedKernels:
         cached = self._cached_frames(q)
         if cached is not None:
             return cached
-        locals_ = self._locals_affine(q[None, :])[0]  # (N, 3, 4)
-        # Fold the base into the first link before scanning: the scan then
-        # yields world frames directly, avoiding a whole-array compose.
-        locals_[0] = _affine_compose(self._base_affine, locals_[0])
-        scan = _affine_prefix_scan_doubling(locals_)
-        frames = np.empty((self.chain.dof + 1, 3, 4), dtype=self.chain.dtype)
-        frames[0] = self._base_affine
-        frames[1:] = scan
+        frames = self._prefix_frames_batch(q[None, :])[0]
         self._cache_key = q.tobytes()
         self._cache_frames = frames
         return frames
@@ -500,19 +482,14 @@ class VectorizedKernels:
     def _prefix_frames_batch(self, qs: np.ndarray) -> np.ndarray:
         """World affine frames ``(B, N + 1, 3, 4)`` for a batch (uncached)."""
         locals_ = self._locals_affine(qs)  # (B, N, 3, 4)
-        # As in :meth:`_prefix_frames`: pre-fold the base so the scan output
-        # is already in world coordinates (and, on the sequential path,
-        # associates left-to-right exactly like the scalar oracle).
+        # Fold the base into the first link before scanning: the scan then
+        # yields world frames directly, avoiding a whole-array compose.
         locals_[:, 0] = _affine_compose(self._base_affine, locals_[:, 0])
-        if qs.shape[0] <= _SCAN_ROWS_MAX:
-            scan = _affine_prefix_scan_doubling(locals_)
-        else:
-            scan = _affine_prefix_scan_sequential(locals_)
         frames = np.empty(
             (qs.shape[0], self.chain.dof + 1, 3, 4), dtype=self.chain.dtype
         )
         frames[:, 0] = self._base_affine
-        frames[:, 1:] = scan
+        frames[:, 1:] = _affine_prefix_scan(locals_)
         return frames
 
     def _jacobian_from_frames(
@@ -533,21 +510,9 @@ class VectorizedKernels:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._jacobian_from_frames(self._prefix_frames(q))
 
-    def jacobian_position(self, q: np.ndarray) -> np.ndarray:
-        axes, origins, p_ee = self.screw_frames(q)
-        linear = np.where(
-            self.chain._revolute_mask[:, None],
-            np.cross(axes, p_ee - origins),
-            axes,
-        )
-        return linear.T
-
-    def jacobian_position_batch(self, qs: np.ndarray) -> np.ndarray:
-        frames = self._prefix_frames_batch(qs)
-        axes, origins, p_ee = self._jacobian_from_frames(frames)
-        linear = np.where(
-            self.chain._revolute_mask[None, :, None],
-            np.cross(axes, p_ee[:, None, :] - origins),
-            axes,
-        )
-        return np.swapaxes(linear, 1, 2)
+    def screw_frames_batch(
+        self, qs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One prefix-frame pass: ``(axes, origins, p_ee)`` per row, each
+        row bit-identical to :meth:`screw_frames` of that configuration."""
+        return self._jacobian_from_frames(self._prefix_frames_batch(qs))

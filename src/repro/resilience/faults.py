@@ -160,8 +160,13 @@ class NaNJacobianChain:
         return np.full_like(jac, np.nan) if self._poisoned() else jac
 
     def jacobian_position_batch(self, qs):
-        jac = self._chain.jacobian_position_batch(qs)
-        return np.full_like(jac, np.nan) if self._poisoned() else jac
+        return self.fk_jacobian_batch(qs)[1]
+
+    def fk_jacobian_batch(self, qs):
+        positions, jac = self._chain.fk_jacobian_batch(qs)
+        return positions, (
+            np.full_like(jac, np.nan) if self._poisoned() else jac
+        )
 
     def __repr__(self) -> str:
         return f"NaNJacobianChain({self._chain!r}, after_calls={self._after_calls})"

@@ -4,14 +4,14 @@ The Quick-IK solver itself lives in :mod:`repro.core.quick_ik`; it is
 re-exported here so ``repro.solvers`` is the one-stop module for every solver.
 """
 
-from repro.core.base import IterativeIKSolver
+from repro.core.base import IterativeIKSolver, RowUpdateSolver
 from repro.core.hybrid import HybridSpeculativeSolver
 from repro.core.quick_ik import QuickIKSolver
 from repro.core.result import BatchResult
 from repro.solvers.analytic import PlanarTwoLinkSolver, planar_two_link_ik
 from repro.solvers.batched import (
-    BatchedJacobianTranspose,
     BatchedQuickIK,
+    BatchedRowSolver,
     LockStepEngine,
 )
 from repro.solvers.ccd import CyclicCoordinateDescentSolver
@@ -35,13 +35,14 @@ from repro.solvers.sdls import SelectivelyDampedSolver
 
 __all__ = [
     "IterativeIKSolver",
+    "RowUpdateSolver",
     "QuickIKSolver",
     "HybridSpeculativeSolver",
     "PlanarTwoLinkSolver",
     "planar_two_link_ik",
     "BatchResult",
-    "BatchedJacobianTranspose",
     "BatchedQuickIK",
+    "BatchedRowSolver",
     "LockStepEngine",
     "CyclicCoordinateDescentSolver",
     "DampedLeastSquaresSolver",

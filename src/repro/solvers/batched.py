@@ -2,32 +2,49 @@
 
 The paper's evaluation solves 1000 targets per configuration.  Solving them
 one by one leaves numpy's vector units idle; this engine advances *all*
-unconverged problems simultaneously — one batched Jacobian, one batched
-speculation grid, one batched FK per iteration — while computing exactly the
-same per-problem trajectories (verified by tests).  The win is largest for
-the serial methods (~5x for JT-Serial, whose scalar loop is thousands of tiny
-numpy calls); Quick-IK itself gains only modestly because its inner loop is
-already a 64-wide batch.
+unconverged problems simultaneously — one batched update and one batched
+FK per iteration — while computing exactly the same per-problem
+trajectories (verified by tests).
+
+Two engines share the loop in :class:`LockStepEngine`:
+
+* :class:`BatchedQuickIK` — Quick-IK's speculative sweep: one batched
+  Jacobian, the Eq. 9 candidate grid and one ``B x Max`` FK sweep per
+  iteration.
+* :class:`BatchedRowSolver` — every family whose iteration is one row
+  update (:class:`~repro.core.base.RowUpdateSolver`: JT-Serial, JT-DLS,
+  J-1-SVD, JT-SDLS, fdik, mdik).  It runs the solver's own update on all
+  live rows, then makes **one prefix-frame pass** over the new
+  configurations (:meth:`~repro.kinematics.chain.KinematicChain.
+  fk_jacobian_batch`): its end positions feed the convergence test and its
+  Jacobians the next iteration — the batched form of the paper's SPU
+  reusing ``1TiC`` for both ``JiC`` and the pose (Fig. 3).  Each row's
+  Jacobian and the solver's per-row state (fdik's velocity) ride along
+  with the row.  A row equals ``solver.solve`` of its target from its
+  start bit for bit, at any batch size and on either kernel.
 
 **Active-set compaction.**  Problems converge at different iterations, so
 the set of live rows shrinks as the batch drains.  With compaction (the
 default), the engine keeps the survivors' state — configurations, positions,
-targets, errors — in dense blocks maintained across iterations: a retiring
-row is scattered back into the full result arrays exactly once, at
-retirement, and every sweep touches only survivor rows.  Without compaction
-the engine re-gathers ``qs[active]`` / ``targets[active]`` /
-``positions[active]`` from the full arrays and scatters the results back
-*every* iteration — the historical layout, kept selectable
-(``compaction=False`` / ``ExecutionOptions(compaction=False)``) as the A/B
-baseline.  Both layouts feed bit-identical inputs to bit-identical numpy
-ops, so results are bit-for-bit equal (the conformance tier in
+targets, errors and the carried per-row blocks — in dense blocks maintained
+across iterations: a retiring row is scattered back into the full result
+arrays exactly once, at retirement, and every sweep touches only survivor
+rows.  Without compaction the engine re-gathers the live rows from the full
+arrays and scatters the results back *every* iteration — the historical
+layout, kept selectable (``compaction=False`` /
+``ExecutionOptions(compaction=False)``) as the A/B baseline.  Both layouts
+feed bit-identical inputs to bit-identical numpy ops, so results are
+bit-for-bit equal (the conformance tier in
 ``tests/conformance/test_compaction.py`` pins this at 12-75 DOF); the win
 is the eliminated gather/scatter traffic on late, sparse iterations.
 
-The per-problem semantics match :class:`~repro.core.quick_ik.QuickIKSolver`
-precisely: Buss base step (Eq. 8) with the same degenerate-case fallback, the
-Eq. 9 schedule, first-below-threshold-else-argmin candidate selection, and
-the 10k-iteration cap.
+The loop mirrors the scalar driver (:meth:`~repro.core.base.
+IterativeIKSolver.solve`): the same error helper, ``respect_limits``
+clamping, the non-finite guard (a row exits ``"nonfinite"`` with its last
+finite state), the 10k-iteration cap and, when ``record_history`` is set,
+the same ``error_history``.  A config with a ``watchdog`` is not run here:
+:func:`~repro.solvers.registry.make_batch_solver` keeps it on the
+per-target driver, the only path that arms the watchdog.
 
 Both engines share the ``solve_batch(targets, q0=None, rng=None,
 tracer=None) -> BatchResult`` signature; :class:`BatchResult` is a sequence
@@ -44,13 +61,14 @@ import time
 import numpy as np
 
 from repro.core.alpha import FALLBACK_ALPHA
+from repro.core.base import task_errors
 from repro.core.result import BatchResult, IKResult, SolverConfig
 from repro.telemetry.tracer import Tracer, get_tracer
 
 __all__ = [
     "ActiveSet",
     "BatchedQuickIK",
-    "BatchedJacobianTranspose",
+    "BatchedRowSolver",
     "LockStepEngine",
 ]
 
@@ -118,10 +136,13 @@ class LockStepEngine:
 
     Owns the pieces both engines repeat verbatim: target/``q0`` validation
     and broadcast, chunked batched FK, active-set tracking (compacted or
-    gather/scatter-per-iteration), tracer resolution, and assembling the
-    per-problem :class:`IKResult` list into a :class:`BatchResult`.
-    Subclasses implement one lock-step iteration over a dense survivor block
-    in :meth:`_advance_dense` and set :attr:`name` / :attr:`speculations`.
+    gather/scatter-per-iteration) of the row blocks and of whatever per-row
+    blocks an engine carries between iterations, the non-finite guard,
+    error histories, tracer resolution, and assembling the per-problem
+    :class:`IKResult` list into a :class:`BatchResult`.  Subclasses
+    implement one lock-step iteration over a dense survivor block in
+    :meth:`_advance_dense` (and, to carry blocks, :meth:`_start`) and set
+    :attr:`name` / :attr:`speculations`.
 
     ``config.kernel`` may be a kernel-mode name or a full
     :class:`~repro.execution.KernelSpec`; a spec's dtype re-materialises the
@@ -159,6 +180,9 @@ class LockStepEngine:
         self.chunk = int(chunk)
         #: Active-set layout: ``None`` (auto) enables compaction.
         self.compaction = True if compaction is None else bool(compaction)
+        # Joint limits for ``respect_limits``, in the engine dtype.
+        self._lower = self.chain.lower_limits.astype(self.chain.dtype)
+        self._upper = self.chain.upper_limits.astype(self.chain.dtype)
 
     def _fk_chunked(self, qs: np.ndarray) -> np.ndarray:
         if qs.shape[0] <= self.chunk:
@@ -192,19 +216,28 @@ class LockStepEngine:
             raise ValueError(f"q0 must broadcast to ({m}, {dof})")
         return qs
 
+    def _start(
+        self, qs: np.ndarray
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """End positions of the start configurations, plus the per-row
+        blocks the iterations carry (none by default)."""
+        return self._fk_chunked(qs), ()
+
     def _advance_dense(
         self,
         q_c: np.ndarray,
         p_c: np.ndarray,
         t_c: np.ndarray,
+        carry: tuple[np.ndarray, ...],
         tracer: Tracer,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...], int]:
         """One lock-step iteration over a dense block of survivor rows.
 
         ``q_c`` / ``p_c`` / ``t_c`` are the configurations, end positions
-        and targets of the live rows (aligned, C-contiguous).  Returns the
-        new ``(q, position, error)`` blocks plus the FK evaluations charged
-        to each row this iteration.
+        and targets of the live rows (aligned, C-contiguous) and ``carry``
+        the engine's carried blocks for the same rows.  Returns the new
+        ``(q, position, error)`` blocks, the new carried blocks, and the FK
+        evaluations charged to each row this iteration.
         """
         raise NotImplementedError
 
@@ -233,11 +266,19 @@ class LockStepEngine:
         traced = tr.enabled
         gauge = getattr(tr, "gauge", None) if traced else None
         tolerance = self.config.tolerance
-        positions = self._fk_chunked(qs)
-        errors = np.linalg.norm(targets - positions, axis=1)
+        positions, carry_full = self._start(qs)
+        errors = task_errors(targets, positions)
         iterations = np.zeros(m, dtype=int)
         fk_evaluations = np.ones(m, dtype=int)
         nonfinite = np.zeros(m, dtype=bool)
+        # Error history as (rows, errors) pairs, one per iteration; a row
+        # runs from iteration 0 to its last, so sorting by row (stably)
+        # lines its entries up in iteration order.
+        history = (
+            [(np.arange(m), errors.copy())]
+            if self.config.record_history
+            else None
+        )
         if traced:
             tr.solve_start(self.name, self.chain.dof, batch=m,
                            speculations=self.speculations,
@@ -247,8 +288,9 @@ class LockStepEngine:
             tr.count("fk_evaluations", m)
 
         active = ActiveSet(np.flatnonzero(errors >= tolerance))
-        q_c, p_c, t_c = active.gather(qs, positions, targets)
-        e_c = errors[active.indices]
+        q_c, p_c, t_c, e_c, *carry = active.gather(
+            qs, positions, targets, errors, *carry_full
+        )
 
         outer = 0
         while active.size and outer < self.config.max_iterations:
@@ -257,14 +299,19 @@ class LockStepEngine:
                 # Historical layout: re-gather the survivors from the full
                 # arrays every iteration (and scatter back below).  Kept as
                 # the A/B baseline for the compaction conformance tier.
-                q_c, p_c, t_c = active.gather(qs, positions, targets)
-            q_c, p_c, e_c, fk_per_problem = self._advance_dense(
-                q_c, p_c, t_c, tr
+                q_c, p_c, t_c, e_c, *carry = active.gather(
+                    qs, positions, targets, errors, *carry_full
+                )
+            q_prev, p_prev, e_prev = q_c, p_c, e_c
+            q_c, p_c, e_c, carry, fk_per_problem = self._advance_dense(
+                q_c, p_c, t_c, tuple(carry), tr
             )
             idx = active.indices
             n_active = idx.size
             iterations[idx] += 1
             fk_evaluations[idx] += fk_per_problem
+            if history is not None:
+                history.append((idx, e_c))
             if traced:
                 tr.count("fk_evaluations", fk_per_problem * n_active)
                 tr.count("jacobian_builds", n_active)
@@ -288,11 +335,15 @@ class LockStepEngine:
             if not finite.all():
                 # Mirror of the scalar driver's non-finite guard: a NaN row
                 # would silently drop out of the comparison below, and a +inf
-                # row would burn the whole iteration budget.  Deactivate both
-                # with a typed status instead.
-                nonfinite[idx[~finite]] = True
+                # row would burn the whole iteration budget.  Such a row
+                # exits typed with its last finite state.
+                bad = ~finite
+                nonfinite[idx[bad]] = True
+                q_c = np.where(bad[:, None], q_prev, q_c)
+                p_c = np.where(bad[:, None], p_prev, p_c)
+                e_c = np.where(bad, e_prev, e_c)
                 if traced:
-                    tr.count("nonfinite_exits", int((~finite).sum()))
+                    tr.count("nonfinite_exits", int(bad.sum()))
             keep = finite & (e_c >= tolerance)
             if self.compaction:
                 dead = ~keep
@@ -300,8 +351,8 @@ class LockStepEngine:
                     active.scatter(
                         dead, ((q_c, qs), (p_c, positions), (e_c, errors))
                     )
-                    q_c, p_c, t_c, e_c = active.compact(
-                        keep, q_c, p_c, t_c, e_c
+                    q_c, p_c, t_c, e_c, *carry = active.compact(
+                        keep, q_c, p_c, t_c, e_c, *carry
                     )
                 # else: no row retired — the blocks are already dense and
                 # aligned, so the iteration carries zero gather/scatter cost.
@@ -309,6 +360,8 @@ class LockStepEngine:
                 qs[idx] = q_c
                 positions[idx] = p_c
                 errors[idx] = e_c
+                for block, full in zip(carry, carry_full):
+                    full[idx] = block
                 active.indices = idx[keep]
         if self.compaction and active.size:
             # Iteration budget exhausted with live rows: flush their state.
@@ -317,6 +370,14 @@ class LockStepEngine:
                 ((q_c, qs), (p_c, positions), (e_c, errors)),
             )
 
+        histories: list[np.ndarray] | None = None
+        if history is not None:
+            rows = np.concatenate([r for r, _ in history])
+            values = np.concatenate([v for _, v in history]).astype(float)
+            histories = np.split(
+                values[np.argsort(rows, kind="stable")],
+                np.cumsum(iterations + 1)[:-1],
+            )
         elapsed = time.perf_counter() - start_time
         results = [
             IKResult(
@@ -330,6 +391,9 @@ class LockStepEngine:
                 speculations=self.speculations,
                 fk_evaluations=int(fk_evaluations[i]),
                 wall_time=elapsed / m,
+                error_history=(
+                    histories[i] if histories is not None else np.empty(0)
+                ),
                 status=(
                     "converged"
                     if errors[i] < tolerance
@@ -384,7 +448,7 @@ class BatchedQuickIK(LockStepEngine):
             np.arange(1, self.speculations + 1) / self.speculations
         ).astype(self.chain.dtype, copy=False)
 
-    def _advance_dense(self, q_c, p_c, t_c, tracer):
+    def _advance_dense(self, q_c, p_c, t_c, carry, tracer):
         timed = tracer.enabled
         if timed:
             t0 = time.perf_counter()
@@ -408,6 +472,9 @@ class BatchedQuickIK(LockStepEngine):
         candidates = (
             q_c[:, None, :] + alphas[:, :, None] * dq_base[:, None, :]
         )  # (A,Max,N)
+        if self.config.respect_limits:
+            # As QuickIKSolver._step: clamp every candidate before the sweep.
+            candidates = np.clip(candidates, self._lower, self._upper)
         if timed:
             t2 = time.perf_counter()
             tracer.add_phase("alpha", t2 - t1)
@@ -434,57 +501,45 @@ class BatchedQuickIK(LockStepEngine):
         e_new = cand_errors[rows, chosen]
         if timed:
             tracer.add_phase("selection", time.perf_counter() - t3)
-        return q_new, p_new, e_new, self.speculations
+        return q_new, p_new, e_new, carry, self.speculations
 
 
-class BatchedJacobianTranspose(LockStepEngine):
-    """Lock-step JT-Serial (classic constant gain) over a batch of targets.
+class BatchedRowSolver(LockStepEngine):
+    """Lock-step driver for any :class:`~repro.core.base.RowUpdateSolver`.
 
-    This is where batching pays off most: the scalar solver spends thousands
-    of iterations doing tiny numpy operations per problem, while the batch
-    amortises every Jacobian/FK across all unconverged problems.  Semantics
-    match :class:`~repro.solvers.jacobian_transpose.JacobianTransposeSolver`
-    in classic mode exactly.
+    Each iteration runs the solver's own :meth:`update_rows` on every live
+    row, clamps the result into the joint limits when the config asks
+    (as the scalar driver does), and makes one prefix-frame pass over the
+    new configurations: its positions give the errors, its Jacobians the
+    next update.  The solver's options, config and kernel are the
+    engine's; results are labelled ``"<solver name>-batched"``.
     """
 
-    name = "JT-Serial-batched"
+    def __init__(self, solver, compaction: bool | None = None) -> None:
+        super().__init__(solver.chain, config=solver.config, compaction=compaction)
+        self.solver = solver
+        self.name = f"{solver.name}-batched"
 
-    def __init__(
-        self,
-        chain,
-        config: SolverConfig | None = None,
-        fixed_alpha: float | None = None,
-        chunk: int | None = None,
-        compaction: bool | None = None,
-    ) -> None:
-        from repro.solvers.jacobian_transpose import classic_transpose_gain
+    def _start(self, qs):
+        positions, jacobians = self.chain.fk_jacobian_batch(qs)
+        return positions, (jacobians, *self.solver.initial_state(qs.shape[0]))
 
-        super().__init__(chain, config=config, chunk=chunk, compaction=compaction)
-        self.alpha = (
-            fixed_alpha if fixed_alpha is not None else classic_transpose_gain(chain)
-        )
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-
-    def _advance_dense(self, q_c, p_c, t_c, tracer):
+    def _advance_dense(self, q_c, p_c, t_c, carry, tracer):
         timed = tracer.enabled
         if timed:
             t0 = time.perf_counter()
-        # Jacobians and positions in one pass (the Jacobian batch already
-        # computes the frames; re-deriving p_ee from FK keeps the scalar
-        # solver's exact operation order).
-        jacobians = self.chain.jacobian_position_batch(q_c)
-        e_vec = t_c - p_c
-        dq = np.einsum("akn,ak->an", jacobians, e_vec)
+        jacobians, state = carry[0], carry[1:]
+        q_new = self.solver.update_rows(q_c, t_c - p_c, jacobians, state)
+        if self.config.respect_limits:
+            q_new = np.clip(q_new, self._lower, self._upper)
         if timed:
             t1 = time.perf_counter()
-            tracer.add_phase("jacobian", t1 - t0)
-        q_new = q_c + self.alpha * dq
-        p_new = self._fk_chunked(q_new)
+            tracer.add_phase("alpha", t1 - t0)
+        p_new, jacobians = self.chain.fk_jacobian_batch(q_new)
         if timed:
             t2 = time.perf_counter()
             tracer.add_phase("fk_sweep", t2 - t1)
-        e_new = np.linalg.norm(t_c - p_new, axis=1)
+        e_new = task_errors(t_c, p_new)
         if timed:
             tracer.add_phase("selection", time.perf_counter() - t2)
-        return q_new, p_new, e_new, 1
+        return q_new, p_new, e_new, (jacobians, *state), 1

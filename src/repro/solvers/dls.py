@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import IterativeIKSolver
-from repro.core.result import SolverConfig, StepOutcome
+from repro.core.base import RowUpdateSolver
+from repro.core.result import SolverConfig
+from repro.core.rows import clamp_norm, rmatvec, row_norm
 from repro.kinematics.chain import KinematicChain
 
 __all__ = ["DampedLeastSquaresSolver"]
 
 
-class DampedLeastSquaresSolver(IterativeIKSolver):
+class DampedLeastSquaresSolver(RowUpdateSolver):
     """Damped least squares with optional adaptive damping.
 
     Parameters
@@ -54,16 +55,15 @@ class DampedLeastSquaresSolver(IterativeIKSolver):
         self.adaptive = adaptive
         self.error_clamp = error_clamp
 
-    def _step(
-        self, q: np.ndarray, position: np.ndarray, target: np.ndarray
-    ) -> StepOutcome:
-        error_vec = target - position
-        magnitude = float(np.linalg.norm(error_vec))
-        if self.error_clamp is not None and magnitude > self.error_clamp:
-            error_vec = error_vec * (self.error_clamp / magnitude)
-        lam = self.damping * max(1.0, magnitude) if self.adaptive else self.damping
-        jacobian = self.chain.jacobian_position(q)
-        jjt = jacobian @ jacobian.T
-        task_dim = jjt.shape[0]
-        rhs = np.linalg.solve(jjt + (lam**2) * np.eye(task_dim), error_vec)
-        return StepOutcome(q=q + jacobian.T @ rhs)
+    def update_rows(self, q, e, jacobians, state):
+        magnitude = row_norm(e)
+        e = clamp_norm(e, self.error_clamp, magnitude)
+        lam = (
+            self.damping * np.maximum(1.0, magnitude)[..., None, None]
+            if self.adaptive
+            else self.damping
+        )
+        jjt = jacobians @ np.swapaxes(jacobians, -1, -2)
+        damped = jjt + (lam**2) * np.eye(jjt.shape[-1])
+        rhs = np.linalg.solve(damped, e[..., None])[..., 0]
+        return q + rmatvec(jacobians, rhs)

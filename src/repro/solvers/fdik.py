@@ -32,15 +32,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.alpha import buss_alpha
-from repro.core.base import IterativeIKSolver
-from repro.core.result import SolverConfig, StepOutcome
+from repro.core.alpha import buss_alpha_rows
+from repro.core.base import RowUpdateSolver
+from repro.core.result import SolverConfig
+from repro.core.rows import clamp_norm, matvec, rmatvec
 from repro.kinematics.chain import KinematicChain
 
 __all__ = ["ForwardDynamicsSolver"]
 
 
-class ForwardDynamicsSolver(IterativeIKSolver):
+class ForwardDynamicsSolver(RowUpdateSolver):
     """Forward-dynamics IK ("fdik"): damped virtual dynamics on ``J^T e``.
 
     Parameters
@@ -78,31 +79,18 @@ class ForwardDynamicsSolver(IterativeIKSolver):
         self.damping = damping
         self.force_scale = force_scale
         self.error_clamp = error_clamp
-        self._qd: np.ndarray | None = None
 
-    def initial_configuration(
-        self, q0: np.ndarray | None, rng: np.random.Generator | None
-    ) -> np.ndarray:
-        # The virtual mechanism starts every solve at rest: without this
-        # reset, a reused (or unpickled) solver instance would carry the
-        # previous solve's momentum into the next one and break the
-        # cross-path determinism the conformance tier pins.
-        self._qd = None
-        return super().initial_configuration(q0, rng)
+    def initial_state(self, rows: int) -> tuple[np.ndarray, ...]:
+        # The virtual mechanism starts every solve at rest: the velocity
+        # is per solve, so results never depend on batch composition,
+        # worker count or solver reuse.
+        return (np.zeros((rows, self.chain.dof), dtype=self.chain.dtype),)
 
-    def _step(
-        self, q: np.ndarray, position: np.ndarray, target: np.ndarray
-    ) -> StepOutcome:
-        error_vec = target - position
-        magnitude = float(np.linalg.norm(error_vec))
-        if self.error_clamp is not None and magnitude > self.error_clamp:
-            error_vec = error_vec * (self.error_clamp / magnitude)
-        jacobian = self.chain.jacobian_position(q)
-        tau = jacobian.T @ error_vec
-        alpha = buss_alpha(error_vec, jacobian @ tau)
-        if self._qd is None:
-            self._qd = np.zeros_like(q)
-        self._qd = (1.0 - self.damping) * self._qd + (
-            self.force_scale * alpha
-        ) * tau
-        return StepOutcome(q=q + self._qd)
+    def update_rows(self, q, e, jacobians, state):
+        (qd,) = state
+        e = clamp_norm(e, self.error_clamp)
+        tau = rmatvec(jacobians, e)
+        alpha = buss_alpha_rows(e, matvec(jacobians, tau))
+        qd *= 1.0 - self.damping
+        qd += (self.force_scale * alpha)[..., None] * tau
+        return q + qd

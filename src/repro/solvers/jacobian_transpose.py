@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.alpha import buss_alpha
-from repro.core.base import IterativeIKSolver
-from repro.core.result import SolverConfig, StepOutcome
+from repro.core.alpha import buss_alpha_rows
+from repro.core.base import RowUpdateSolver
+from repro.core.result import SolverConfig
+from repro.core.rows import matvec, rmatvec
 from repro.kinematics.chain import KinematicChain
 
 __all__ = ["JacobianTransposeSolver", "classic_transpose_gain"]
@@ -48,7 +49,7 @@ def classic_transpose_gain(chain, safety: float = 1.0) -> float:
     return safety / bound_sq
 
 
-class JacobianTransposeSolver(IterativeIKSolver):
+class JacobianTransposeSolver(RowUpdateSolver):
     """The serial Jacobian-transpose solver ("JT-Serial" in Table 1).
 
     Parameters
@@ -89,14 +90,9 @@ class JacobianTransposeSolver(IterativeIKSolver):
         """The constant gain in use (``None`` in Buss mode)."""
         return self._constant_alpha
 
-    def _step(
-        self, q: np.ndarray, position: np.ndarray, target: np.ndarray
-    ) -> StepOutcome:
-        error_vec = target - position
-        jacobian = self.chain.jacobian_position(q)
-        dq_base = jacobian.T @ error_vec
+    def update_rows(self, q, e, jacobians, state):
+        dq_base = rmatvec(jacobians, e)
         if self._constant_alpha is not None:
-            alpha = self._constant_alpha
-        else:
-            alpha = buss_alpha(error_vec, jacobian @ dq_base)
-        return StepOutcome(q=q + alpha * dq_base)
+            return q + self._constant_alpha * dq_base
+        alpha = buss_alpha_rows(e, matvec(jacobians, dq_base))
+        return q + alpha[..., None] * dq_base

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.alpha import buss_alpha
-from repro.core.base import IterativeIKSolver
-from repro.core.result import SolverConfig, StepOutcome
+from repro.core.alpha import buss_alpha_rows
+from repro.core.base import RowUpdateSolver
+from repro.core.result import SolverConfig
+from repro.core.rows import clamp_norm, matvec, rmatvec
 from repro.kinematics.chain import KinematicChain
 
 __all__ = ["MirrorDescentSolver"]
@@ -52,7 +53,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class MirrorDescentSolver(IterativeIKSolver):
+class MirrorDescentSolver(RowUpdateSolver):
     """Mirror-descent IK ("mdik"): sigmoid/logit mirror map per joint.
 
     Parameters
@@ -91,16 +92,10 @@ class MirrorDescentSolver(IterativeIKSolver):
         # finite; their update is overridden by the Euclidean branch below.
         self._width = np.where(self._boxed, width, 1.0)
 
-    def _step(
-        self, q: np.ndarray, position: np.ndarray, target: np.ndarray
-    ) -> StepOutcome:
-        error_vec = target - position
-        magnitude = float(np.linalg.norm(error_vec))
-        if self.error_clamp is not None and magnitude > self.error_clamp:
-            error_vec = error_vec * (self.error_clamp / magnitude)
-        jacobian = self.chain.jacobian_position(q)
-        grad = jacobian.T @ error_vec
-        alpha = buss_alpha(error_vec, jacobian @ grad)
+    def update_rows(self, q, e, jacobians, state):
+        e = clamp_norm(e, self.error_clamp)
+        grad = rmatvec(jacobians, e)
+        alpha = buss_alpha_rows(e, matvec(jacobians, grad))[..., None]
 
         ratio = np.clip(
             (q - self._lower) / self._width, _RATIO_EPS, 1.0 - _RATIO_EPS
@@ -110,4 +105,4 @@ class MirrorDescentSolver(IterativeIKSolver):
         z_new = np.clip(z + eta * grad, -_Z_CLIP, _Z_CLIP)
         q_boxed = self._lower + self._width * _sigmoid(z_new)
         q_euclid = q + (self.step_scale * alpha) * grad
-        return StepOutcome(q=np.where(self._boxed, q_boxed, q_euclid))
+        return np.where(self._boxed, q_boxed, q_euclid)

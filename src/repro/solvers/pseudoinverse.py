@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import IterativeIKSolver
-from repro.core.result import SolverConfig, StepOutcome
+from repro.core.base import RowUpdateSolver
+from repro.core.result import SolverConfig
+from repro.core.rows import clamp_norm, matvec
 from repro.kinematics.chain import KinematicChain
 
 __all__ = ["PseudoinverseSolver", "damped_pinv"]
@@ -29,19 +30,27 @@ def damped_pinv(
     Singular values below ``rank_tolerance * sigma_max`` are treated as zero
     (rank truncation, KDL's behaviour); with ``damping > 0`` the inverse
     singular values become ``s / (s^2 + damping^2)`` (damped least squares).
+    ``jacobian`` may be one ``(M, N)`` matrix or a stack ``(..., M, N)``;
+    each matrix of a stack gets the same bits as alone.
     """
     u, s, vt = np.linalg.svd(jacobian, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((jacobian.shape[1], jacobian.shape[0]))
-    cutoff = rank_tolerance * s[0]
+    if s.shape[-1] == 0:
+        return np.zeros(jacobian.shape[:-2] + jacobian.shape[:-3:-1])
+    cutoff = rank_tolerance * s[..., :1]
     if damping > 0.0:
         inv_s = np.where(s > cutoff, s / (s**2 + damping**2), 0.0)
     else:
         inv_s = np.where(s > cutoff, 1.0 / np.maximum(s, 1e-300), 0.0)
-    return vt.T @ (inv_s[:, None] * u.T)
+    pinv = np.swapaxes(vt, -1, -2) @ (
+        inv_s[..., :, None] * np.swapaxes(u, -1, -2)
+    )
+    zero = s[..., 0] == 0.0
+    if zero.any():
+        pinv[zero] = 0.0
+    return pinv
 
 
-class PseudoinverseSolver(IterativeIKSolver):
+class PseudoinverseSolver(RowUpdateSolver):
     """The SVD-based pseudoinverse solver ("J-1-SVD" in Table 1).
 
     Parameters
@@ -74,15 +83,8 @@ class PseudoinverseSolver(IterativeIKSolver):
         #: Number of SVDs performed across all solves (cost-model input).
         self.svd_count = 0
 
-    def _step(
-        self, q: np.ndarray, position: np.ndarray, target: np.ndarray
-    ) -> StepOutcome:
-        error_vec = target - position
-        if self.error_clamp is not None:
-            magnitude = float(np.linalg.norm(error_vec))
-            if magnitude > self.error_clamp:
-                error_vec = error_vec * (self.error_clamp / magnitude)
-        jacobian = self.chain.jacobian_position(q)
-        pinv = damped_pinv(jacobian, damping=self.damping)
-        self.svd_count += 1
-        return StepOutcome(q=q + pinv @ error_vec)
+    def update_rows(self, q, e, jacobians, state):
+        e = clamp_norm(e, self.error_clamp)
+        pinv = damped_pinv(jacobians, damping=self.damping)
+        self.svd_count += q.shape[0]
+        return q + matvec(pinv, e)

@@ -4,10 +4,13 @@ Two registries, parallel by name:
 
 * :data:`SOLVER_REGISTRY` — scalar solvers keyed by the paper's Table 1
   names (plus extensions); built by :func:`make_solver`.
-* :data:`BATCH_REGISTRY` — lock-step batch engines keyed by the scalar name
-  they accelerate; built by :func:`make_batch_solver`, which falls back to
-  the scalar solver's per-target loop for names without a dedicated engine
-  (so every ``SOLVER_REGISTRY`` name is also a valid batch name).
+* :data:`BATCH_REGISTRY` — the names that solve lock-step, keyed to their
+  engine: Quick-IK's :class:`~repro.solvers.batched.BatchedQuickIK`, and
+  :class:`~repro.solvers.batched.BatchedRowSolver` for every solver whose
+  iteration is a row update (:class:`~repro.core.base.RowUpdateSolver`).
+  :func:`make_batch_solver` builds them, and falls back to the scalar
+  solver's per-target loop for the other names (so every
+  ``SOLVER_REGISTRY`` name is also a valid batch name).
 
 Both factories validate their keyword arguments against the target
 constructor's signature and reject unknown ones with an error naming the
@@ -22,9 +25,10 @@ from __future__ import annotations
 import inspect
 from typing import Any
 
+from repro.core.base import RowUpdateSolver
 from repro.core.hybrid import HybridSpeculativeSolver
 from repro.core.quick_ik import QuickIKSolver
-from repro.solvers.batched import BatchedJacobianTranspose, BatchedQuickIK
+from repro.solvers.batched import BatchedQuickIK, BatchedRowSolver
 from repro.solvers.ccd import CyclicCoordinateDescentSolver
 from repro.solvers.dls import DampedLeastSquaresSolver
 from repro.solvers.fdik import ForwardDynamicsSolver
@@ -58,10 +62,15 @@ SOLVER_REGISTRY = {
     "mdik": MirrorDescentSolver,
 }
 
-#: Lock-step batch engines, keyed by the scalar solver they accelerate.
+#: Lock-step batch engines, keyed by the scalar solver they drive.
+#: CCD, J-1-SVD+nullspace and JT-Hybrid keep the per-target loop.
 BATCH_REGISTRY = {
     "JT-Speculation": BatchedQuickIK,
-    "JT-Serial": BatchedJacobianTranspose,
+    **{
+        name: BatchedRowSolver
+        for name, factory in SOLVER_REGISTRY.items()
+        if issubclass(factory, RowUpdateSolver)
+    },
 }
 
 #: Constructor parameters that are not user-tunable options (the chain is
@@ -134,11 +143,17 @@ def make_batch_solver(
 ):
     """Instantiate a batch solver by name.
 
-    Names in :data:`BATCH_REGISTRY` get the dedicated lock-step engine; any
-    other :data:`SOLVER_REGISTRY` name falls back to the scalar solver,
-    whose inherited ``solve_batch`` loops per target.  Either way the result
-    exposes ``solve_batch(targets, q0=None, rng=None, tracer=None) ->
-    BatchResult``.
+    Names in :data:`BATCH_REGISTRY` get a lock-step engine: Quick-IK its
+    own, every row-update family (JT-Serial, JT-DLS, J-1-SVD, JT-SDLS,
+    fdik, mdik) the scalar solver built by :func:`make_solver` — with its
+    own validated options — driven by
+    :class:`~repro.solvers.batched.BatchedRowSolver`.  Any other
+    :data:`SOLVER_REGISTRY` name, and any name whose ``config`` carries a
+    ``watchdog`` (only the per-target driver arms one), falls back to the
+    scalar solver, whose inherited ``solve_batch`` loops per target.
+    Either way the result exposes ``solve_batch(targets, q0=None,
+    rng=None, tracer=None) -> BatchResult``, and a lock-step row equals the
+    scalar solve of its target from the same start.
 
     ``options`` is the typed execution policy
     (:class:`~repro.execution.ExecutionOptions`): its kernel spec folds into
@@ -200,17 +215,21 @@ def make_batch_solver(
                 "kernel configured twice: both config.kernel and "
                 "options.kernel are set"
             )
-    if name in BATCH_REGISTRY:
-        factory = BATCH_REGISTRY[name]
+    # Only the per-target driver arms a watchdog.
+    engine = (
+        BATCH_REGISTRY.get(name)
+        if config is None or config.watchdog is None
+        else None
+    )
+    if engine is BatchedQuickIK:
         if options.compaction is not None:
             kwargs.setdefault("compaction", options.compaction)
-        _validate_kwargs(name, factory, kwargs, BATCH_REGISTRY)
-        solver = factory(chain, config=config, **kwargs)
-    elif name in SOLVER_REGISTRY:
-        solver = make_solver(name, chain, config=config, **kwargs)
+        _validate_kwargs(name, engine, kwargs, BATCH_REGISTRY)
+        solver = engine(chain, config=config, **kwargs)
     else:
-        known = ", ".join(sorted(set(BATCH_REGISTRY) | set(SOLVER_REGISTRY)))
-        raise KeyError(f"unknown batch solver {name!r}; known: {known}")
+        solver = make_solver(name, chain, config=config, **kwargs)
+        if engine is BatchedRowSolver:
+            solver = BatchedRowSolver(solver, compaction=options.compaction)
     if not options.needs_sharding:
         return solver
     from repro.parallel import ShardedBatchSolver

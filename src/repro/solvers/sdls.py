@@ -22,22 +22,28 @@ import math
 
 import numpy as np
 
-from repro.core.base import IterativeIKSolver
-from repro.core.result import SolverConfig, StepOutcome
+from repro.core.base import RowUpdateSolver
+from repro.core.result import SolverConfig
+from repro.core.rows import row_dot
 from repro.kinematics.chain import KinematicChain
 
 __all__ = ["SelectivelyDampedSolver", "clamp_max_abs"]
 
 
-def clamp_max_abs(vector: np.ndarray, bound: float) -> np.ndarray:
-    """Rescale ``vector`` so its largest component magnitude is <= ``bound``."""
-    largest = float(np.max(np.abs(vector))) if vector.size else 0.0
-    if largest > bound > 0.0:
-        return vector * (bound / largest)
-    return vector
+def clamp_max_abs(vector: np.ndarray, bound) -> np.ndarray:
+    """Rescale ``vector`` so its largest component magnitude is <= ``bound``.
+
+    ``vector`` may be a stack ``(..., N)`` with one ``bound`` per row; a
+    non-positive bound leaves its row unchanged.
+    """
+    largest = np.max(np.abs(vector), axis=-1, initial=0.0)
+    bound = np.asarray(bound, dtype=float)
+    scale = np.ones(largest.shape, dtype=np.result_type(vector, 1.0))
+    np.divide(bound, largest, out=scale, where=(largest > bound) & (bound > 0.0))
+    return vector * scale[..., None]
 
 
-class SelectivelyDampedSolver(IterativeIKSolver):
+class SelectivelyDampedSolver(RowUpdateSolver):
     """SDLS ("selectively damped least squares") for position IK.
 
     Parameters
@@ -64,25 +70,27 @@ class SelectivelyDampedSolver(IterativeIKSolver):
         self.gamma_max = gamma_max
         self.rank_tolerance = rank_tolerance
 
-    def _step(
-        self, q: np.ndarray, position: np.ndarray, target: np.ndarray
-    ) -> StepOutcome:
-        error_vec = target - position
-        jacobian = self.chain.jacobian_position(q)
-        u, s, vt = np.linalg.svd(jacobian, full_matrices=False)
-        column_norms = np.linalg.norm(jacobian, axis=0)  # rho_j
-
-        update = np.zeros(self.chain.dof)
-        cutoff = self.rank_tolerance * (s[0] if s.size else 0.0)
-        for i in range(s.size):
-            sigma = float(s[i])
-            if sigma <= cutoff or sigma <= 0.0:
-                continue
-            tau = float(u[:, i] @ error_vec)
-            phi = (tau / sigma) * vt[i]
-            bound_m = float(np.abs(vt[i]) @ column_norms) / sigma
-            gamma_i = min(1.0, 1.0 / bound_m if bound_m > 0.0 else 1.0)
-            gamma_i *= self.gamma_max
-            update += clamp_max_abs(phi, gamma_i)
-        update = clamp_max_abs(update, self.gamma_max)
-        return StepOutcome(q=q + update)
+    def update_rows(self, q, e, jacobians, state):
+        u, s, vt = np.linalg.svd(jacobians, full_matrices=False)
+        column_norms = np.linalg.norm(jacobians, axis=-2)  # rho_j
+        directions = range(s.shape[-1])
+        # One dot per singular direction i (columns i of ``u``, rows of
+        # ``vt``), then every direction's contribution at once.
+        tau = np.stack([row_dot(u[..., :, i], e) for i in directions], -1)
+        reach = np.stack(
+            [row_dot(np.abs(vt[..., i, :]), column_norms) for i in directions],
+            -1,
+        )
+        live = (s > self.rank_tolerance * s[..., :1]) & (s > 0.0)
+        # Dropped directions (sigma at or below the cutoff) may divide by
+        # zero; their contribution is masked out below.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            phi = (tau / s)[..., None] * vt
+            bound_m = reach / s
+            gamma = np.minimum(1.0, np.where(bound_m > 0.0, 1.0 / bound_m, 1.0))
+            gamma *= self.gamma_max
+            steps = np.where(live[..., None], clamp_max_abs(phi, gamma), 0.0)
+        update = np.zeros(q.shape)
+        for i in directions:
+            update += steps[..., i, :]
+        return q + clamp_max_abs(update, self.gamma_max)

@@ -117,12 +117,17 @@ class TestSolveBatch:
             assert all(r.converged for r in batch), f"{name} failed"
 
     def test_scalar_fallback_for_other_solvers(self):
+        # CCD, J-1-SVD+nullspace and JT-Hybrid keep the per-target driver;
+        # every other name lock-steps (test_every_batch_registry_name_works).
         chain = paper_chain(12)
         targets = self._targets(chain, n=2)
-        batch = api.solve_batch(chain, targets, solver="JT-DLS", seed=0)
+        batch = api.solve_batch(chain, targets, solver="CCD", seed=0)
         assert isinstance(batch, BatchResult)
-        assert batch.solver == "JT-DLS"
-        assert all(r.converged for r in batch)
+        assert batch.solver == "CCD"
+        assert len(batch) == 2
+        lock_step = api.solve_batch(chain, targets, solver="JT-DLS", seed=0)
+        assert lock_step.solver == "JT-DLS-batched"
+        assert all(r.converged for r in lock_step)
 
     def test_batch_result_is_sequence_compatible(self):
         chain = paper_chain(12)

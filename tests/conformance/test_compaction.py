@@ -4,8 +4,9 @@ The compacted lock-step layout (dense survivor blocks, scatter-at-retirement)
 and the historical layout (gather/scatter against the full arrays every
 iteration) feed identical C-contiguous inputs to identical numpy ops, so
 every per-problem trajectory must be bit-for-bit equal — not merely close.
-This tier pins that across the paper's DOF sweep, both lock-step engines,
-both kernel modes and both dtypes.
+This tier pins that across the paper's DOF sweep, both lock-step engines
+(Quick-IK's and the row-update families'), both kernel modes and both
+dtypes.
 
 Any deviation here means the compaction bookkeeping reordered or aliased an
 operation, which the 1e-12 vectorized-vs-scalar tier could mask.
@@ -15,9 +16,13 @@ import numpy as np
 import pytest
 
 from repro.core.result import SolverConfig
-from repro.execution import KernelSpec
+from repro.execution import ExecutionOptions, KernelSpec
 from repro.kinematics.robots import paper_chain
-from repro.solvers.batched import BatchedJacobianTranspose, BatchedQuickIK
+from repro.solvers.batched import BatchedQuickIK
+from repro.solvers.registry import BATCH_REGISTRY, make_batch_solver
+
+#: The row-update families (every lock-step name but Quick-IK).
+ROW_FAMILIES = sorted(set(BATCH_REGISTRY) - {"JT-Speculation"})
 
 SEED = 20170407
 BATCH = 8
@@ -38,13 +43,15 @@ def _workload(dof: int, kernel: str, dtype: str):
     return chain, targets
 
 
-def _solve(engine_cls, chain, targets, compaction, **kwargs):
-    engine = engine_cls(
+def _solve(name, chain, targets, compaction, **kwargs):
+    engine = make_batch_solver(
+        name,
         chain,
         config=SolverConfig(tolerance=1e-2, max_iterations=300),
-        compaction=compaction,
+        options=ExecutionOptions(compaction=compaction),
         **kwargs,
     )
+    assert engine.compaction is compaction
     return engine.solve_batch(
         targets, rng=np.random.default_rng(SEED + 1)
     )
@@ -62,6 +69,9 @@ def _assert_bit_identical(a, b):
         # that retire through the non-finite path.
         assert np.array_equal(ra.q, rb.q, equal_nan=True)
         assert np.array_equal(ra.error, rb.error, equal_nan=True)
+        assert np.array_equal(
+            ra.error_history, rb.error_history, equal_nan=True
+        )
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -70,10 +80,10 @@ def _assert_bit_identical(a, b):
 def test_quick_ik_compaction_bit_identical(dof, kernel, dtype):
     chain, targets = _workload(dof, kernel, dtype)
     compacted = _solve(
-        BatchedQuickIK, chain, targets, True, speculations=16
+        "JT-Speculation", chain, targets, True, speculations=16
     )
     baseline = _solve(
-        BatchedQuickIK, chain, targets, False, speculations=16
+        "JT-Speculation", chain, targets, False, speculations=16
     )
     _assert_bit_identical(compacted, baseline)
 
@@ -84,8 +94,18 @@ def test_jacobian_transpose_compaction_bit_identical(dof, dtype):
     # JT-Serial's lock-step engine runs thousands of iterations; two DOF
     # points suffice — the layout plumbing is engine-independent.
     chain, targets = _workload(dof, "vectorized", dtype)
-    compacted = _solve(BatchedJacobianTranspose, chain, targets, True)
-    baseline = _solve(BatchedJacobianTranspose, chain, targets, False)
+    compacted = _solve("JT-Serial", chain, targets, True)
+    baseline = _solve("JT-Serial", chain, targets, False)
+    _assert_bit_identical(compacted, baseline)
+
+
+@pytest.mark.parametrize("name", sorted(set(ROW_FAMILIES) - {"JT-Serial"}))
+def test_row_family_compaction_bit_identical(name):
+    # The other row-update families share JT-Serial's engine; what differs
+    # is the carried state (fdik's velocity) and the update itself.
+    chain, targets = _workload(25, "vectorized", "float64")
+    compacted = _solve(name, chain, targets, True)
+    baseline = _solve(name, chain, targets, False)
     _assert_bit_identical(compacted, baseline)
 
 
@@ -96,10 +116,10 @@ def test_compaction_handles_nonfinite_rows():
     targets = targets.copy()
     targets[3] = [np.inf, 0.0, 0.0]
     compacted = _solve(
-        BatchedQuickIK, chain, targets, True, speculations=16
+        "JT-Speculation", chain, targets, True, speculations=16
     )
     baseline = _solve(
-        BatchedQuickIK, chain, targets, False, speculations=16
+        "JT-Speculation", chain, targets, False, speculations=16
     )
     _assert_bit_identical(compacted, baseline)
     assert compacted[3].status == "nonfinite"

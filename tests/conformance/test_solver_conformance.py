@@ -7,9 +7,13 @@ they must agree per problem:
 * across *worker counts* (sharded ``workers=2`` vs ``workers=1`` vs the
   unsharded engine): **bit-for-bit identical** — same iteration counts,
   same final ``q`` arrays, same error floats, same FK-evaluation counts;
-* across *engines* (lock-step vs scalar driver): identical iteration
-  counts and trajectories up to floating-point associativity (the batched
-  einsum contractions reorder additions; 1e-9 on ``q``).
+* across *engines* (lock-step vs scalar driver): bit-for-bit for the
+  row-update families, which run the scalar step's own arithmetic on every
+  row; identical iteration counts and trajectories up to floating-point
+  associativity for Quick-IK's engine (its einsum contractions reorder
+  additions; 1e-9 on ``q``);
+* across *batch sizes* (one row alone vs the same row in a batch of many):
+  bit-for-bit for every lock-step engine, on both kernels.
 
 Chains are seeded random geometries at 12/25/50 DOF, so conformance is not
 an artefact of one benign manipulator.  ``max_iterations`` is capped well
@@ -154,3 +158,147 @@ def test_explicit_q0_rows_conform_across_all_paths():
 
     _assert_bit_identical(lockstep, pooled)
     _assert_equivalent(scalar, lockstep)
+
+
+# -- lock-step rows == scalar solves (B = 1 == B = M) --------------------
+
+#: Lock-step names: Quick-IK plus every row-update family.
+LOCKSTEP = sorted(BATCH_REGISTRY)
+
+#: Rows of the row-update families equal the scalar driver bit for bit.
+#: Quick-IK's engine contracts its Jacobian with ``einsum`` and sweeps FK
+#: as a tree product, so against the scalar driver it is held to the
+#: cross-engine 1e-9 bound (and to bit-identity only across batch sizes).
+QUICK_IK_ATOL = 1e-9
+
+
+def _cold_batch(dof: int, n: int):
+    """Seeded chain, targets and random starts.  Two rows aim near their
+    start, so every family retires rows at different iterations and
+    compaction drops rows while carried Jacobians and fdik's velocity are
+    still in flight."""
+    chain = random_chain(dof, np.random.default_rng((SEED + 5, dof)))
+    rng = np.random.default_rng((SEED + 6, dof))
+    q0 = np.stack([chain.random_configuration(rng) for _ in range(n)])
+    aims = np.stack([chain.random_configuration(rng) for _ in range(n)])
+    aims[:2] = q0[:2] + rng.normal(scale=0.05, size=(2, dof))
+    targets = np.stack([chain.end_position(q) for q in aims])
+    return chain, targets, q0
+
+
+def _assert_same_row(got, want, exact: bool = True) -> None:
+    assert got.iterations == want.iterations
+    assert got.status == want.status
+    assert got.converged == want.converged
+    assert got.fk_evaluations == want.fk_evaluations
+    if exact:
+        np.testing.assert_array_equal(got.q, want.q)
+        assert got.error == want.error
+        np.testing.assert_array_equal(got.error_history, want.error_history)
+    else:
+        np.testing.assert_allclose(got.q, want.q, atol=QUICK_IK_ATOL, rtol=0.0)
+        assert got.error == pytest.approx(want.error, abs=QUICK_IK_ATOL)
+        np.testing.assert_allclose(
+            got.error_history, want.error_history,
+            atol=QUICK_IK_ATOL, rtol=0.0,
+        )
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+@pytest.mark.parametrize("name", LOCKSTEP)
+def test_lockstep_rows_equal_single_rows_and_scalar_solves(name, kernel):
+    """B = 1 == B = M bit for bit, and each row == make_solver(name).solve
+    of its target from the same start."""
+    chain, targets, q0 = _cold_batch(12, 8)
+    config = SolverConfig(tolerance=1e-2, max_iterations=150, kernel=kernel)
+    engine = make_batch_solver(name, chain, config=config)
+    many = engine.solve_batch(targets, q0=q0)
+    assert len({r.iterations for r in many}) > 1
+    scalar = make_solver(name, chain, config=config)
+    for i, row in enumerate(many):
+        _assert_same_row(row, engine.solve_batch(targets[i:i + 1], q0=q0[i:i + 1])[0])
+        _assert_same_row(
+            row, scalar.solve(targets[i], q0=q0[i]),
+            exact=name != "JT-Speculation",
+        )
+
+
+@pytest.mark.parametrize("name", LOCKSTEP)
+def test_vectorized_batch_equals_its_halves(name):
+    """The vectorized kernel scans every row count in one order, so a
+    32-target batch equals its two 16-row halves bit for bit — the
+    ``workers=2`` split of the same batch."""
+    chain, targets, q0 = _cold_batch(50, 32)
+    config = SolverConfig(
+        tolerance=1e-2, max_iterations=30, kernel="vectorized"
+    )
+    engine = make_batch_solver(name, chain, config=config)
+    whole = engine.solve_batch(targets, q0=q0)
+    halves = [
+        *engine.solve_batch(targets[:16], q0=q0[:16]),
+        *engine.solve_batch(targets[16:], q0=q0[16:]),
+    ]
+    for a, b in zip(whole, halves):
+        _assert_same_row(a, b)
+
+
+@pytest.mark.parametrize("name", LOCKSTEP)
+def test_lockstep_respects_joint_limits_like_api_solve(name):
+    """``respect_limits`` reaches the engines: starts 1e-3 rad below the
+    upper limits stay inside the box, row for row as ``api.solve``."""
+    from repro import api
+
+    chain, targets, _ = _cold_batch(12, 6)
+    q0 = np.tile(chain.upper_limits - 1e-3, (len(targets), 1))
+    config = SolverConfig(
+        tolerance=1e-2, max_iterations=80, respect_limits=True
+    )
+    batch = api.solve_batch(chain, targets, name, q0=q0, config=config)
+    for i, row in enumerate(batch):
+        assert chain.within_limits(row.q)
+        want = api.solve(chain, targets[i], name, q0=q0[i], config=config)
+        if name == "JT-Speculation":
+            # The driver re-evaluates FK after its own (no-op) clamp of the
+            # already clamped winner: one extra FK per iteration.
+            assert want.fk_evaluations == row.fk_evaluations + row.iterations
+            want.fk_evaluations = row.fk_evaluations
+        _assert_same_row(row, want, exact=name != "JT-Speculation")
+
+
+@pytest.mark.parametrize("name", LOCKSTEP)
+def test_lockstep_records_error_history(name):
+    """``record_history`` (the default) gives lock-step rows the driver's
+    history: the initial error plus one entry per iteration."""
+    from repro import api
+
+    chain, targets, q0 = _cold_batch(12, 4)
+    batch = api.solve_batch(chain, targets, name, q0=q0, max_iterations=60)
+    for i, row in enumerate(batch):
+        assert row.error_history.shape == (row.iterations + 1,)
+        assert row.error_history[-1] == row.error
+        want = api.solve(chain, targets[i], name, q0=q0[i], max_iterations=60)
+        _assert_same_row(row, want, exact=name != "JT-Speculation")
+    off = SolverConfig(record_history=False)
+    assert api.solve_batch(chain, targets, name, q0=q0, config=off)[0] \
+        .error_history.size == 0
+
+
+@pytest.mark.parametrize("name", LOCKSTEP)
+def test_watchdog_config_keeps_the_per_target_driver(name):
+    """Only the per-target driver arms the watchdog, so a config carrying
+    one is not run lock-step — its trips reach the batch results."""
+    from repro import api
+    from repro.resilience.watchdogs import WatchdogConfig
+
+    chain, _, q0 = _cold_batch(12, 3)
+    unreachable = np.tile([99.0, 0.0, 0.0], (3, 1))
+    config = SolverConfig(
+        max_iterations=500,
+        watchdog=WatchdogConfig(stall_window=5, stall_min_delta=1.0),
+    )
+    batch = api.solve_batch(chain, unreachable, name, q0=q0, config=config)
+    assert batch.solver == name
+    for i, row in enumerate(batch):
+        assert row.status == "stalled"
+        want = api.solve(chain, unreachable[i], name, q0=q0[i], config=config)
+        _assert_same_row(row, want)

@@ -72,6 +72,7 @@ def test_dense_step_cost_tracks_survivor_count():
             qs[:rows].copy(),
             positions[:rows].copy(),
             targets[:rows],
+            (),
             tracer,
         )
 

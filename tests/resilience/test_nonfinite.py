@@ -11,8 +11,8 @@ import numpy as np
 from repro.core.result import SolverConfig
 from repro.kinematics.robots import paper_chain
 from repro.resilience import NaNJacobianChain
-from repro.solvers.batched import BatchedJacobianTranspose
 from repro.solvers.jacobian_transpose import JacobianTransposeSolver
+from repro.solvers.registry import make_batch_solver
 from repro.telemetry import SummaryTracer
 
 CAP = 500
@@ -55,8 +55,8 @@ class TestLockStepEngine:
     def test_nan_jacobian_rows_exit_typed(self):
         base = paper_chain(6)
         chain = NaNJacobianChain(base, after_calls=2)
-        engine = BatchedJacobianTranspose(
-            chain, config=SolverConfig(max_iterations=CAP)
+        engine = make_batch_solver(
+            "JT-Serial", chain, config=SolverConfig(max_iterations=CAP)
         )
         targets = np.stack([_target(base, s) for s in range(3)])
         tracer = SummaryTracer()
@@ -72,12 +72,15 @@ class TestLockStepEngine:
             if r.status == "nonfinite":
                 assert not r.converged
                 assert r.iterations < CAP
+                # As the scalar driver: the row keeps its last finite state.
+                assert np.all(np.isfinite(r.q))
+                assert np.isfinite(r.error)
         assert tracer.counters.get("nonfinite_exits", 0) >= 1
 
     def test_healthy_batch_statuses(self):
         base = paper_chain(6)
-        engine = BatchedJacobianTranspose(
-            base, config=SolverConfig(max_iterations=2000)
+        engine = make_batch_solver(
+            "JT-Serial", base, config=SolverConfig(max_iterations=2000)
         )
         targets = np.stack([_target(base, s) for s in range(3)])
         batch = engine.solve_batch(targets, rng=np.random.default_rng(2))

@@ -2,12 +2,12 @@
 
 A mixed-robot, mixed-solver request stream goes through the micro-batching
 server; every response is compared one-to-one against the offline solve with
-the same robot / target / solver / seed / config.  Scalar-path solvers
-(JT-DLS here) must be **bit-identical**; lock-step engines (Quick-IK) run
-the batched einsum formulation whose per-problem numerics the conformance
-tier pins to the scalar driver at 1e-9, so q is compared at that bound while
-the discrete outcome (iterations / converged / status / FK count) must match
-exactly.
+the same robot / target / solver / seed / config.  Row-update families
+(JT-DLS here), which run lock-step on the scalar step's own arithmetic, must
+be **bit-identical**; Quick-IK's engine runs the batched einsum formulation
+whose per-problem numerics the conformance tier pins to the scalar driver at
+1e-9, so q is compared at that bound while the discrete outcome
+(iterations / converged / status / FK count) must match exactly.
 
 The guarantee is *dispatch-count invariant*: ``q0`` is fixed at admission
 and per-problem numerics are independent of batch composition, so the same
@@ -29,7 +29,7 @@ from repro import api
 from repro.kinematics.robots import named_robot
 from repro.serving import IKServer, ServerConfig, SolveRequest
 
-#: (solver, lock_step) — lock-step engines get the 1e-9 q bound.
+#: (solver, lock_step) — Quick-IK's engine gets the 1e-9 q bound.
 SOLVERS = [("JT-Speculation", True), ("JT-DLS", False)]
 ROBOTS = ["dadu-12dof", "planar-8dof"]
 MAX_ITERATIONS = 200

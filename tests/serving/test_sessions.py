@@ -11,11 +11,12 @@ loop that solves the same targets sequentially with chained seeds —
 invariant across ``dispatch_workers`` counts and concurrent interleaved
 sessions.
 
-Offline reference nuance: scalar-path solvers (JT-DLS, fdik, mdik) are
-reproduced by ``api.solve``; lock-step engines (JT-Speculation) run the
-batched formulation when served, so their reference is an
-``api.solve_batch`` singleton (the conformance tier separately pins that
-batch composition never changes per-problem numerics).
+Offline reference nuance: the row-update families (JT-DLS, fdik, mdik)
+run lock-step when served, on the scalar step's own arithmetic, so
+``api.solve`` reproduces them bit for bit; Quick-IK's engine
+(JT-Speculation) reassociates its Jacobian contractions, so its reference
+is an ``api.solve_batch`` singleton (the conformance tier separately pins
+that batch composition never changes per-problem numerics).
 
 The differential runs disable the seed cache (``seed_cache_capacity=0``):
 whether a tick-0 admission hits the cache depends on how far concurrent
@@ -49,7 +50,7 @@ from repro.telemetry import SummaryTracer
 TOLERANCE = 1e-2
 MAX_ITERATIONS = 300
 
-#: (solver, lock_step) — lock-step engines are referenced via solve_batch.
+#: (solver, lock_step) — Quick-IK's engine is referenced via solve_batch.
 SOLVERS = [
     ("JT-Speculation", True),
     ("JT-DLS", False),

@@ -6,8 +6,9 @@ import pytest
 from repro.core.quick_ik import QuickIKSolver
 from repro.core.result import SolverConfig
 from repro.kinematics.robots import paper_chain
-from repro.solvers.batched import BatchedJacobianTranspose, BatchedQuickIK
+from repro.solvers.batched import BatchedQuickIK, BatchedRowSolver
 from repro.solvers.jacobian_transpose import JacobianTransposeSolver
+from repro.solvers.registry import make_batch_solver
 
 
 @pytest.fixture(scope="module")
@@ -94,28 +95,47 @@ class TestBatchedQuickIK:
 
 
 class TestBatchedJacobianTranspose:
+    """JT-Serial on the lock-step row engine."""
+
     def test_matches_scalar_exactly(self, workload):
         chain, targets, q0 = workload
         config = SolverConfig(max_iterations=5000, record_history=False)
-        batched = BatchedJacobianTranspose(chain, config=config).solve_batch(
+        batched = make_batch_solver("JT-Serial", chain, config=config).solve_batch(
             targets, q0=q0
         )
         scalar = JacobianTransposeSolver(chain, config=config)
         for i, result in enumerate(batched):
             reference = scalar.solve(targets[i], q0=q0[i])
             assert result.iterations == reference.iterations
-            assert np.allclose(result.q, reference.q, atol=1e-9)
+            np.testing.assert_array_equal(result.q, reference.q)
+            assert result.error == reference.error
 
     def test_uses_classic_gain_by_default(self, workload):
         from repro.solvers.jacobian_transpose import classic_transpose_gain
 
         chain, _, _ = workload
-        solver = BatchedJacobianTranspose(chain)
-        assert solver.alpha == pytest.approx(classic_transpose_gain(chain))
+        engine = make_batch_solver("JT-Serial", chain)
+        assert isinstance(engine, BatchedRowSolver)
+        assert engine.solver.constant_alpha == pytest.approx(
+            classic_transpose_gain(chain)
+        )
 
     def test_fixed_alpha_override(self, workload):
         chain, _, _ = workload
-        assert BatchedJacobianTranspose(chain, fixed_alpha=0.02).alpha == 0.02
+        engine = make_batch_solver("JT-Serial", chain, fixed_alpha=0.02)
+        assert engine.solver.constant_alpha == 0.02
+
+    def test_buss_mode_runs_lock_step(self, workload):
+        chain, targets, q0 = workload
+        config = SolverConfig(max_iterations=500)
+        batched = make_batch_solver(
+            "JT-Serial", chain, config=config, alpha_mode="buss"
+        ).solve_batch(targets, q0=q0)
+        scalar = JacobianTransposeSolver(chain, config=config, alpha_mode="buss")
+        for i, result in enumerate(batched):
+            reference = scalar.solve(targets[i], q0=q0[i])
+            assert result.iterations == reference.iterations
+            np.testing.assert_array_equal(result.q, reference.q)
 
     def test_mixed_convergence_bookkeeping(self, workload):
         """Reachable and unreachable targets in one batch keep independent
@@ -124,7 +144,7 @@ class TestBatchedJacobianTranspose:
         mixed = targets.copy()
         mixed[0] = [99.0, 0.0, 0.0]
         config = SolverConfig(max_iterations=50, record_history=False)
-        results = BatchedJacobianTranspose(chain, config=config).solve_batch(
+        results = make_batch_solver("JT-Serial", chain, config=config).solve_batch(
             mixed, q0=q0
         )
         assert not results[0].converged

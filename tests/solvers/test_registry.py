@@ -6,10 +6,11 @@ import pytest
 from repro.core.quick_ik import QuickIKSolver
 from repro.core.result import BatchResult, SolverConfig
 from repro.kinematics.robots import paper_chain
+from repro.core.base import RowUpdateSolver
 from repro.solvers import (
     BATCH_REGISTRY,
-    BatchedJacobianTranspose,
     BatchedQuickIK,
+    BatchedRowSolver,
     SOLVER_REGISTRY,
     describe_solver_options,
     make_batch_solver,
@@ -93,9 +94,27 @@ class TestBatchRegistry:
             make_batch_solver("JT-Speculation", chain, speculations=8),
             BatchedQuickIK,
         )
-        assert isinstance(
-            make_batch_solver("JT-Serial", chain), BatchedJacobianTranspose
-        )
+        for name in ("JT-Serial", "JT-DLS", "J-1-SVD", "JT-SDLS", "fdik", "mdik"):
+            engine = make_batch_solver(name, chain)
+            assert isinstance(engine, BatchedRowSolver)
+            assert isinstance(engine.solver, SOLVER_REGISTRY[name])
+            assert engine.name == f"{name}-batched"
+
+    def test_lock_step_names_are_the_row_update_families(self):
+        row_families = {
+            name for name, factory in SOLVER_REGISTRY.items()
+            if issubclass(factory, RowUpdateSolver)
+        }
+        assert set(BATCH_REGISTRY) == row_families | {"JT-Speculation"}
+        for name in ("CCD", "J-1-SVD+nullspace", "JT-Hybrid"):
+            assert name not in BATCH_REGISTRY
+
+    def test_row_engine_uses_the_solvers_own_options(self):
+        chain = paper_chain(12)
+        engine = make_batch_solver("JT-DLS", chain, damping=0.3, adaptive=True)
+        assert engine.solver.damping == 0.3 and engine.solver.adaptive
+        with pytest.raises(ValueError, match="damping"):
+            make_batch_solver("JT-DLS", chain, damping=-1.0)
 
     def test_scalar_fallback_has_solve_batch(self, rng):
         chain = paper_chain(12)
