@@ -180,10 +180,10 @@ def run_kernel_bench(
                 f" vs scalar/float64)"
             )
 
-    # -- engine matrix: full lock-step Quick-IK solves, compaction x dtype --
+    # -- engine matrix: full lock-step Quick-IK solves per dtype --
     # Engine solves are ~0.3 s each, so best-of can afford more repeats
     # than the microbenchmark sections — the single noisy container CPU
-    # otherwise dominates the compaction deltas.
+    # otherwise dominates the dtype delta.
     engine = _engine_bench(
         dof=dof, batch=batch, speculations=speculations,
         repeats=max(5, repeats), seed=seed,
@@ -210,9 +210,9 @@ def run_kernel_bench(
             "acceptance microbenchmark. max_abs_deviation is vectorized vs "
             "the scalar oracle (conformance bound: 1e-12). kernel_matrix "
             "sweeps the same sweep across kernel mode x dtype; engine times "
-            "full lock-step Quick-IK batch solves across compaction x dtype "
-            "(engine_headline_speedup: compaction+float32 vs the plain "
-            "vectorized float64 engine, acceptance bar >= 1.3x)."
+            "full lock-step Quick-IK batch solves per dtype "
+            "(engine_headline_speedup: float32 vs the vectorized float64 "
+            "engine)."
         ),
     }
 
@@ -225,12 +225,9 @@ def _engine_bench(
     seed: int,
     max_iterations: int = ENGINE_MAX_ITERATIONS,
 ) -> dict:
-    """Time full lock-step Quick-IK batch solves across compaction x dtype.
+    """Time full lock-step Quick-IK batch solves per dtype.
 
-    The baseline case (``vectorized/float64, compaction=off``) is the
-    engine exactly as it ran before this PR; the combined case
-    (``vectorized/float32, compaction=on``) carries the acceptance bar.
-    All cases solve the identical seeded target set from identical q0
+    Both cases solve the identical seeded target set from identical q0
     draws, so iteration counts are comparable across dtypes.
     """
     base = paper_chain(dof)
@@ -243,38 +240,34 @@ def _engine_bench(
 
     cases = {}
     for dtype in ("float64", "float32"):
-        for compaction in (False, True):
-            spec = KernelSpec(name="vectorized", dtype=dtype)
-            engine = BatchedQuickIK(
-                spec.apply(base), speculations=speculations,
-                config=config, compaction=compaction,
+        spec = KernelSpec(name="vectorized", dtype=dtype)
+        engine = BatchedQuickIK(
+            spec.apply(base), speculations=speculations, config=config,
+        )
+
+        def run(engine=engine):
+            return engine.solve_batch(
+                targets, rng=np.random.default_rng(seed + 4)
             )
 
-            def run(engine=engine):
-                return engine.solve_batch(
-                    targets, rng=np.random.default_rng(seed + 4)
-                )
+        seconds = _best_of(run, repeats, inner=1)
+        result = run()
+        label = spec.label
+        cases[label] = {
+            "seconds": seconds,
+            "per_solve_ms": seconds / batch * 1e3,
+            "converged": int(np.sum([r.converged for r in result])),
+            "mean_iterations": float(np.mean([r.iterations for r in result])),
+            "mean_error": float(np.mean([r.error for r in result])),
+        }
+        print(
+            f"engine {label}: {seconds * 1e3:.1f} ms "
+            f"({cases[label]['converged']}/{batch} converged, "
+            f"{cases[label]['mean_iterations']:.1f} mean iters)"
+        )
 
-            seconds = _best_of(run, repeats, inner=1)
-            result = run()
-            label = f"{spec.label}/compaction={'on' if compaction else 'off'}"
-            cases[label] = {
-                "seconds": seconds,
-                "per_solve_ms": seconds / batch * 1e3,
-                "converged": int(np.sum([r.converged for r in result])),
-                "mean_iterations": float(
-                    np.mean([r.iterations for r in result])
-                ),
-                "mean_error": float(np.mean([r.error for r in result])),
-            }
-            print(
-                f"engine {label}: {seconds * 1e3:.1f} ms "
-                f"({cases[label]['converged']}/{batch} converged, "
-                f"{cases[label]['mean_iterations']:.1f} mean iters)"
-            )
-
-    baseline = cases["vectorized/float64/compaction=off"]["seconds"]
-    combined = cases["vectorized/float32/compaction=on"]["seconds"]
+    baseline = cases["vectorized/float64"]["seconds"]
+    combined = cases["vectorized/float32"]["seconds"]
     return {
         "workload": {
             "dof": dof,
@@ -342,25 +335,13 @@ def test_kernel_bench_smoke():
         bound = 1e-12 if label.endswith("float64") else 1e-4
         assert row["max_abs_deviation_vs_oracle"] <= bound, label
         assert row["us"] > 0.0
-    # The engine matrix: every compaction x dtype case solved the batch.
+    # The engine matrix: every dtype case solved the batch.
     cases = payload["engine"]["cases"]
-    assert set(cases) == {
-        "vectorized/float64/compaction=off",
-        "vectorized/float64/compaction=on",
-        "vectorized/float32/compaction=off",
-        "vectorized/float32/compaction=on",
-    }
+    assert set(cases) == {"vectorized/float64", "vectorized/float32"}
     batch = payload["engine"]["workload"]["batch"]
     for label, case in cases.items():
         assert case["seconds"] > 0.0, label
         assert case["converged"] == batch, label
-    # Compaction must not change the math: identical convergence behaviour
-    # per dtype (bit-level identity is pinned by the conformance tier).
-    for dtype in ("float64", "float32"):
-        on = cases[f"vectorized/{dtype}/compaction=on"]
-        off = cases[f"vectorized/{dtype}/compaction=off"]
-        assert on["mean_iterations"] == off["mean_iterations"], dtype
-        assert on["mean_error"] == off["mean_error"], dtype
 
 
 if __name__ == "__main__":

@@ -238,8 +238,7 @@ def solve_batch(
 
     ``options`` is the typed execution policy
     (:class:`~repro.execution.ExecutionOptions`) bundling the kernel spec
-    (mode / dtype / chunk), sharding, failure policy, and the lock-step
-    engines' active-set ``compaction`` toggle.  The individual keywords
+    (mode / dtype / chunk), sharding and failure policy.  The individual keywords
     below keep working as deprecated aliases (one
     :class:`DeprecationWarning` per keyword per process) and are mutually
     exclusive with ``options``:

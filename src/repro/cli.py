@@ -195,11 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                              choices=list(KERNEL_MODES),
                              help="FK/Jacobian kernel mode for served solves")
     add_kernel_axes(serve_bench)
-    serve_bench.add_argument("--compaction", default="auto",
-                             choices=["auto", "on", "off"],
-                             help="lock-step active-set compaction for "
-                                  "served batches (auto: on; off keeps the "
-                                  "gather/scatter-per-iteration layout)")
     serve_bench.add_argument("--on-error", default="skip",
                              choices=["raise", "skip", "fallback"],
                              help="per-batch failure policy (serving default: "
@@ -601,9 +596,6 @@ def _cmd_serve_bench(args) -> int:
         kernel=args.kernel,
         dtype=args.dtype,
         chunk=args.chunk,
-        compaction=(
-            None if args.compaction == "auto" else args.compaction == "on"
-        ),
         on_error=args.on_error,
         tolerance=args.tolerance,
         max_iterations=args.max_iterations,

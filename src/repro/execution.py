@@ -3,7 +3,7 @@
 The kernel layer, the process pool, the failure policies and the resilience
 pipeline each grew their own keyword on every entry point (``kernel=``,
 ``workers=``, ``timeout=``, ``on_error=``, ``resilience=``), and the
-compaction/dtype axes added here would have made it seven.  This module
+dtype axis added here would have made it six.  This module
 replaces the kwarg sprawl with two small frozen dataclasses that every
 entry point (``api.solve`` / ``api.solve_batch`` / ``api.serve``,
 ``make_batch_solver``, :class:`~repro.workloads.suite.EvaluationSuite`, the
@@ -15,9 +15,8 @@ CLI) accepts as a single ``options=`` argument:
   the chain was built with, so ``KernelSpec(name="vectorized")`` is exactly
   the old ``kernel="vectorized"``.
 * :class:`ExecutionOptions` — *how a solve call executes*: the kernel spec,
-  process sharding (``workers`` / ``timeout``), failure policy
-  (``on_error`` / ``resilience``), and the lock-step engines' active-set
-  ``compaction`` toggle.
+  process sharding (``workers`` / ``timeout``) and failure policy
+  (``on_error`` / ``resilience``).
 
 The legacy keywords keep working as deprecated aliases: each entry point
 normalises them into an :class:`ExecutionOptions` via :meth:`from_legacy`,
@@ -168,10 +167,6 @@ class ExecutionOptions:
     resilience:
         :class:`~repro.resilience.ResilienceConfig` (or ``True`` for the
         stock policy) enabling guards/watchdogs/fallback chains.
-    compaction:
-        Lock-step engines' active-set compaction: ``None`` (auto — on),
-        ``True``, or ``False`` (keep the gather/scatter-per-iteration
-        layout; useful for A/B conformance runs).
     """
 
     kernel: "KernelSpec | None" = None
@@ -179,7 +174,6 @@ class ExecutionOptions:
     timeout: float | None = None
     on_error: str = "raise"
     resilience: Any = None
-    compaction: bool | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kernel", KernelSpec.coerce(self.kernel))
@@ -228,7 +222,6 @@ class ExecutionOptions:
         timeout: float | None = None,
         on_error: str | None = None,
         resilience: Any = None,
-        compaction: bool | None = None,
         warn: bool = True,
     ) -> "ExecutionOptions":
         """Normalise one call's ``options=`` + legacy keywords.
@@ -247,7 +240,6 @@ class ExecutionOptions:
                 ("timeout", timeout),
                 ("on_error", on_error),
                 ("resilience", resilience),
-                ("compaction", compaction),
             )
             if value is not None
         }
@@ -273,7 +265,6 @@ class ExecutionOptions:
             timeout=legacy.get("timeout"),
             on_error=legacy.get("on_error", "raise"),
             resilience=legacy.get("resilience"),
-            compaction=legacy.get("compaction"),
         )
 
 

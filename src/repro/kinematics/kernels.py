@@ -308,8 +308,10 @@ class VectorizedKernels:
     def __init__(self, chain: "KinematicChain") -> None:
         self.chain = chain
         self._snapshot_statics()
-        self._cache_key: bytes | None = None
-        self._cache_frames: np.ndarray | None = None
+        #: ``(q.tobytes(), frames)`` of the last single configuration,
+        #: written and read as one tuple so a thread sharing this kernel
+        #: never pairs one configuration's key with another's frames.
+        self._cache: tuple[bytes, np.ndarray] | None = None
 
     # -- static precomputation -----------------------------------------
 
@@ -363,8 +365,7 @@ class VectorizedKernels:
 
     def invalidate(self) -> None:
         """Drop the per-configuration prefix-transform cache."""
-        self._cache_key = None
-        self._cache_frames = None
+        self._cache = None
 
     def refresh(self) -> None:
         """Re-snapshot the static factors after a chain parameter change."""
@@ -373,16 +374,15 @@ class VectorizedKernels:
 
     def _cached_frames(self, q: np.ndarray) -> np.ndarray | None:
         """The prefix frames for ``q`` if cached and still valid."""
-        if self._cache_frames is None:
-            return None
-        if q.tobytes() != self._cache_key:
+        cache = self._cache
+        if cache is None or q.tobytes() != cache[0]:
             return None
         if self._chain_fingerprint() != self._fingerprint:
             # Parameter arrays were mutated under us: the snapshot and the
             # cache are both stale.
             self.refresh()
             return None
-        return self._cache_frames
+        return cache[1]
 
     # -- local transforms (compact affine form) ------------------------
 
@@ -475,8 +475,7 @@ class VectorizedKernels:
         if cached is not None:
             return cached
         frames = self._prefix_frames_batch(q[None, :])[0]
-        self._cache_key = q.tobytes()
-        self._cache_frames = frames
+        self._cache = (q.tobytes(), frames)
         return frames
 
     def _prefix_frames_batch(self, qs: np.ndarray) -> np.ndarray:

@@ -25,6 +25,11 @@ an EWMA of that group's inter-arrival times instead of being the static
   straggling partial batch is not held long after the burst that fed it
   ended.
 
+A group whose requests are being admitted into a live lock-step run is
+not flushed at all: the server passes its key in ``exclude`` and takes the
+group's requests itself, at the run's next iteration (:meth:`take`), so
+the triggers above only decide when a *new* run starts.
+
 The batcher is deliberately single-threaded and clock-free — arrival times
 ride in on ``entry.enqueue_t`` and flush checks take ``now`` explicitly —
 so the whole policy is unit-testable without timing sleeps;
@@ -37,7 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Container
 
 __all__ = ["GroupKey", "PendingEntry", "MicroBatch", "MicroBatcher"]
 
@@ -217,19 +222,23 @@ class MicroBatcher:
             or now - group.entries[0].enqueue_t >= self.max_wait_s
         )
 
-    def has_ready(self, now: float) -> bool:
-        """Would :meth:`pop_ready` return anything at time ``now``?"""
+    def has_ready(self, now: float, exclude: Container = ()) -> bool:
+        """Would :meth:`pop_ready` return anything at time ``now`` (from a
+        group not in ``exclude``)?"""
         return any(
-            group.entries and self._group_ready(key, group, now)
+            group.entries
+            and key not in exclude
+            and self._group_ready(key, group, now)
             for key, group in self._groups.items()
         )
 
-    def next_flush_at(self) -> float | None:
-        """Earliest monotonic time an age trigger fires (None when empty)."""
+    def next_flush_at(self, exclude: Container = ()) -> float | None:
+        """Earliest monotonic time an age trigger fires for a group not in
+        ``exclude`` (None when there is none)."""
         oldest = [
             group.entries[0].enqueue_t + self.effective_params(key)[1]
             for key, group in self._groups.items()
-            if group.entries
+            if group.entries and key not in exclude
         ]
         return min(oldest) if oldest else None
 
@@ -240,27 +249,34 @@ class MicroBatcher:
             if len(self._groups) < MAX_IDLE_GROUPS:
                 return
 
-    def _take(self, key: GroupKey, count: int) -> list[PendingEntry]:
+    def take(self, key: GroupKey, count: int) -> list[PendingEntry]:
+        """Remove and return up to ``count`` of ``key``'s oldest entries,
+        due or not (a live run's admission)."""
         # The emptied group object is retained: its inter-arrival EWMA is
         # the adaptive policy's memory, and a group empties on every flush.
-        group = self._groups[key]
+        group = self._groups.get(key)
+        if group is None or count < 1:
+            return []
         taken, group.entries = group.entries[:count], group.entries[count:]
         self._pending -= len(taken)
         return taken
 
-    def pop_one(self, now: float, force: bool = False) -> MicroBatch | None:
+    def pop_one(
+        self, now: float, force: bool = False, exclude: Container = ()
+    ) -> MicroBatch | None:
         """Remove and return the single oldest due batch, or ``None``.
 
         The unit of work for one dispatch thread: each call takes at most
         ``max_batch_size`` entries from the due group whose head is oldest,
         so N concurrent dispatch loops drain the queue in arrival order
         without one loop grabbing the whole backlog.  ``force=True`` treats
-        every non-empty group as due (shutdown drain).
+        every non-empty group as due (shutdown drain).  Groups in
+        ``exclude`` are skipped.
         """
         best_key = None
         best_t = math.inf
         for key, group in self._groups.items():
-            if not group.entries:
+            if not group.entries or key in exclude:
                 continue
             if not force and not self._group_ready(key, group, now):
                 continue
@@ -272,7 +288,7 @@ class MicroBatcher:
         if not force and not self._statically_ready(self._groups[best_key], now):
             self.adaptive_adjustments += 1
         return MicroBatch(
-            key=best_key, entries=self._take(best_key, self.max_batch_size)
+            key=best_key, entries=self.take(best_key, self.max_batch_size)
         )
 
     def pop_ready(self, now: float, force: bool = False) -> list[MicroBatch]:
@@ -298,7 +314,7 @@ class MicroBatcher:
                 continue
             if not force and not self._statically_ready(group, now):
                 self.adaptive_adjustments += 1
-            taken = self._take(key, take)
+            taken = self.take(key, take)
             for lo in range(0, take, self.max_batch_size):
                 batches.append(MicroBatch(
                     key=key, entries=taken[lo:lo + self.max_batch_size]

@@ -145,7 +145,6 @@ def run_serve_bench(
     kernel: str | None = None,
     dtype: str | None = None,
     chunk: int | None = None,
-    compaction: bool | None = None,
     on_error: str = "skip",
     tolerance: float | None = None,
     max_iterations: int | None = None,
@@ -199,7 +198,6 @@ def run_serve_bench(
         kernel=base,
         workers=workers,
         on_error=on_error,
-        compaction=compaction,
     )
     config_kwargs: dict[str, Any] = {}
     if seed_k is not None:
@@ -367,7 +365,6 @@ def run_serve_bench(
             "kernel": kernel,
             "dtype": dtype,
             "chunk": chunk,
-            "compaction": compaction,
             "on_error": on_error,
             "warm_start": warm_start,
             "seed_k": seed_k,

@@ -1,15 +1,24 @@
-"""The in-process IK request server: futures in, lock-step batches out.
+"""The in-process IK request server: futures in, lock-step runs out.
 
 :class:`IKServer` accepts individual :class:`~repro.serving.request.SolveRequest`\\ s
 and returns a :class:`concurrent.futures.Future` per request.  A pool of
 dispatch threads (``ServerConfig.dispatch_workers``) coalesces compatible
 requests (same robot / solver / config / options) through the
-:class:`~repro.serving.batcher.MicroBatcher` and executes each flushed
-micro-batch through the existing :func:`repro.api.solve_batch` path — so a
-served batch inherits the whole stack built in PRs 1-6: lock-step
-vectorized engines, ``workers=`` process sharding, the kernel spec
-(mode / dtype / chunk), active-set compaction and the ``on_error=``
-resilience semantics.
+:class:`~repro.serving.batcher.MicroBatcher`.  What a dispatch loop does
+with a flushed micro-batch depends on its key:
+
+* **Iteration-level admission.**  A key that can run in-process on a
+  lock-step engine — a ``BATCH_REGISTRY`` solver, ``workers`` unset or 1,
+  no ``timeout``, ``on_error`` ``"raise"`` or ``"skip"``, no
+  ``resilience`` and no watchdog — opens a resumable
+  :class:`~repro.solvers.batched.LockStepRun`.  At every iteration
+  boundary the loop admits that key's queued requests into the run (up to
+  ``max_batch_size`` live rows), and it completes each request's future
+  the moment its own row retires.  While the run is live and has room, no
+  other loop starts a second run for the key.
+* **Micro-batch.**  Every other key executes each flushed batch through
+  one :func:`repro.api.solve_batch` call, inheriting ``workers=`` process
+  sharding, timeouts and the ``on_error="fallback"`` resilience chain.
 
 Design invariants:
 
@@ -24,7 +33,10 @@ Design invariants:
   batch a request rides, never its answer.
   ``tests/serving/test_differential.py`` holds the serving layer to that
   equivalence per request, across a mixed-robot stream, for
-  ``dispatch_workers`` in {1, 4}.
+  ``dispatch_workers`` in {1, 4}.  Under admission the same holds: a row
+  of a lock-step run never depends on when it joined or on the rows it
+  shares a step with, so a served result equals offline
+  ``api.solve_batch`` of its target from its admitted ``q0``.
 * **Warm by default.**  ``warm_start=True`` replaces the seed draw with an
   IKSel-style ranked nearest-solution seed
   (:mod:`repro.serving.seeds`) — dramatically fewer iterations on
@@ -38,7 +50,10 @@ Design invariants:
   (:class:`~repro.serving.request.DeadlineExceeded`), and *predictively*
   at dispatch (:class:`~repro.serving.request.SloShed`: a request whose
   deadline the per-group execution-time estimate says cannot be met is
-  shed instead of solved late).
+  shed instead of solved late).  Admission into a live run applies the
+  same triage.  A run stops admitting while another key has a due batch
+  and every dispatch loop is busy, so one busy key cannot starve the
+  rest.
 * **Observable.**  Counters (``serve_requests`` / ``serve_batches`` /
   ``serve_overloaded`` / ``serve_deadline_expired`` / ``serve_shed`` /
   ``serve_adaptive_flushes`` / ``serve_cache_hits`` /
@@ -51,21 +66,27 @@ Design invariants:
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from repro.api import _resolve_config, resolve_robot
-from repro.execution import ExecutionOptions
+from repro.execution import ON_ERROR_MODES, ExecutionOptions
 from repro.kinematics.chain import KinematicChain
-from repro.parallel.pool import ON_ERROR_MODES
+from repro.resilience.guards import (
+    FATAL_GUARD_KINDS,
+    GuardViolation,
+    guard_targets,
+)
+from repro.resilience.report import FailureReport
+from repro.resilience.resilient import rejected_result
 from repro.serving.batcher import GroupKey, MicroBatch, MicroBatcher, PendingEntry
 from repro.serving.request import (
-    STAGE_SERVING,
     DeadlineExceeded,
     Overloaded,
     ServerClosed,
@@ -73,6 +94,8 @@ from repro.serving.request import (
     SolveRequest,
 )
 from repro.serving.seeds import DEFAULT_K, DEFAULT_LIMIT_PENALTY, SeedCache
+from repro.solvers.batched import LockStepRun
+from repro.solvers.registry import BATCH_REGISTRY, make_batch_solver
 from repro.telemetry.tracer import Tracer, get_tracer
 
 __all__ = ["ServerConfig", "ServingStats", "IKServer"]
@@ -95,7 +118,8 @@ class ServerConfig:
     ----------
     max_batch_size:
         Flush trigger 1 (ceiling): a compatibility group with this many
-        pending requests flushes immediately.
+        pending requests flushes immediately.  Also the most live rows one
+        admission run holds.
     max_wait_ms:
         Flush trigger 2 (ceiling): the longest any request coalesces before
         its group flushes regardless of size.  ``0`` disables coalescing
@@ -122,10 +146,10 @@ class ServerConfig:
         late.  Only affects requests that carry a ``deadline_s``.
     options:
         Typed execution policy (:class:`~repro.execution.ExecutionOptions`)
-        forwarded to :func:`repro.api.solve_batch` for every micro-batch —
-        the forward-compatible home for ``workers`` / ``timeout`` /
-        ``on_error`` plus the kernel spec (mode / dtype / chunk) and the
-        lock-step ``compaction`` toggle.  When set, the individual
+        every served solve follows — the forward-compatible home for
+        ``workers`` / ``timeout`` / ``on_error`` plus the kernel spec
+        (mode / dtype / chunk).  It also decides which keys run on
+        admission (see the module docstring).  When set, the individual
         ``workers`` / ``timeout`` / ``on_error`` fields must be left at
         their defaults, and ``options.on_error`` governs verbatim (note
         its default is ``"raise"``, not the serving-flavoured ``"skip"``
@@ -231,6 +255,15 @@ class ServingStats:
     undefined before any traffic (``mean_occupancy``, ``cache_hit_rate``,
     …) render as ``None`` in :meth:`to_dict` so the snapshot always
     survives strict JSON.
+
+    For a key served by admission, a *batch* is one lock-step run:
+    ``batches`` counts runs opened, ``requests_batched`` the requests
+    admitted into them, ``occupancy_peak`` the most rows one run held at
+    once (never above ``max_batch_size``) and ``execute_s`` the runs'
+    lifetimes.
+    ``coalesce_wait_s`` is each request's time from submission to
+    admission.  For every other key a batch is one ``api.solve_batch``
+    call, as before.
     """
 
     submitted: int = 0
@@ -383,8 +416,10 @@ class IKServer:
         self._stats = ServingStats()
         self._chains: dict[str, KinematicChain] = {}
         self._threads: list[threading.Thread] = []
-        #: Per-group EWMA of batch execution seconds (the SLO predictor).
+        #: Per-group EWMA of execution seconds (the SLO predictor).
         self._exec_ewma: dict[GroupKey, float] = {}
+        #: Keys -> their live admission runs that have room for more rows.
+        self._admitting: collections.Counter = collections.Counter()
         self._inflight = 0
         self._closing = False
         self._closed = False
@@ -509,7 +544,10 @@ class IKServer:
             )
             if tr.enabled:
                 tr.count("serve_requests")
-            self._cond.notify_all()
+            if key not in self._admitting:
+                # A live run with room takes the entry at its next
+                # iteration; no dispatch loop needs waking for it.
+                self._cond.notify_all()
         if not self._threads:
             self.start()
         return entry.future
@@ -610,8 +648,10 @@ class IKServer:
         """One dispatch loop: wait for a due batch, pop it, execute it.
 
         ``pop_one`` hands each loop one batch at a time, so with N loops
-        up to N batches execute concurrently while coalescing continues —
-        an in-flight batch no longer serialises the whole server.
+        up to N batches (or admission runs) execute concurrently while
+        coalescing continues — an in-flight batch no longer serialises the
+        whole server.  Keys with a live admission run that has room are
+        excluded: their requests join that run instead.
         """
         tr = self._tracer if self._tracer is not None else get_tracer()
         while True:
@@ -619,7 +659,9 @@ class IKServer:
                 while True:
                     now = time.monotonic()
                     adjustments = self._batcher.adaptive_adjustments
-                    batch = self._batcher.pop_one(now, force=self._closing)
+                    batch = self._batcher.pop_one(
+                        now, force=self._closing, exclude=self._admitting
+                    )
                     if batch is not None:
                         if (
                             tr.enabled
@@ -630,23 +672,34 @@ class IKServer:
                         self._stats.inflight_peak = max(
                             self._stats.inflight_peak, self._inflight
                         )
+                        admits = self._admits(batch.key)
+                        if admits:
+                            self._set_room(
+                                batch.key, False,
+                                len(batch) < self.config.max_batch_size,
+                            )
                         break
                     if self._closing and self._batcher.pending_count == 0:
                         return
-                    flush_at = self._batcher.next_flush_at()
+                    flush_at = self._batcher.next_flush_at(
+                        exclude=self._admitting
+                    )
                     self._cond.wait(
                         timeout=None if flush_at is None
                         else max(0.0, flush_at - now)
                     )
             try:
-                self._execute(batch)
+                if admits:
+                    self._serve_run(batch, tr)
+                else:
+                    self._execute(batch, tr)
             finally:
                 with self._cond:
                     self._inflight -= 1
 
     @staticmethod
     def _fail_future(future: concurrent.futures.Future, exc: Exception) -> None:
-        if not future.cancelled():
+        if not future.done():
             future.set_exception(exc)
 
     @staticmethod
@@ -654,8 +707,21 @@ class IKServer:
         if not future.cancelled():
             future.set_result(result)
 
+    def _fail_batch(
+        self, entries: "list[PendingEntry]", exc: Exception
+    ) -> None:
+        """``on_error="raise"`` semantics: the failure is shared batch-wide,
+        exactly as one ``solve_batch`` caller would have seen it."""
+        for entry in entries:
+            self._fail_future(entry.future, exc)
+        with self._cond:
+            self._stats.failed += len(entries)
+            self._stats.batches += 1
+            self._stats.requests_batched += len(entries)
+
     def _triage(
-        self, batch: MicroBatch, now: float, tr: Tracer
+        self, key: GroupKey, entries: "list[PendingEntry]", now: float,
+        tr: Tracer,
     ) -> "list[PendingEntry]":
         """Deadline triage at dispatch: drop the expired, shed the doomed.
 
@@ -664,21 +730,23 @@ class IKServer:
         entries whose deadline precedes ``now + estimate`` fail with
         :class:`SloShed` — the server refuses work it predicts the client
         cannot use, and spends the solver time on requests that can still
-        make their SLO.
+        make their SLO.  The estimate is an EWMA of the group's batch
+        execution time or, for a key served by admission, of a request's
+        time from admission to completion.
         """
         predicted = (
-            self._exec_ewma.get(batch.key)
+            self._exec_ewma.get(key)
             if self.config.slo_shedding else None
         )
         live: list[PendingEntry] = []
-        for entry in batch.entries:
+        for entry in entries:
             if entry.expiry is None:
                 live.append(entry)
                 continue
             if now > entry.expiry:
                 self._fail_future(entry.future, DeadlineExceeded.from_request(
                     f"expired after {now - entry.enqueue_t:.4f}s in queue",
-                    batch.key.solver,
+                    key.solver,
                 ))
                 with self._cond:
                     self._stats.expired_in_queue += 1
@@ -688,7 +756,7 @@ class IKServer:
                 self._fail_future(entry.future, SloShed.from_request(
                     f"predicted solve time {predicted:.4f}s exceeds the "
                     f"remaining {entry.expiry - now:.4f}s budget",
-                    batch.key.solver,
+                    key.solver,
                 ))
                 with self._cond:
                     self._stats.rejected_shed += 1
@@ -698,88 +766,270 @@ class IKServer:
                 live.append(entry)
         return live
 
-    def _execute(self, batch: MicroBatch) -> None:
-        from repro import api
+    def _record_exec(self, key: GroupKey, seconds: float) -> None:
+        """Fold one execution time into the key's SLO estimate (lock held)."""
+        prev = self._exec_ewma.get(key)
+        self._exec_ewma[key] = (
+            seconds if prev is None
+            else EXEC_EWMA_ALPHA * seconds + (1 - EXEC_EWMA_ALPHA) * prev
+        )
 
-        now = time.monotonic()
-        tr = self._tracer if self._tracer is not None else get_tracer()
-        live = self._triage(batch, now, tr)
-        if not live:
-            return
-
-        coalesce_waits = [now - entry.enqueue_t for entry in live]
-        chain = live[0].chain
-        targets = np.stack([entry.target for entry in live])
-        q0 = np.stack([entry.q0 for entry in live])
-        start = time.perf_counter()
-        try:
-            result = api.solve_batch(
-                chain,
-                targets,
-                batch.key.solver,
-                q0=q0,
-                config=batch.key.config_key,
-                options=self.config.options,
-                tracer=tr,
-                **live[0].request.options,
+    def _note_dispatch(
+        self, entries: "list[PendingEntry]", now: float, tr: Tracer,
+        occupancy: int,
+    ) -> None:
+        """Account entries entering execution: their coalesce waits, and
+        the ``occupancy`` (rows executing together) they bring about."""
+        waits = [now - entry.enqueue_t for entry in entries]
+        if tr.enabled:
+            tr.add_phase("serve_coalesce", sum(waits))
+        with self._cond:
+            stats = self._stats
+            stats.requests_batched += len(entries)
+            stats.coalesce_wait_s += sum(waits)
+            stats.coalesce_wait_peak_s = max(
+                stats.coalesce_wait_peak_s, max(waits)
             )
-        except Exception as exc:
-            # on_error="raise" semantics: the failure is shared batch-wide,
-            # exactly as one solve_batch caller would have seen it.
-            for entry in live:
-                self._fail_future(entry.future, exc)
-            with self._cond:
-                self._stats.failed += len(live)
-                self._stats.batches += 1
-                self._stats.requests_batched += len(live)
-            return
-        elapsed = time.perf_counter() - start
+            stats.occupancy_peak = max(stats.occupancy_peak, occupancy)
 
+    def _finish(
+        self, finished: "list[tuple[PendingEntry, Any]]", tr: Tracer,
+        key: GroupKey | None = None,
+    ) -> None:
+        """Complete solved requests: telemetry first, then the futures.
+
+        With ``key``, each result's ``wall_time`` (its time in the run)
+        also feeds the key's SLO estimate.
+        """
         warm_iters = cold_iters = warm_n = cold_n = 0
-        for entry, res in zip(live, result):
+        for entry, res in finished:
             if entry.warm_started:
                 warm_n += 1
                 warm_iters += res.iterations
             else:
                 cold_n += 1
                 cold_iters += res.iterations
-        # Emit the batch's telemetry *before* completing any future: a
-        # caller chaining submissions off a result (e.g. a tracking
-        # session awaiting tick N before submitting tick N+1) then
-        # observes a deterministic counter sequence, which the golden
-        # trace fixture relies on.
+        # Emit the telemetry *before* completing any future: a caller
+        # chaining submissions off a result (e.g. a tracking session
+        # awaiting tick N before submitting tick N+1) then observes a
+        # deterministic counter sequence, which the golden trace fixture
+        # relies on.
         if tr.enabled:
-            tr.count("serve_batches")
-            tr.add_phase("serve_coalesce", sum(coalesce_waits))
-            tr.add_phase("serve_execute", elapsed)
             if warm_iters:
                 tr.count("serve_warm_iterations", warm_iters)
             if cold_iters:
                 tr.count("serve_cold_iterations", cold_iters)
         with self._cond:
-            for entry, res in zip(live, result):
+            for entry, res in finished:
                 if self._seed_cache is not None and res.converged:
-                    self._seed_cache.record(chain, entry.target, res.q)
+                    self._seed_cache.record(entry.chain, entry.target, res.q)
                 self._complete_future(entry.future, res)
-            prev = self._exec_ewma.get(batch.key)
-            self._exec_ewma[batch.key] = (
-                elapsed if prev is None
-                else EXEC_EWMA_ALPHA * elapsed + (1 - EXEC_EWMA_ALPHA) * prev
-            )
+                if key is not None:
+                    self._record_exec(key, res.wall_time)
             stats = self._stats
-            stats.completed += len(live)
-            stats.batches += 1
-            stats.requests_batched += len(live)
-            stats.occupancy_peak = max(stats.occupancy_peak, len(live))
-            stats.coalesce_wait_s += sum(coalesce_waits)
-            stats.coalesce_wait_peak_s = max(
-                stats.coalesce_wait_peak_s, max(coalesce_waits)
-            )
-            stats.execute_s += elapsed
+            stats.completed += len(finished)
             stats.warm_requests += warm_n
             stats.warm_iterations += warm_iters
             stats.cold_requests += cold_n
             stats.cold_iterations += cold_iters
+
+    def _execute(self, batch: MicroBatch, tr: Tracer) -> None:
+        """Solve one micro-batch with one ``api.solve_batch`` call."""
+        from repro import api
+
+        now = time.monotonic()
+        live = self._triage(batch.key, batch.entries, now, tr)
+        if not live:
+            return
+        start = time.perf_counter()
+        try:
+            result = api.solve_batch(
+                live[0].chain,
+                np.stack([entry.target for entry in live]),
+                batch.key.solver,
+                q0=np.stack([entry.q0 for entry in live]),
+                config=batch.key.config_key,
+                options=self.config.options,
+                tracer=tr,
+                **live[0].request.options,
+            )
+        except Exception as exc:
+            self._fail_batch(live, exc)
+            return
+        elapsed = time.perf_counter() - start
+        if tr.enabled:
+            tr.count("serve_batches")
+            tr.add_phase("serve_execute", elapsed)
+        self._note_dispatch(live, now, tr, occupancy=len(live))
+        with self._cond:
+            self._record_exec(batch.key, elapsed)
+            self._stats.batches += 1
+            self._stats.execute_s += elapsed
+        self._finish(list(zip(live, result)), tr)
+
+    # -- iteration-level admission ---------------------------------------
+
+    def _admits(self, key: GroupKey) -> bool:
+        """Whether ``key`` is served by admission into a lock-step run."""
+        opts = self.config.options
+        return (
+            key.solver in BATCH_REGISTRY
+            and opts.workers in (None, 1)
+            and opts.timeout is None
+            and opts.on_error in ("raise", "skip")
+            and not opts.resilience
+            and (key.config_key is None or key.config_key.watchdog is None)
+        )
+
+    def _set_room(self, key: GroupKey, had_room: bool, has_room: bool) -> bool:
+        """Keep the other dispatch loops off ``key`` while one of its runs
+        has room (lock held); returns ``has_room``."""
+        if has_room != had_room:
+            self._admitting[key] += 1 if has_room else -1
+            if not has_room:
+                # The key may be poppable again.
+                if not self._admitting[key]:
+                    del self._admitting[key]
+                self._cond.notify_all()
+        return has_room
+
+    def _next_wave(
+        self, run: LockStepRun, key: GroupKey, has_room: bool
+    ) -> "tuple[list[PendingEntry], bool]":
+        """At an iteration boundary (lock held): take the queued requests
+        of ``key`` the run has room for.  Returns them with the run's new
+        room flag, which is false once the run has ended (no live rows and
+        nothing to admit)."""
+        limit = self.config.max_batch_size
+        starving = (
+            not self._closing
+            and self._inflight >= self.config.dispatch_workers
+            and self._batcher.has_ready(
+                time.monotonic(), exclude=self._admitting.keys() | {key}
+            )
+        )
+        entries = (
+            [] if starving else self._batcher.take(key, limit - run.live)
+        )
+        if self._closing and entries and not self._batcher.pending_count:
+            self._cond.notify_all()
+        room = bool(run.live or entries) and run.live + len(entries) < limit
+        return entries, self._set_room(key, has_room, room)
+
+    def _admit(
+        self, run: LockStepRun, key: GroupKey,
+        entries: "list[PendingEntry]", tr: Tracer,
+    ) -> "list[tuple[PendingEntry, Any]]":
+        """Admit ``entries`` into ``run``; returns the ones finished at once.
+
+        Deadline triage and SLO shedding apply as at dispatch.  The target
+        guards apply where offline ``api.solve_batch`` applies them (it
+        shards under ``on_error="skip"`` or ``workers=1``): a rejected
+        target gets its typed placeholder result under ``"skip"``, and a
+        fatal one fails its own future with a ``GuardViolation`` under
+        ``"raise"``.
+        """
+        now = time.monotonic()
+        entries = self._triage(key, entries, now, tr)
+        if not entries:
+            return []
+        engine = run.engine
+        skip = self.config.options.on_error == "skip"
+        finished: list[tuple[PendingEntry, Any]] = []
+        rejected = set()
+        guarded = (
+            guard_targets(engine.chain, np.stack([e.target for e in entries]))
+            if self.config.options.needs_sharding else []
+        )
+        for record in guarded:
+            entry = entries[record.index]
+            if skip:
+                finished.append((entry, rejected_result(
+                    engine.chain, entry.target, engine.name,
+                    status=record.kind, q=np.array(entry.q0, dtype=float),
+                )))
+            elif record.kind in FATAL_GUARD_KINDS:
+                self._fail_future(entry.future, GuardViolation(
+                    FailureReport([replace(record, index=0)])
+                ))
+                with self._cond:
+                    self._stats.failed += 1
+            else:
+                continue  # advisory under "raise": solved anyway
+            rejected.add(record.index)
+        if tr.enabled and finished:
+            tr.count("guard_rejected", len(finished))
+            tr.count("solve_failed", len(finished))
+        rows = [e for i, e in enumerate(entries) if i not in rejected]
+        self._note_dispatch(entries, now, tr, occupancy=run.live + len(rows))
+        if rows:
+            finished += run.admit(
+                np.stack([entry.target for entry in rows]),
+                np.stack([entry.q0 for entry in rows]),
+                rows,
+            )
+        return finished
+
+    def _serve_run(self, batch: MicroBatch, tr: Tracer) -> None:
+        """Serve ``batch``'s key on one resumable lock-step run until it
+        drains: admit the key's queued requests at every iteration
+        boundary, complete each request the moment its row retires."""
+        key = batch.key
+        entries = batch.entries
+        has_room = len(entries) < self.config.max_batch_size
+        start = time.perf_counter()
+        #: Requests handed to the run and not completed yet.
+        rows: dict[int, PendingEntry] = {}
+        run = None
+        try:
+            # Built exactly as ``api.solve_batch`` builds it for this key.
+            run = make_batch_solver(
+                key.solver, entries[0].chain,
+                config=_resolve_config(
+                    key.config_key, None, None, self.config.options.kernel
+                ),
+                **entries[0].request.options,
+            ).open_run(tr)
+            if tr.enabled:
+                tr.count("serve_batches")
+            with self._cond:
+                self._stats.batches += 1
+            while True:
+                rows.update((id(entry), entry) for entry in entries)
+                finished = self._admit(run, key, entries, tr)
+                if run.live and not finished:
+                    finished = run.step()
+                with self._cond:
+                    entries, has_room = self._next_wave(run, key, has_room)
+                ended = not run.live and not entries
+                if ended:
+                    self._end_run(run, start, tr)
+                self._finish(finished, tr, key)
+                rows = {k: e for k, e in rows.items() if not e.future.done()}
+                if ended:
+                    return
+        except Exception as exc:
+            # Bad numerics retire typed, so this is a defect (or, at the
+            # engine build, a bad option): fail what the run still holds.
+            with self._cond:
+                self._set_room(key, has_room, False)
+            if run is None:
+                self._fail_batch(entries, exc)
+                return
+            self._end_run(run, start, tr)
+            pending = [e for e in rows.values() if not e.future.done()]
+            for entry in pending:
+                self._fail_future(entry.future, exc)
+            with self._cond:
+                self._stats.failed += len(pending)
+
+    def _end_run(self, run: LockStepRun, start: float, tr: Tracer) -> None:
+        elapsed = time.perf_counter() - start
+        run.close(wall_time=elapsed)
+        if tr.enabled:
+            tr.add_phase("serve_execute", elapsed)
+        with self._cond:
+            self._stats.execute_s += elapsed
 
     def __repr__(self) -> str:
         return (

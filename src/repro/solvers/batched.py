@@ -23,27 +23,26 @@ Two engines share the loop in :class:`LockStepEngine`:
   with the row.  A row equals ``solver.solve`` of its target from its
   start bit for bit, at any batch size and on either kernel.
 
-**Active-set compaction.**  Problems converge at different iterations, so
-the set of live rows shrinks as the batch drains.  With compaction (the
-default), the engine keeps the survivors' state — configurations, positions,
-targets, errors and the carried per-row blocks — in dense blocks maintained
-across iterations: a retiring row is scattered back into the full result
-arrays exactly once, at retirement, and every sweep touches only survivor
-rows.  Without compaction the engine re-gathers the live rows from the full
-arrays and scatters the results back *every* iteration — the historical
-layout, kept selectable (``compaction=False`` /
-``ExecutionOptions(compaction=False)``) as the A/B baseline.  Both layouts
-feed bit-identical inputs to bit-identical numpy ops, so results are
-bit-for-bit equal (the conformance tier in
-``tests/conformance/test_compaction.py`` pins this at 12-75 DOF); the win
-is the eliminated gather/scatter traffic on late, sparse iterations.
+**One resumable loop.**  The loop is a :class:`LockStepRun`
+(:meth:`LockStepEngine.open_run`): rows *join* it between iterations
+(:meth:`LockStepRun.admit`), every :meth:`LockStepRun.step` advances all
+live rows by one iteration, and each row *leaves* with its own
+:class:`IKResult` in the step it retires.  The live rows' state —
+configurations, positions, targets, errors, iteration and FK counts, and
+the carried per-row blocks — is kept in dense blocks (:class:`ActiveSet`):
+joining appends rows, retiring compacts them out, and every sweep touches
+only live rows.  :meth:`LockStepEngine.solve_batch` is "admit everything,
+then step until drained"; the serving layer keeps one run open and admits
+requests into it as they arrive (``docs/serving.md``).  A row never depends
+on the rows it shares a step with, so it equals ``solve_batch`` of its
+target alone whenever it joined (``tests/conformance/test_compaction.py``).
 
 The loop mirrors the scalar driver (:meth:`~repro.core.base.
 IterativeIKSolver.solve`): the same error helper, ``respect_limits``
 clamping, the non-finite guard (a row exits ``"nonfinite"`` with its last
-finite state), the 10k-iteration cap and, when ``record_history`` is set,
-the same ``error_history``.  A config with a ``watchdog`` is not run here:
-:func:`~repro.solvers.registry.make_batch_solver` keeps it on the
+finite state), the per-row iteration cap and, when ``record_history`` is
+set, the same ``error_history``.  A config with a ``watchdog`` is not run
+here: :func:`~repro.solvers.registry.make_batch_solver` keeps it on the
 per-target driver, the only path that arms the watchdog.
 
 Both engines share the ``solve_batch(targets, q0=None, rng=None,
@@ -57,6 +56,7 @@ names as their scalar counterparts.
 from __future__ import annotations
 
 import time
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -70,6 +70,7 @@ __all__ = [
     "BatchedQuickIK",
     "BatchedRowSolver",
     "LockStepEngine",
+    "LockStepRun",
 ]
 
 #: FK rows evaluated per chunk on the scalar kernel.  Small enough that one
@@ -85,22 +86,20 @@ VECTORIZED_CHUNK = 8192
 
 
 class ActiveSet:
-    """Index bookkeeping for the compacted lock-step working set.
+    """The live rows of a lock-step run, kept aligned with dense blocks.
 
-    Tracks which full-array rows the dense survivor blocks correspond to,
-    and implements the two primitives the loop needs:
+    ``indices`` names each live row (a run numbers rows in admission
+    order).  The two primitives the loop needs:
 
-    * :meth:`scatter` — write masked compact rows back into their
-      full-size arrays (a row retires exactly once);
-    * :meth:`compact` — drop retired rows from the index *and* from any
-      number of dense blocks, keeping everything aligned.
+    * :meth:`admit` — append new rows after the live ones, in the index
+      *and* in any number of dense blocks;
+    * :meth:`compact` — drop retired rows from the index and the blocks.
 
-    The gather/scatter round-trip invariant (maintained blocks == fancy
-    indexing the full arrays every step) is property-tested in
+    Both are property-tested against a naive per-row reference in
     ``tests/property/test_compaction_properties.py``.
     """
 
-    def __init__(self, indices: np.ndarray) -> None:
+    def __init__(self, indices: Iterable[int] = ()) -> None:
         self.indices = np.asarray(indices, dtype=np.intp)
 
     @property
@@ -108,20 +107,24 @@ class ActiveSet:
         """Number of live rows."""
         return int(self.indices.size)
 
-    def gather(self, *fulls: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Dense copies of the live rows of each full array."""
-        return tuple(full[self.indices] for full in fulls)
-
-    def scatter(
+    def admit(
         self,
-        mask: np.ndarray,
-        pairs: "tuple[tuple[np.ndarray, np.ndarray], ...]",
-    ) -> None:
-        """For each ``(block, full)`` pair, write ``block``'s masked rows
-        into ``full`` at their home positions."""
-        rows = self.indices[mask]
-        for block, full in pairs:
-            full[rows] = block[mask]
+        indices: np.ndarray,
+        blocks: tuple[np.ndarray, ...],
+        new_blocks: tuple[np.ndarray, ...],
+    ) -> tuple[np.ndarray, ...]:
+        """Append rows ``indices``; returns each block with the matching
+        new block's rows appended (the new blocks alone when no row is
+        live)."""
+        indices = np.asarray(indices, dtype=np.intp)
+        if not self.size:
+            self.indices = indices
+            return tuple(new_blocks)
+        self.indices = np.concatenate([self.indices, indices])
+        return tuple(
+            np.concatenate([block, new])
+            for block, new in zip(blocks, new_blocks)
+        )
 
     def compact(
         self, keep: np.ndarray, *blocks: np.ndarray
@@ -131,18 +134,238 @@ class ActiveSet:
         return tuple(block[keep] for block in blocks)
 
 
+class LockStepRun:
+    """One resumable lock-step solve (built by :meth:`LockStepEngine.open_run`).
+
+    * :meth:`admit` adds rows: their start FK (and carried blocks) come
+      from the engine's ``_start``, and a row already within tolerance
+      retires at iteration 0;
+    * :meth:`step` runs one iteration over every live row;
+    * both return the rows that retired as ``(tag, IKResult)`` pairs, where
+      ``tag`` is whatever the caller named the row with at admission.
+
+    Each row keeps its own iteration count, ``max_iterations`` cap, error
+    history and non-finite guard, so its result does not depend on when it
+    joined or which rows it shared steps with.  A row's ``wall_time`` is
+    its time in the run.  Telemetry: the first admission emits
+    ``solve_start`` (``batch`` = rows admitted with it), each step one
+    ``iteration`` event and an ``active_rows`` gauge, and :meth:`close`
+    the ``solve_end`` over every row admitted.  A run is single-threaded:
+    one caller drives it.
+    """
+
+    def __init__(self, engine: "LockStepEngine", tracer: Tracer | None = None):
+        self.engine = engine
+        self.tracer = tracer if tracer is not None else get_tracer()
+        self._traced = self.tracer.enabled
+        self._gauge = (
+            getattr(self.tracer, "gauge", None) if self._traced else None
+        )
+        self._tolerance = engine.config.tolerance
+        self._cap = engine.config.max_iterations
+        self._started = time.perf_counter()
+        self._active = ActiveSet()
+        # Live-row blocks, aligned with ``_active.indices``.
+        self._q = self._p = self._t = self._e = np.empty(0)
+        self._iterations = np.zeros(0, dtype=int)
+        self._fk = np.zeros(0, dtype=int)
+        self._carry: tuple[np.ndarray, ...] = ()
+        self._history: list[list] | None = (
+            [] if engine.config.record_history else None
+        )
+        #: Row id -> (caller's tag, admission time).
+        self._tags: dict[int, tuple[Any, float]] = {}
+        #: Lock-step iterations run so far.
+        self.steps = 0
+        #: Rows admitted so far.
+        self.admitted = 0
+        # ``solve_end`` totals over retired rows (kept only when traced).
+        self._announced = False
+        self._converged = self._iterations_done = 0
+        self._max_error = -np.inf
+
+    @property
+    def live(self) -> int:
+        """Rows admitted and not yet retired."""
+        return self._active.size
+
+    def admit(
+        self, targets: np.ndarray, q0: np.ndarray, tags: Iterable[Any]
+    ) -> list[tuple[Any, IKResult]]:
+        """Add one row per target, starting at the matching ``q0`` row.
+
+        Returns the new rows that retire at once (within tolerance at
+        their start, or a zero iteration cap).
+        """
+        engine = self.engine
+        dtype = engine.chain.dtype
+        tags = list(tags)
+        targets = np.array(targets, dtype=dtype).reshape(len(tags), 3)
+        qs = np.array(q0, dtype=dtype).reshape(len(tags), engine.chain.dof)
+        positions, carry = engine._start(qs)
+        errors = task_errors(targets, positions)
+        count = len(tags)
+        if self._traced:
+            if not self._announced:
+                self._announced = True
+                self.tracer.solve_start(
+                    engine.name, engine.chain.dof, batch=count,
+                    speculations=engine.speculations,
+                    kernel=engine.chain.kernel, dtype=dtype.name,
+                )
+            self.tracer.count("fk_evaluations", count)
+        ids = np.arange(self.admitted, self.admitted + count)
+        self.admitted += count
+        now = time.perf_counter()
+        self._tags.update(zip(ids.tolist(), ((tag, now) for tag in tags)))
+        was_live = self.live
+        (self._q, self._p, self._t, self._e, self._iterations, self._fk,
+         *carry) = self._active.admit(
+            ids,
+            (self._q, self._p, self._t, self._e, self._iterations, self._fk,
+             *self._carry),
+            (qs, positions, targets, errors, np.zeros(count, dtype=int),
+             np.ones(count, dtype=int), *carry),
+        )
+        self._carry = tuple(carry)
+        if self._history is not None:
+            self._history.extend([error] for error in errors)
+        keep = np.ones(self.live, dtype=bool)
+        keep[was_live:] = (errors >= self._tolerance) & (self._cap > 0)
+        return self._retire(keep)
+
+    def step(self) -> list[tuple[Any, IKResult]]:
+        """Advance every live row by one iteration; returns the rows that
+        retired in it."""
+        n_active = self.live
+        if not n_active:
+            return []
+        tr = self.tracer
+        engine = self.engine
+        self.steps += 1
+        q_prev, p_prev, e_prev = self._q, self._p, self._e
+        q_c, p_c, e_c, carry, fk_per_problem = engine._advance_dense(
+            self._q, self._p, self._t, self._carry, tr
+        )
+        self._iterations += 1
+        self._fk += fk_per_problem
+        if self._history is not None:
+            for history, error in zip(self._history, e_c):
+                history.append(error)
+        if self._traced:
+            tr.count("fk_evaluations", fk_per_problem * n_active)
+            tr.count("jacobian_builds", n_active)
+            tr.count("candidate_evaluations", engine.speculations * n_active)
+            tr.iteration(
+                self.steps,
+                float(e_c.max()),
+                active=int(n_active),
+                fk_evaluations=int(fk_per_problem * n_active),
+            )
+            if self._gauge is not None:
+                self._gauge("active_rows", int(n_active), iteration=self.steps)
+        finite = np.isfinite(e_c)
+        bad = None
+        if not finite.all():
+            # Mirror of the scalar driver's non-finite guard: a NaN row
+            # would silently drop out of the comparison below, and a +inf
+            # row would burn the whole iteration budget.  Such a row
+            # exits typed with its last finite state.
+            bad = ~finite
+            q_c = np.where(bad[:, None], q_prev, q_c)
+            p_c = np.where(bad[:, None], p_prev, p_c)
+            e_c = np.where(bad, e_prev, e_c)
+            if self._traced:
+                tr.count("nonfinite_exits", int(bad.sum()))
+        self._q, self._p, self._e, self._carry = q_c, p_c, e_c, tuple(carry)
+        keep = finite & (e_c >= self._tolerance)
+        # Rows stay in admission order, so the first is the oldest.
+        if self._iterations[0] >= self._cap:
+            keep &= self._iterations < self._cap
+        return self._retire(keep, bad)
+
+    def _retire(
+        self, keep: np.ndarray, nonfinite: np.ndarray | None = None
+    ) -> list[tuple[Any, IKResult]]:
+        """Hand back the rows where ``keep`` is false and compact them out."""
+        if keep.all():
+            return []
+        engine = self.engine
+        now = time.perf_counter()
+        rows = np.flatnonzero(~keep)
+        errors = self._e[rows]
+        converged = errors < self._tolerance
+        iterations = self._iterations[rows]
+        if self._traced:
+            self._converged += int(converged.sum())
+            self._iterations_done += int(iterations.sum())
+            self._max_error = np.maximum(self._max_error, errors.max())
+        retired = []
+        for k, i in enumerate(rows.tolist()):
+            tag, admitted_at = self._tags.pop(int(self._active.indices[i]))
+            status = (
+                "converged" if converged[k]
+                else "nonfinite" if nonfinite is not None and nonfinite[i]
+                else "max_iterations"
+            )
+            retired.append((tag, IKResult(
+                q=np.array(self._q[i], dtype=float),
+                converged=bool(converged[k]),
+                iterations=int(iterations[k]),
+                error=float(errors[k]),
+                target=np.array(self._t[i], dtype=float),
+                solver=engine.name,
+                dof=engine.chain.dof,
+                speculations=engine.speculations,
+                fk_evaluations=int(self._fk[i]),
+                wall_time=now - admitted_at,
+                error_history=(
+                    np.array(self._history[i], dtype=float)
+                    if self._history is not None else np.empty(0)
+                ),
+                status=status,
+            )))
+        (self._q, self._p, self._t, self._e, self._iterations, self._fk,
+         *carry) = self._active.compact(
+            keep, self._q, self._p, self._t, self._e, self._iterations,
+            self._fk, *self._carry,
+        )
+        self._carry = tuple(carry)
+        if self._history is not None:
+            self._history = [
+                history for history, kept in zip(self._history, keep) if kept
+            ]
+        return retired
+
+    def close(self, wall_time: float | None = None) -> None:
+        """End the run: emit its ``solve_end`` over every row admitted
+        (rows still live are dropped)."""
+        if not self._announced:
+            return
+        if wall_time is None:
+            wall_time = time.perf_counter() - self._started
+        self.tracer.solve_end(
+            self.engine.name,
+            converged=self._converged == self.admitted,
+            batch=self.admitted,
+            converged_count=self._converged,
+            iterations=self._iterations_done,
+            error=float(self._max_error) if self.admitted else 0.0,
+            wall_time=wall_time,
+        )
+
+
 class LockStepEngine:
     """Shared scaffolding for the lock-step batch engines.
 
     Owns the pieces both engines repeat verbatim: target/``q0`` validation
-    and broadcast, chunked batched FK, active-set tracking (compacted or
-    gather/scatter-per-iteration) of the row blocks and of whatever per-row
-    blocks an engine carries between iterations, the non-finite guard,
-    error histories, tracer resolution, and assembling the per-problem
-    :class:`IKResult` list into a :class:`BatchResult`.  Subclasses
-    implement one lock-step iteration over a dense survivor block in
-    :meth:`_advance_dense` (and, to carry blocks, :meth:`_start`) and set
-    :attr:`name` / :attr:`speculations`.
+    and broadcast, chunked batched FK, the resumable :class:`LockStepRun`
+    (live-row blocks, the non-finite guard, error histories, telemetry)
+    and assembling the per-problem :class:`IKResult` list into a
+    :class:`BatchResult`.  Subclasses implement one lock-step iteration
+    over a dense block of live rows in :meth:`_advance_dense` (and, to
+    carry blocks, :meth:`_start`) and set :attr:`name` /
+    :attr:`speculations`.
 
     ``config.kernel`` may be a kernel-mode name or a full
     :class:`~repro.execution.KernelSpec`; a spec's dtype re-materialises the
@@ -162,7 +385,6 @@ class LockStepEngine:
         chain,
         config: SolverConfig | None = None,
         chunk: int | None = None,
-        compaction: bool | None = None,
     ) -> None:
         self.config = config or SolverConfig()
         spec = self.config.kernel_spec
@@ -178,8 +400,6 @@ class LockStepEngine:
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
         self.chunk = int(chunk)
-        #: Active-set layout: ``None`` (auto) enables compaction.
-        self.compaction = True if compaction is None else bool(compaction)
         # Joint limits for ``respect_limits``, in the engine dtype.
         self._lower = self.chain.lower_limits.astype(self.chain.dtype)
         self._upper = self.chain.upper_limits.astype(self.chain.dtype)
@@ -231,7 +451,7 @@ class LockStepEngine:
         carry: tuple[np.ndarray, ...],
         tracer: Tracer,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...], int]:
-        """One lock-step iteration over a dense block of survivor rows.
+        """One lock-step iteration over a dense block of live rows.
 
         ``q_c`` / ``p_c`` / ``t_c`` are the configurations, end positions
         and targets of the live rows (aligned, C-contiguous) and ``carry``
@@ -241,6 +461,11 @@ class LockStepEngine:
         """
         raise NotImplementedError
 
+    def open_run(self, tracer: Tracer | None = None) -> LockStepRun:
+        """A new, empty :class:`LockStepRun` on this engine (``tracer``
+        defaults to the process-global tracer)."""
+        return LockStepRun(self, tracer)
+
     def solve_batch(
         self,
         targets: np.ndarray,
@@ -248,172 +473,34 @@ class LockStepEngine:
         rng: np.random.Generator | None = None,
         tracer: Tracer | None = None,
     ) -> BatchResult:
-        """Solve all ``targets`` in lock-step.
+        """Solve all ``targets`` in lock-step: admit them to one run, then
+        step it until every row has retired.
 
         ``q0`` may be a single configuration (shared) or one row per target;
         omitted, each problem gets its own random restart.  ``tracer``
-        defaults to the process-global tracer.
+        defaults to the process-global tracer.  Each result's ``wall_time``
+        is the batch's wall time divided evenly.
         """
         start_time = time.perf_counter()
-        dtype = self.chain.dtype
-        targets = np.atleast_2d(np.asarray(targets, dtype=dtype))
+        targets = np.atleast_2d(np.asarray(targets, dtype=self.chain.dtype))
         if targets.shape[1] != 3:
             raise ValueError("targets must have shape (M, 3)")
         m = targets.shape[0]
         qs = self._initial_configurations(m, q0, rng)
 
-        tr = tracer if tracer is not None else get_tracer()
-        traced = tr.enabled
-        gauge = getattr(tr, "gauge", None) if traced else None
-        tolerance = self.config.tolerance
-        positions, carry_full = self._start(qs)
-        errors = task_errors(targets, positions)
-        iterations = np.zeros(m, dtype=int)
-        fk_evaluations = np.ones(m, dtype=int)
-        nonfinite = np.zeros(m, dtype=bool)
-        # Error history as (rows, errors) pairs, one per iteration; a row
-        # runs from iteration 0 to its last, so sorting by row (stably)
-        # lines its entries up in iteration order.
-        history = (
-            [(np.arange(m), errors.copy())]
-            if self.config.record_history
-            else None
-        )
-        if traced:
-            tr.solve_start(self.name, self.chain.dof, batch=m,
-                           speculations=self.speculations,
-                           kernel=self.chain.kernel,
-                           dtype=dtype.name,
-                           compaction=self.compaction)
-            tr.count("fk_evaluations", m)
-
-        active = ActiveSet(np.flatnonzero(errors >= tolerance))
-        q_c, p_c, t_c, e_c, *carry = active.gather(
-            qs, positions, targets, errors, *carry_full
-        )
-
-        outer = 0
-        while active.size and outer < self.config.max_iterations:
-            outer += 1
-            if not self.compaction:
-                # Historical layout: re-gather the survivors from the full
-                # arrays every iteration (and scatter back below).  Kept as
-                # the A/B baseline for the compaction conformance tier.
-                q_c, p_c, t_c, e_c, *carry = active.gather(
-                    qs, positions, targets, errors, *carry_full
-                )
-            q_prev, p_prev, e_prev = q_c, p_c, e_c
-            q_c, p_c, e_c, carry, fk_per_problem = self._advance_dense(
-                q_c, p_c, t_c, tuple(carry), tr
-            )
-            idx = active.indices
-            n_active = idx.size
-            iterations[idx] += 1
-            fk_evaluations[idx] += fk_per_problem
-            if history is not None:
-                history.append((idx, e_c))
-            if traced:
-                tr.count("fk_evaluations", fk_per_problem * n_active)
-                tr.count("jacobian_builds", n_active)
-                tr.count("candidate_evaluations", self.speculations * n_active)
-                tr.iteration(
-                    outer,
-                    float(e_c.max()),
-                    active=int(n_active),
-                    fk_evaluations=int(fk_per_problem * n_active),
-                )
-                if gauge is not None:
-                    gauge("active_rows", int(n_active), iteration=outer)
-                if self.compaction:
-                    # Candidate rows the dense sweep did not have to touch
-                    # (relative to this batch's naive B x Max grid).
-                    tr.count(
-                        "compaction_savings",
-                        self.speculations * (m - int(n_active)),
-                    )
-            finite = np.isfinite(e_c)
-            if not finite.all():
-                # Mirror of the scalar driver's non-finite guard: a NaN row
-                # would silently drop out of the comparison below, and a +inf
-                # row would burn the whole iteration budget.  Such a row
-                # exits typed with its last finite state.
-                bad = ~finite
-                nonfinite[idx[bad]] = True
-                q_c = np.where(bad[:, None], q_prev, q_c)
-                p_c = np.where(bad[:, None], p_prev, p_c)
-                e_c = np.where(bad, e_prev, e_c)
-                if traced:
-                    tr.count("nonfinite_exits", int(bad.sum()))
-            keep = finite & (e_c >= tolerance)
-            if self.compaction:
-                dead = ~keep
-                if dead.any():
-                    active.scatter(
-                        dead, ((q_c, qs), (p_c, positions), (e_c, errors))
-                    )
-                    q_c, p_c, t_c, e_c, *carry = active.compact(
-                        keep, q_c, p_c, t_c, e_c, *carry
-                    )
-                # else: no row retired — the blocks are already dense and
-                # aligned, so the iteration carries zero gather/scatter cost.
-            else:
-                qs[idx] = q_c
-                positions[idx] = p_c
-                errors[idx] = e_c
-                for block, full in zip(carry, carry_full):
-                    full[idx] = block
-                active.indices = idx[keep]
-        if self.compaction and active.size:
-            # Iteration budget exhausted with live rows: flush their state.
-            active.scatter(
-                np.ones(active.size, dtype=bool),
-                ((q_c, qs), (p_c, positions), (e_c, errors)),
-            )
-
-        histories: list[np.ndarray] | None = None
-        if history is not None:
-            rows = np.concatenate([r for r, _ in history])
-            values = np.concatenate([v for _, v in history]).astype(float)
-            histories = np.split(
-                values[np.argsort(rows, kind="stable")],
-                np.cumsum(iterations + 1)[:-1],
-            )
+        run = self.open_run(tracer)
+        finished = run.admit(targets, qs, range(m))
+        while run.live:
+            finished += run.step()
+        by_index = dict(finished)
+        results = [by_index[i] for i in range(m)]
         elapsed = time.perf_counter() - start_time
-        results = [
-            IKResult(
-                q=np.array(qs[i], dtype=float),
-                converged=bool(errors[i] < tolerance),
-                iterations=int(iterations[i]),
-                error=float(errors[i]),
-                target=np.array(targets[i], dtype=float),
-                solver=self.name,
-                dof=self.chain.dof,
-                speculations=self.speculations,
-                fk_evaluations=int(fk_evaluations[i]),
-                wall_time=elapsed / m,
-                error_history=(
-                    histories[i] if histories is not None else np.empty(0)
-                ),
-                status=(
-                    "converged"
-                    if errors[i] < tolerance
-                    else ("nonfinite" if nonfinite[i] else "max_iterations")
-                ),
-            )
-            for i in range(m)
-        ]
+        for result in results:
+            result.wall_time = elapsed / m
         batch = BatchResult(results=results, solver=self.name, wall_time=elapsed)
-        if traced:
-            tr.solve_end(
-                self.name,
-                converged=batch.converged_count == m,
-                batch=m,
-                converged_count=batch.converged_count,
-                iterations=int(iterations.sum()),
-                error=float(errors.max()) if m else 0.0,
-                wall_time=elapsed,
-            )
-            summary = getattr(tr, "summary", None)
+        run.close(wall_time=elapsed)
+        if run.tracer.enabled:
+            summary = getattr(run.tracer, "summary", None)
             if summary is not None:
                 batch.telemetry = summary().to_dict()
         return batch
@@ -423,8 +510,7 @@ class BatchedQuickIK(LockStepEngine):
     """Lock-step Quick-IK over a batch of targets.
 
     Parameters mirror :class:`~repro.core.quick_ik.QuickIKSolver` (linear
-    schedule only — the paper's Eq. 9).  ``chunk`` bounds the FK batch size;
-    ``compaction`` selects the active-set layout (default on).
+    schedule only — the paper's Eq. 9).  ``chunk`` bounds the FK batch size.
     """
 
     name = "JT-Speculation-batched"
@@ -435,9 +521,8 @@ class BatchedQuickIK(LockStepEngine):
         speculations: int = 64,
         config: SolverConfig | None = None,
         chunk: int | None = None,
-        compaction: bool | None = None,
     ) -> None:
-        super().__init__(chain, config=config, chunk=chunk, compaction=compaction)
+        super().__init__(chain, config=config, chunk=chunk)
         if speculations < 1:
             raise ValueError("speculations must be >= 1")
         self.speculations = int(speculations)
@@ -515,8 +600,8 @@ class BatchedRowSolver(LockStepEngine):
     engine's; results are labelled ``"<solver name>-batched"``.
     """
 
-    def __init__(self, solver, compaction: bool | None = None) -> None:
-        super().__init__(solver.chain, config=solver.config, compaction=compaction)
+    def __init__(self, solver) -> None:
+        super().__init__(solver.chain, config=solver.config)
         self.solver = solver
         self.name = f"{solver.name}-batched"
 

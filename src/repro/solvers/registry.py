@@ -157,10 +157,9 @@ def make_batch_solver(
 
     ``options`` is the typed execution policy
     (:class:`~repro.execution.ExecutionOptions`): its kernel spec folds into
-    ``config.kernel`` (an error if both are set), ``compaction`` is
-    forwarded to the lock-step engines, and the sharding/failure-policy
-    fields replace the individual keywords below.  The individual
-    ``workers`` / ``timeout`` / ``on_error`` / ``resilience`` keywords keep
+    ``config.kernel`` (an error if both are set), and its
+    sharding/failure-policy fields replace the individual ``workers`` /
+    ``timeout`` / ``on_error`` / ``resilience`` keywords, which keep
     working but are mutually exclusive with ``options``.
 
     With ``workers`` set, the solver is wrapped in a
@@ -222,14 +221,12 @@ def make_batch_solver(
         else None
     )
     if engine is BatchedQuickIK:
-        if options.compaction is not None:
-            kwargs.setdefault("compaction", options.compaction)
         _validate_kwargs(name, engine, kwargs, BATCH_REGISTRY)
         solver = engine(chain, config=config, **kwargs)
     else:
         solver = make_solver(name, chain, config=config, **kwargs)
         if engine is BatchedRowSolver:
-            solver = BatchedRowSolver(solver, compaction=options.compaction)
+            solver = BatchedRowSolver(solver)
     if not options.needs_sharding:
         return solver
     from repro.parallel import ShardedBatchSolver

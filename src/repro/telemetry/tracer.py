@@ -23,6 +23,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Protocol, runtime_checkable
@@ -58,11 +59,7 @@ __all__ = [
 #: ``serve_session_closed`` / ``serve_session_expired`` /
 #: ``serve_session_rejected`` (lifecycle) and ``serve_session_ticks`` /
 #: ``serve_session_warm_ticks`` / ``serve_session_cold_ticks`` (stream
-#: admissions, split by warm chaining).  The lock-step
-#: engines add ``compaction_savings`` (candidate rows the compacted
-#: active-set sweep skipped relative to the batch's naive ``B x Max``
-#: grid — a per-batch-shape quantity, so unlike the work counters it is
-#: *not* invariant across sharding layouts).  The experiment orchestrator
+#: admissions, split by warm chaining).  The experiment orchestrator
 #: (:mod:`repro.experiments`) adds ``experiment_runs_started`` (sweep
 #: passes begun, fresh or resumed) and ``experiment_cells_started`` /
 #: ``experiment_cells_completed`` / ``experiment_cells_failed`` /
@@ -81,12 +78,11 @@ COUNTER_NAMES = (
     "watchdog_deadline",
     "watchdog_diverged",
     "watchdog_stalled",
-    "compaction_savings",
 )
 
 #: Canonical gauge names (point-in-time values, not accumulating counts).
-#: ``active_rows`` — live problems in a lock-step batch after each
-#: iteration; the shrinking series is the compaction win made visible.
+#: ``active_rows`` — live problems in a lock-step run at each iteration
+#: (the rows that iteration's sweep touched).
 GAUGE_NAMES = ("active_rows",)
 
 #: Canonical phase-timer names.
@@ -123,7 +119,9 @@ class TracerBase:
 
     Subclasses implement :meth:`_record`; counters and phase totals are
     accumulated here so every sink exposes the same ``counters`` /
-    ``phase_seconds`` dictionaries.
+    ``phase_seconds`` dictionaries.  Both accumulate under one lock, so
+    they stay exact when dispatch threads and client threads bump the same
+    counter.
     """
 
     enabled = True
@@ -133,6 +131,7 @@ class TracerBase:
         self.phase_seconds: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self._clock_start = time.perf_counter()
+        self._lock = threading.Lock()
 
     # -- sink interface -------------------------------------------------
 
@@ -170,7 +169,8 @@ class TracerBase:
 
     def count(self, counter: str, amount: int = 1) -> None:
         """Bump a named counter (e.g. ``fk_evaluations``)."""
-        self.counters[counter] = self.counters.get(counter, 0) + amount
+        with self._lock:
+            self.counters[counter] = self.counters.get(counter, 0) + amount
 
     def gauge(self, name: str, value: float, **fields: Any) -> None:
         """Record a point-in-time value (e.g. ``active_rows``).
@@ -184,7 +184,10 @@ class TracerBase:
 
     def add_phase(self, phase: str, seconds: float) -> None:
         """Accumulate wall time into a named phase (e.g. ``jacobian``)."""
-        self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
+        with self._lock:
+            self.phase_seconds[phase] = (
+                self.phase_seconds.get(phase, 0.0) + seconds
+            )
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:

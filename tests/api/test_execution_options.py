@@ -108,7 +108,6 @@ class TestExecutionOptions:
         assert opts.kernel is None
         assert opts.workers is None
         assert opts.on_error == "raise"
-        assert opts.compaction is None
         assert not opts.needs_sharding
 
     def test_kernel_string_coerced(self):
@@ -225,15 +224,6 @@ class TestWiring:
             assert np.array_equal(a.q, b.q)
             assert a.iterations == b.iterations
 
-    def test_options_compaction_reaches_engine(self):
-        chain = paper_chain(12)
-        solver = make_batch_solver(
-            "JT-Speculation",
-            chain,
-            options=ExecutionOptions(compaction=False),
-        )
-        assert solver.compaction is False
-
     def test_kernel_configured_twice_is_an_error(self):
         chain = paper_chain(12)
         with pytest.raises(ValueError, match="kernel"):
@@ -258,7 +248,6 @@ class TestWiring:
     def test_server_config_accepts_options_directly(self):
         opts = ExecutionOptions(
             kernel=KernelSpec(name="vectorized", dtype="float32"),
-            compaction=True,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,14 +1,16 @@
-"""Conformance tier: active-set compaction is bit-invisible.
+"""Conformance tier: compaction and mid-flight admission are bit-invisible.
 
-The compacted lock-step layout (dense survivor blocks, scatter-at-retirement)
-and the historical layout (gather/scatter against the full arrays every
-iteration) feed identical C-contiguous inputs to identical numpy ops, so
-every per-problem trajectory must be bit-for-bit equal — not merely close.
-This tier pins that across the paper's DOF sweep, both lock-step engines
+A lock-step run keeps its live rows in dense blocks: a retiring row is
+compacted out of every block, a joining row is appended to them.  Neither
+may touch another row's numerics, so every per-problem trajectory must be
+bit-for-bit equal — not merely close — to the same problem solved alone, a
+run of one row that nothing is ever compacted out of or appended to.  This
+tier pins that across the paper's DOF sweep, both lock-step engines
 (Quick-IK's and the row-update families'), both kernel modes and both
-dtypes.
+dtypes, for a batch admitted at once and for the same rows admitted in
+waves while earlier rows are mid-flight.
 
-Any deviation here means the compaction bookkeeping reordered or aliased an
+Any deviation here means the block bookkeeping reordered or aliased an
 operation, which the 1e-12 vectorized-vs-scalar tier could mask.
 """
 
@@ -16,9 +18,8 @@ import numpy as np
 import pytest
 
 from repro.core.result import SolverConfig
-from repro.execution import ExecutionOptions, KernelSpec
+from repro.execution import KernelSpec
 from repro.kinematics.robots import paper_chain
-from repro.solvers.batched import BatchedQuickIK
 from repro.solvers.registry import BATCH_REGISTRY, make_batch_solver
 
 #: The row-update families (every lock-step name but Quick-IK).
@@ -43,18 +44,53 @@ def _workload(dof: int, kernel: str, dtype: str):
     return chain, targets
 
 
-def _solve(name, chain, targets, compaction, **kwargs):
-    engine = make_batch_solver(
+def _engine(name, chain, **kwargs):
+    return make_batch_solver(
         name,
         chain,
         config=SolverConfig(tolerance=1e-2, max_iterations=300),
-        options=ExecutionOptions(compaction=compaction),
         **kwargs,
     )
-    assert engine.compaction is compaction
-    return engine.solve_batch(
-        targets, rng=np.random.default_rng(SEED + 1)
+
+
+def _starts(engine, count):
+    rng = np.random.default_rng(SEED + 1)
+    return np.stack(
+        [engine.chain.random_configuration(rng) for _ in range(count)]
     )
+
+
+def _in_waves(engine, targets, q0):
+    """Admit the rows in growing waves, one step apart, while earlier rows
+    are still live; results in input order."""
+    run = engine.open_run()
+    results = [None] * len(targets)
+    finished = []
+    lo, wave = 0, 1
+    while lo < len(targets) or run.live:
+        hi = min(len(targets), lo + wave)
+        if hi > lo:
+            finished += run.admit(targets[lo:hi], q0[lo:hi], range(lo, hi))
+            lo, wave = hi, wave + 1
+        finished += run.step()
+    for index, result in finished:
+        results[index] = result
+    run.close()
+    return results
+
+
+def _check(name, chain, targets, **kwargs):
+    """Batch, waves and rows alone agree bit for bit; returns the batch."""
+    engine = _engine(name, chain, **kwargs)
+    q0 = _starts(engine, len(targets))
+    batch = engine.solve_batch(targets, q0=q0)
+    alone = [
+        engine.solve_batch(targets[i : i + 1], q0=q0[i : i + 1])[0]
+        for i in range(len(targets))
+    ]
+    _assert_bit_identical(batch, alone)
+    _assert_bit_identical(_in_waves(engine, targets, q0), alone)
+    return batch
 
 
 def _assert_bit_identical(a, b):
@@ -64,9 +100,9 @@ def _assert_bit_identical(a, b):
         assert ra.converged == rb.converged
         assert ra.status == rb.status
         assert ra.fk_evaluations == rb.fk_evaluations
-        # Bit-for-bit, not allclose: both layouts run the same ops on the
-        # same dense blocks.  equal_nan keeps the check meaningful for rows
-        # that retire through the non-finite path.
+        # Bit-for-bit, not allclose: every layout runs the same ops on the
+        # same rows.  equal_nan keeps the check meaningful for rows that
+        # retire through the non-finite path.
         assert np.array_equal(ra.q, rb.q, equal_nan=True)
         assert np.array_equal(ra.error, rb.error, equal_nan=True)
         assert np.array_equal(
@@ -79,24 +115,16 @@ def _assert_bit_identical(a, b):
 @pytest.mark.parametrize("dof", SWEEP_DOFS)
 def test_quick_ik_compaction_bit_identical(dof, kernel, dtype):
     chain, targets = _workload(dof, kernel, dtype)
-    compacted = _solve(
-        "JT-Speculation", chain, targets, True, speculations=16
-    )
-    baseline = _solve(
-        "JT-Speculation", chain, targets, False, speculations=16
-    )
-    _assert_bit_identical(compacted, baseline)
+    _check("JT-Speculation", chain, targets, speculations=16)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("dof", (12, 25))
 def test_jacobian_transpose_compaction_bit_identical(dof, dtype):
     # JT-Serial's lock-step engine runs thousands of iterations; two DOF
-    # points suffice — the layout plumbing is engine-independent.
+    # points suffice — the block plumbing is engine-independent.
     chain, targets = _workload(dof, "vectorized", dtype)
-    compacted = _solve("JT-Serial", chain, targets, True)
-    baseline = _solve("JT-Serial", chain, targets, False)
-    _assert_bit_identical(compacted, baseline)
+    _check("JT-Serial", chain, targets)
 
 
 @pytest.mark.parametrize("name", sorted(set(ROW_FAMILIES) - {"JT-Serial"}))
@@ -104,28 +132,14 @@ def test_row_family_compaction_bit_identical(name):
     # The other row-update families share JT-Serial's engine; what differs
     # is the carried state (fdik's velocity) and the update itself.
     chain, targets = _workload(25, "vectorized", "float64")
-    compacted = _solve(name, chain, targets, True)
-    baseline = _solve(name, chain, targets, False)
-    _assert_bit_identical(compacted, baseline)
+    _check(name, chain, targets)
 
 
 def test_compaction_handles_nonfinite_rows():
     """A target that goes non-finite mid-loop retires through the compacted
-    scatter path with the same typed status as the historical layout."""
+    path with the same typed status as when solved alone."""
     chain, targets = _workload(25, "vectorized", "float64")
     targets = targets.copy()
     targets[3] = [np.inf, 0.0, 0.0]
-    compacted = _solve(
-        "JT-Speculation", chain, targets, True, speculations=16
-    )
-    baseline = _solve(
-        "JT-Speculation", chain, targets, False, speculations=16
-    )
-    _assert_bit_identical(compacted, baseline)
-    assert compacted[3].status == "nonfinite"
-
-
-def test_default_is_compacted():
-    chain, _ = _workload(12, "vectorized", "float64")
-    assert BatchedQuickIK(chain).compaction is True
-    assert BatchedQuickIK(chain, compaction=False).compaction is False
+    batch = _check("JT-Speculation", chain, targets, speculations=16)
+    assert batch[3].status == "nonfinite"

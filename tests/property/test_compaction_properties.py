@@ -1,14 +1,16 @@
-"""Property tier: the ActiveSet gather/scatter/compact round-trip.
+"""Property tier: the ActiveSet admit/compact bookkeeping.
 
-The compacted lock-step loop maintains dense survivor blocks across
-iterations instead of fancy-indexing the full arrays every step.  The
-invariant that makes this safe is purely index bookkeeping, so it is
-property-tested directly against a naive reference that *does* gather and
-scatter the full arrays on every simulated iteration:
+A lock-step run keeps its live rows in dense blocks: rows join by being
+appended (:meth:`ActiveSet.admit`) and retire by being compacted out
+(:meth:`ActiveSet.compact`).  The invariant that makes this safe is purely
+index bookkeeping, so it is property-tested directly against a naive
+reference that keeps every row in a dict keyed by its id:
 
-* the maintained block always equals ``full[indices]`` (row alignment);
-* a retired row's final value lands at its home position exactly once;
-* live rows never leak into the full array before retirement flush.
+* the maintained blocks always hold exactly the live rows' current
+  values, in the order ``indices`` names them (row alignment);
+* admitting appends after the live rows and never reorders them;
+* compacting drops exactly the retired rows, from the index and from
+  every block in step.
 """
 
 import numpy as np
@@ -30,57 +32,55 @@ def _mutate(block: np.ndarray, step: int) -> np.ndarray:
 
 @given(seed=seeds, m=sizes, n_rounds=rounds)
 @settings(max_examples=30, deadline=None)
-def test_gather_scatter_compact_matches_naive_reference(seed, m, n_rounds):
+def test_admit_compact_matches_naive_reference(seed, m, n_rounds):
     rng = np.random.default_rng(seed)
-    full = rng.standard_normal((m, 3))
-    naive_full = full.copy()
-
-    active = ActiveSet(np.arange(m))
-    block = active.gather(full)[0]
-    naive_idx = np.arange(m)
+    active = ActiveSet()
+    block = np.empty((0, 3))
+    naive: dict[int, np.ndarray] = {}
+    next_id = 0
 
     for step in range(n_rounds):
-        if active.size == 0:
-            break
-        # Maintained-block path (what the engine does).
-        block = _mutate(block, step)
-        keep = rng.random(active.size) < 0.6
-        dead = ~keep
-        if dead.any():
-            active.scatter(dead, ((block, full),))
-            (block,) = active.compact(keep, block)
+        # Some rows join (possibly none, possibly into an empty set).
+        joining = int(rng.integers(0, m + 1))
+        ids = np.arange(next_id, next_id + joining)
+        rows = rng.standard_normal((joining, 3))
+        next_id += joining
+        (block,) = active.admit(ids, (block,), (rows,))
+        naive.update(zip(ids.tolist(), rows))
 
-        # Naive reference: gather fresh, mutate, scatter everything back.
-        nb = naive_full[naive_idx]
-        nb = _mutate(nb, step)
-        naive_full[naive_idx] = nb
-        naive_idx = naive_idx[keep]
+        # One iteration over every live row, then some retire.
+        block = _mutate(block, step)
+        naive = {i: _mutate(row, step) for i, row in naive.items()}
+        keep = rng.random(active.size) < 0.6
+        for i in active.indices[~keep].tolist():
+            del naive[i]
+        (block,) = active.compact(keep, block)
 
         # Alignment invariant: the maintained block is exactly the live
-        # rows' current state, and the live index sets agree.
-        assert np.array_equal(active.indices, naive_idx)
-        assert np.array_equal(block, naive_full[naive_idx])
-
-    # Final flush (iteration budget exhausted with live rows).
-    if active.size:
-        active.scatter(np.ones(active.size, dtype=bool), ((block, full),))
-    assert np.array_equal(full, naive_full)
+        # rows' current state, in index order, and the id sets agree.
+        assert sorted(active.indices.tolist()) == sorted(naive)
+        expected = [naive[i] for i in active.indices.tolist()]
+        assert np.array_equal(block, np.array(expected).reshape(-1, 3))
 
 
 @given(seed=seeds, m=sizes)
 @settings(max_examples=30, deadline=None)
-def test_scatter_writes_masked_rows_only(seed, m):
+def test_admit_appends_after_live_rows(seed, m):
     rng = np.random.default_rng(seed)
-    full = rng.standard_normal((m, 4))
-    before = full.copy()
-    active = ActiveSet(np.arange(m))
-    block = rng.standard_normal((m, 4))
-    mask = rng.random(m) < 0.5
+    live = np.flatnonzero(rng.random(2 * m) < 0.7)
+    active = ActiveSet(live)
+    a = rng.standard_normal((active.size, 4))
+    b = rng.standard_normal(active.size)
+    joining = np.arange(2 * m, 2 * m + int(rng.integers(1, m + 1)))
+    new_a = rng.standard_normal((joining.size, 4))
+    new_b = rng.standard_normal(joining.size)
 
-    active.scatter(mask, ((block, full),))
+    ca, cb = active.admit(joining, (a, b), (new_a, new_b))
 
-    assert np.array_equal(full[mask], block[mask])
-    assert np.array_equal(full[~mask], before[~mask])
+    assert np.array_equal(active.indices, np.concatenate([live, joining]))
+    assert np.array_equal(ca, np.concatenate([a, new_a]))
+    assert np.array_equal(cb, np.concatenate([b, new_b]))
+    assert active.size == live.size + joining.size
 
 
 @given(seed=seeds, m=sizes)

@@ -164,6 +164,9 @@ class TestSessionDifferential:
             futures = [[] for _ in cells]
             for i in range(ticks):
                 for j, session in enumerate(sessions):
+                    if futures[j]:
+                        # tick() awaits the previous tick; bound that wait.
+                        futures[j][-1].exception(timeout=120)
                     futures[j].append(
                         session.tick(trajectories[j][i])
                     )
