@@ -21,22 +21,15 @@ and an optional telemetry tracer (see :mod:`repro.telemetry`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from dataclasses import replace
-
 from repro.core.result import BatchResult, IKResult, SolverConfig
-from repro.execution import ExecutionOptions, KernelSpec
+from repro.execution import ExecutionOptions
 from repro.kinematics.chain import KinematicChain
 from repro.kinematics.robots import named_robot
 from repro.solvers.registry import make_batch_solver, make_solver
 from repro.solvers.restarts import RandomRestartSolver
 from repro.telemetry.tracer import Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.resilience import ResilienceConfig
 
 __all__ = ["solve", "solve_batch", "serve", "resolve_robot"]
 
@@ -59,26 +52,14 @@ def _resolve_config(
     config: SolverConfig | None,
     tolerance: float | None,
     max_iterations: int | None,
-    kernel: "str | KernelSpec | None" = None,
 ) -> SolverConfig | None:
-    kernel = KernelSpec.coerce(kernel)
     if config is not None:
         if tolerance is not None or max_iterations is not None:
             raise ValueError(
-                "pass either config or tolerance/max_iterations/kernel, not both"
+                "pass either config or tolerance/max_iterations, not both"
             )
-        if kernel is not None:
-            # An explicit kernel (legacy kwarg or options.kernel) folds into
-            # a config that expressed no preference; two preferences clash.
-            if config.kernel is not None:
-                raise ValueError(
-                    "pass either config or tolerance/max_iterations/kernel, "
-                    "not both (config.kernel and kernel/options.kernel are "
-                    "both set)"
-                )
-            return replace(config, kernel=kernel)
         return config
-    if tolerance is None and max_iterations is None and kernel is None:
+    if tolerance is None and max_iterations is None:
         return None
     defaults = SolverConfig()
     return SolverConfig(
@@ -88,7 +69,6 @@ def _resolve_config(
             if max_iterations is not None
             else defaults.max_iterations
         ),
-        kernel=kernel,
     )
 
 
@@ -113,10 +93,8 @@ def solve(
     config: SolverConfig | None = None,
     tolerance: float | None = None,
     max_iterations: int | None = None,
-    kernel: str | None = None,
     restarts: int = 1,
     tracer: Tracer | None = None,
-    resilience: "ResilienceConfig | bool | None" = None,
     options: ExecutionOptions | None = None,
     **solver_options,
 ) -> IKResult:
@@ -138,23 +116,20 @@ def solve(
         Convergence policy: a full :class:`SolverConfig`, or the common
         fields directly (mutually exclusive with ``config``).
     options:
-        Typed execution policy (:class:`~repro.execution.ExecutionOptions`):
-        kernel spec (mode / dtype / chunk), resilience, and — for calls that
-        route through the batch path — ``workers`` / ``timeout`` /
-        ``on_error``.  The forward-compatible home for every knob below.
-    kernel / resilience:
-        Deprecated aliases for ``options.kernel`` / ``options.resilience``
-        (kept working; each emits one :class:`DeprecationWarning` per
-        process).  ``kernel`` selects the FK/Jacobian kernel mode
-        (``"scalar"`` — the default oracle — or ``"vectorized"``, optionally
-        with a dtype as ``"vectorized:float32"``; see
-        ``docs/performance.md``).  ``resilience`` opts into the resilient
-        pipeline: a :class:`~repro.resilience.ResilienceConfig` (or ``True``
-        for the stock policy) wraps the solver in a
+        Typed execution policy (:class:`~repro.execution.ExecutionOptions`).
+        ``options.kernel`` selects the FK/Jacobian kernel (``"scalar"`` —
+        the default oracle — or ``"vectorized"``, optionally with a dtype
+        as ``"vectorized:float32"``; see ``docs/performance.md``).
+        ``options.resilience`` opts into the resilient pipeline: a
+        :class:`~repro.resilience.ResilienceConfig` (or ``True`` for the
+        stock policy) wraps the solver in a
         :class:`~repro.resilience.ResilientSolver` — input guards, optional
-        watchdogs, and the registry fallback chain.  The call then never
-        raises for bad targets or failing attempts; the returned result's
-        ``status`` tells the story.  Mutually exclusive with ``restarts``.
+        watchdogs, and the registry fallback chain, every fallback running
+        on the same kernel.  The call then never raises for bad targets or
+        failing attempts; the returned result's ``status`` tells the
+        story.  Mutually exclusive with ``restarts``.  ``workers`` /
+        ``timeout`` / ``on_error`` route the target through
+        :func:`solve_batch`.
     restarts:
         When > 1, wrap the solver in a
         :class:`~repro.solvers.restarts.RandomRestartSolver` with this
@@ -167,11 +142,7 @@ def solve(
         ones raise ``TypeError`` naming the solver's accepted options.
     """
     chain = resolve_robot(robot)
-    opts = ExecutionOptions.from_legacy(
-        options, "api.solve",
-        kernel=kernel,
-        resilience=resilience if resilience not in (None, False) else None,
-    )
+    opts = ExecutionOptions.coerce(options)
     if opts.workers is not None or opts.on_error != "raise" or opts.timeout is not None:
         # Sharding / failure-policy fields only make sense through the batch
         # machinery: route the single target through solve_batch and unwrap.
@@ -186,9 +157,11 @@ def solve(
             **solver_options,
         )
         return batch[0]
+    if opts.kernel is not None:
+        chain = opts.kernel.apply(chain)
     ik = make_solver(
         solver, chain,
-        config=_resolve_config(config, tolerance, max_iterations, opts.kernel),
+        config=_resolve_config(config, tolerance, max_iterations),
         **solver_options,
     )
     res_cfg = opts.resolved_resilience()
@@ -216,12 +189,7 @@ def solve_batch(
     config: SolverConfig | None = None,
     tolerance: float | None = None,
     max_iterations: int | None = None,
-    kernel: str | None = None,
     tracer: Tracer | None = None,
-    workers: int | None = None,
-    timeout: float | None = None,
-    on_error: str | None = None,
-    resilience: "ResilienceConfig | None" = None,
     options: ExecutionOptions | None = None,
     **solver_options,
 ) -> BatchResult:
@@ -238,38 +206,30 @@ def solve_batch(
 
     ``options`` is the typed execution policy
     (:class:`~repro.execution.ExecutionOptions`) bundling the kernel spec
-    (mode / dtype / chunk), sharding and failure policy.  The individual keywords
-    below keep working as deprecated aliases (one
-    :class:`DeprecationWarning` per keyword per process) and are mutually
-    exclusive with ``options``:
+    (mode / dtype / chunk), sharding and failure policy; the kernel spec is
+    applied to the chain once per call.
 
-    ``workers`` shards the batch across that many subprocesses
+    ``options.workers`` shards the batch across that many subprocesses
     (:mod:`repro.parallel`); results are bit-identical for any worker count
     under the same seed, on either kernel, and identical to the unsharded
     default (a lock-step row never depends on the batch it rides in).
-    ``timeout`` bounds one pooled batch in seconds — on expiry, every
+    ``options.timeout`` bounds one pooled batch in seconds — on expiry, every
     unfinished shard is reported in a
     :class:`~repro.parallel.ParallelExecutionError`.
 
-    ``on_error`` selects the failure policy: ``"raise"`` (default,
+    ``options.on_error`` selects the failure policy: ``"raise"`` (default,
     historical behaviour), ``"skip"`` (rejected / failed problems become
     placeholder results, ``batch.failures`` carries a
     :class:`~repro.resilience.FailureReport`), or ``"fallback"`` (failed
     problems are additionally retried solo through the
-    ``resilience.fallback_chain``).  ``resilience`` tunes the fallback
-    chain, watchdog and guard margin; either option routes the batch
+    ``resilience.fallback_chain``).  ``options.resilience`` tunes the
+    fallback chain, watchdog and guard margin; either option routes the batch
     through the sharded path (``workers=1`` inline when unset).
     """
-    chain = resolve_robot(robot)
-    opts = ExecutionOptions.from_legacy(
-        options, "api.solve_batch",
-        kernel=kernel, workers=workers, timeout=timeout,
-        on_error=on_error, resilience=resilience,
-    )
     engine = make_batch_solver(
-        solver, chain,
-        config=_resolve_config(config, tolerance, max_iterations, opts.kernel),
-        options=opts.merged(kernel=None),
+        solver, resolve_robot(robot),
+        config=_resolve_config(config, tolerance, max_iterations),
+        options=options,
         **solver_options,
     )
     return engine.solve_batch(
@@ -283,8 +243,9 @@ def serve(config=None, *, tracer=None, start=True, **overrides):
     The online counterpart of :func:`solve_batch`: individual
     :class:`~repro.serving.SolveRequest` submissions are coalesced by an
     (adaptive) micro-batching scheduler into the same vectorized lock-step
-    batches the offline path runs, inheriting the ``workers=`` /
-    ``kernel=`` / ``on_error=`` semantics (see ``docs/serving.md``).
+    batches the offline path runs, under the server's
+    ``ServerConfig.options`` (kernel, sharding, failure policy; see
+    ``docs/serving.md``).
     Serving defaults lean online: the IKSel-style warm-start seed cache,
     adaptive flush triggers and SLO shedding are all **on** (pass
     ``warm_start=False`` for bit-equivalence with offline solves), and

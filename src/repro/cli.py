@@ -396,11 +396,16 @@ class _TelemetryOutputs:
 
 def _cmd_solve(args) -> int:
     chain = named_robot(args.robot)
-    config = SolverConfig(tolerance=args.tolerance, max_iterations=args.max_iterations,
-                          kernel=_kernel_spec(args))
+    config = SolverConfig(
+        tolerance=args.tolerance, max_iterations=args.max_iterations
+    )
     kwargs = {"speculations": args.speculations} if args.solver == "JT-Speculation" else {}
     kwargs.update(_parse_solver_opts(args.opt))
-    solver = make_solver(args.solver, chain, config=config, **kwargs)
+    spec = _kernel_spec(args)
+    solver = make_solver(
+        args.solver, spec.apply(chain) if spec is not None else chain,
+        config=config, **kwargs,
+    )
     target = _resolve_target(chain, args)
     telemetry = _TelemetryOutputs(args)
     if args.workers > 1 or args.on_error != "raise":

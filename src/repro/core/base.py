@@ -53,11 +53,7 @@ class IterativeIKSolver(ABC):
         self, chain: KinematicChain, config: SolverConfig | None = None
     ) -> None:
         self.config = config or SolverConfig()
-        # ``config.kernel`` overrides the chain's FK/Jacobian kernel mode
-        # (and, via a KernelSpec, its dtype); ``None`` inherits whatever the
-        # chain was built with.
-        spec = self.config.kernel_spec
-        self.chain = spec.apply(chain) if spec is not None else chain
+        self.chain = chain
         #: Tracer active for the current solve; ``_step`` implementations may
         #: read it (guarding on ``.enabled``) to time their internal phases.
         self._tracer: Tracer = NULL_TRACER

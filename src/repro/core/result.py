@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any, Iterator
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
-    from repro.execution import KernelSpec
     from repro.resilience.watchdogs import WatchdogConfig
 
 __all__ = ["SolverConfig", "StepOutcome", "IKResult", "BatchResult"]
@@ -51,14 +50,10 @@ class SolverConfig:
         deadline, divergence and stall detectors) and records trips as a
         typed early exit on ``IKResult.status``.  ``None`` (the default)
         costs the hot loop a single ``is not None`` check per solve.
-    kernel:
-        FK/Jacobian kernel selection (see :mod:`repro.kinematics.kernels`):
-        a mode name (``"scalar"`` pins the original link-by-link loops,
-        ``"vectorized"`` the stacked-matmul fast path), a ``"mode:dtype"``
-        shorthand, or a full :class:`~repro.execution.KernelSpec` pinning
-        mode, dtype and chunk size.  ``None`` (the default) inherits
-        whatever kernel the chain was built with, which is scalar/float64
-        unless the caller opted in.
+
+    The FK/Jacobian kernel is not part of the convergence policy: a solver
+    runs on the chain it is handed (``ExecutionOptions.kernel`` picks it at
+    the entry points, see :mod:`repro.execution`).
     """
 
     tolerance: float = DEFAULT_TOLERANCE
@@ -66,24 +61,12 @@ class SolverConfig:
     record_history: bool = True
     respect_limits: bool = False
     watchdog: "WatchdogConfig | None" = None
-    kernel: "str | KernelSpec | None" = None
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        self.kernel_spec  # validates the mode/dtype eagerly
-
-    @property
-    def kernel_spec(self) -> "KernelSpec | None":
-        """``kernel`` normalised to a :class:`~repro.execution.KernelSpec`
-        (``None`` when no kernel preference is set)."""
-        if self.kernel is None:
-            return None
-        from repro.execution import KernelSpec
-
-        return KernelSpec.coerce(self.kernel)
 
 
 @dataclass

@@ -20,7 +20,6 @@ from repro.core.quick_ik import QuickIKSolver
 from repro.core.result import SolverConfig
 from repro.evaluation import paper_data
 from repro.evaluation.tables import TableResult
-from repro.execution import ExecutionOptions
 from repro.ikacc.accelerator import IKAccRunResult
 from repro.ikacc.config import IKAccConfig
 from repro.platforms.atom import AtomModel
@@ -41,15 +40,12 @@ class PaperExperiments:
     suite:
         Workload; defaults to the paper sweep (12/25/50/75/100 DOF,
         ``REPRO_TARGETS`` targets each, reachable-target distribution).
+        The suite's ``options`` set the kernel and worker processes of
+        every solver run.
     speculations:
         Quick-IK ``Max`` (paper operating point: 64).
     ikacc_config:
         Accelerator configuration (paper design point: 32 SSUs, 1 GHz).
-    workers:
-        Worker processes for the solver runs when building the default
-        suite (ignored when an explicit ``suite`` is passed — the suite
-        carries its own ``workers``).  Statistics are identical for any
-        worker count; only wall-clock changes.
     """
 
     def __init__(
@@ -57,12 +53,9 @@ class PaperExperiments:
         suite: EvaluationSuite | None = None,
         speculations: int = 64,
         ikacc_config: IKAccConfig | None = None,
-        workers: int = 1,
         max_iterations: int | None = None,
     ) -> None:
-        self.suite = suite or EvaluationSuite(options=ExecutionOptions(
-            workers=None if workers == 1 else workers,
-        ))
+        self.suite = suite or EvaluationSuite()
         self.speculations = speculations
         self.solver_config = SolverConfig(
             tolerance=paper_data.ACCURACY_M,

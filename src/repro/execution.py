@@ -1,36 +1,27 @@
 """Typed execution policy: :class:`KernelSpec` and :class:`ExecutionOptions`.
 
-The kernel layer, the process pool, the failure policies and the resilience
-pipeline each grew their own keyword on every entry point (``kernel=``,
-``workers=``, ``timeout=``, ``on_error=``, ``resilience=``), and the
-dtype axis added here would have made it six.  This module
-replaces the kwarg sprawl with two small frozen dataclasses that every
-entry point (``api.solve`` / ``api.solve_batch`` / ``api.serve``,
-``make_batch_solver``, :class:`~repro.workloads.suite.EvaluationSuite`, the
-CLI) accepts as a single ``options=`` argument:
+Two small frozen dataclasses that every entry point (``api.solve`` /
+``api.solve_batch`` / ``api.serve``, ``make_batch_solver``,
+:class:`~repro.workloads.suite.EvaluationSuite`, the CLI) accepts as a
+single ``options=`` argument:
 
 * :class:`KernelSpec` — *how one FK/Jacobian evaluation runs*: kernel mode
   (``"scalar"`` / ``"vectorized"``), floating-point dtype (``"float64"`` /
   ``"float32"``), and the FK chunk size.  ``None`` fields inherit whatever
-  the chain was built with, so ``KernelSpec(name="vectorized")`` is exactly
-  the old ``kernel="vectorized"``.
+  the chain was built with.
 * :class:`ExecutionOptions` — *how a solve call executes*: the kernel spec,
   process sharding (``workers`` / ``timeout``) and failure policy
   (``on_error`` / ``resilience``).
 
-The legacy keywords keep working as deprecated aliases: each entry point
-normalises them into an :class:`ExecutionOptions` via :meth:`from_legacy`,
-which emits one :class:`DeprecationWarning` per (call site, keyword) pair
-per process — enough to steer migrations without drowning a batch loop in
-warnings.  Passing ``options=`` *and* a legacy keyword is an error (the
-call would otherwise have two sources of truth).
-
-See ``docs/performance.md`` for the full keyword → field mapping.
+``options.kernel`` is the one place a caller picks a kernel: the entry
+point that receives the options applies the spec to the chain once
+(:meth:`KernelSpec.apply`), and solvers and engines run on the chain they
+are handed.  Code that builds solvers directly applies a spec itself:
+``make_solver(name, KernelSpec("vectorized").apply(chain))``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -48,12 +39,9 @@ __all__ = [
     "ON_ERROR_MODES",
     "KERNEL_DTYPES",
     "resolve_kernel_dtype",
-    "warn_legacy_kwarg",
-    "reset_legacy_warnings",
 ]
 
-#: Batch failure policies (canonical home; re-exported by
-#: :mod:`repro.parallel.pool` for compatibility).
+#: Batch failure policies.
 ON_ERROR_MODES = ("raise", "skip", "fallback")
 
 #: Floating-point dtypes the kernel layer supports.  ``float64`` is the
@@ -83,9 +71,7 @@ class KernelSpec:
     """How one FK/Jacobian evaluation runs: kernel mode × dtype × chunk.
 
     Every field defaults to ``None`` = "inherit from the chain", so a spec
-    only pins the axes the caller cares about.  Hashable (it rides inside
-    :class:`~repro.core.result.SolverConfig`, which keys the serving layer's
-    coalescing groups).
+    only pins the axes the caller cares about.  Frozen and hashable.
 
     Parameters
     ----------
@@ -96,8 +82,10 @@ class KernelSpec:
         ``"float64"`` or ``"float32"``.  Accepts numpy dtypes; stored
         canonically as the string.
     chunk:
-        FK rows per chunked sweep call in the lock-step engines; ``None``
-        picks the per-kernel default (128 scalar / 8192 vectorized).
+        FK rows per chunked sweep call in Quick-IK's lock-step engine
+        (:class:`~repro.solvers.batched.BatchedQuickIK`, the one engine
+        that chunks); ``None`` picks the per-kernel default (128 scalar /
+        8192 vectorized).
     """
 
     name: str | None = None
@@ -115,8 +103,8 @@ class KernelSpec:
 
     @classmethod
     def coerce(cls, value: "KernelSpec | str | None") -> "KernelSpec | None":
-        """Normalise ``kernel=`` inputs: a spec, a mode name, or
-        ``"mode:dtype"`` shorthand (e.g. ``"vectorized:float32"``)."""
+        """Normalise ``ExecutionOptions(kernel=...)`` inputs: a spec, a mode
+        name, or ``"mode:dtype"`` shorthand (e.g. ``"vectorized:float32"``)."""
         if value is None or isinstance(value, cls):
             return value
         if isinstance(value, str):
@@ -149,9 +137,8 @@ class KernelSpec:
 class ExecutionOptions:
     """How a solve call executes: kernel, sharding, failure policy.
 
-    One frozen object replacing the ``kernel=`` / ``workers=`` /
-    ``timeout=`` / ``on_error=`` / ``resilience=`` keyword sprawl.  All
-    defaults reproduce the historical behaviour of each entry point.
+    All defaults run one in-process solve on the chain's own kernel and
+    raise on failure.
 
     Parameters
     ----------
@@ -187,10 +174,21 @@ class ExecutionOptions:
                 f"unknown on_error mode {self.on_error!r}; known: {known}"
             )
 
+    @classmethod
+    def coerce(cls, options: "ExecutionOptions | None") -> "ExecutionOptions":
+        """Normalise an ``options=`` argument: ``None`` means the defaults."""
+        if options is None:
+            return cls()
+        if not isinstance(options, cls):
+            raise TypeError(
+                f"options must be ExecutionOptions, got {type(options).__name__}"
+            )
+        return options
+
     @property
     def needs_sharding(self) -> bool:
         """Whether these options route a batch through the sharded solver
-        (mirrors the historical ``make_batch_solver`` dispatch)."""
+        (:class:`~repro.parallel.ShardedBatchSolver`)."""
         return (
             self.workers is not None
             or self.on_error != "raise"
@@ -210,87 +208,3 @@ class ExecutionOptions:
     def merged(self, **overrides: Any) -> "ExecutionOptions":
         """Copy with ``overrides`` applied (``dataclasses.replace`` sugar)."""
         return replace(self, **overrides)
-
-    @classmethod
-    def from_legacy(
-        cls,
-        options: "ExecutionOptions | None",
-        site: str,
-        *,
-        kernel: Any = None,
-        workers: int | None = None,
-        timeout: float | None = None,
-        on_error: str | None = None,
-        resilience: Any = None,
-        warn: bool = True,
-    ) -> "ExecutionOptions":
-        """Normalise one call's ``options=`` + legacy keywords.
-
-        ``None`` legacy values mean "not passed".  With ``options`` set, any
-        legacy keyword is an error (two sources of truth); without it, the
-        legacy values build the options object, each emitting one
-        :class:`DeprecationWarning` per (site, keyword) per process when
-        ``warn`` is true.
-        """
-        legacy = {
-            name: value
-            for name, value in (
-                ("kernel", kernel),
-                ("workers", workers),
-                ("timeout", timeout),
-                ("on_error", on_error),
-                ("resilience", resilience),
-            )
-            if value is not None
-        }
-        if options is not None:
-            if not isinstance(options, cls):
-                raise TypeError(
-                    f"options must be ExecutionOptions, got {type(options).__name__}"
-                )
-            if legacy:
-                raise ValueError(
-                    f"{site}: pass either options= or the legacy "
-                    f"{sorted(legacy)} keyword(s), not both"
-                )
-            return options
-        if not legacy:
-            return cls()
-        if warn:
-            for name in sorted(legacy):
-                warn_legacy_kwarg(site, name)
-        return cls(
-            kernel=legacy.get("kernel"),
-            workers=legacy.get("workers"),
-            timeout=legacy.get("timeout"),
-            on_error=legacy.get("on_error", "raise"),
-            resilience=legacy.get("resilience"),
-        )
-
-
-# ----------------------------------------------------------------------
-# Deprecation bookkeeping: one warning per (call site, keyword) per process
-# ----------------------------------------------------------------------
-
-_warned: set[tuple[str, str]] = set()
-
-
-def warn_legacy_kwarg(site: str, name: str) -> None:
-    """Emit the once-per-process deprecation warning for a legacy keyword."""
-    key = (site, name)
-    if key in _warned:
-        return
-    _warned.add(key)
-    warnings.warn(
-        f"{site}: the {name!r} keyword is deprecated; pass "
-        f"options=ExecutionOptions({name}=...) instead "
-        f"(kernel mode/dtype/chunk go in options.kernel=KernelSpec(...); "
-        f"see docs/performance.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_legacy_warnings() -> None:
-    """Forget which legacy keywords have warned (test isolation hook)."""
-    _warned.clear()

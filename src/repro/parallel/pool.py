@@ -67,7 +67,6 @@ __all__ = [
     "ShardedBatchSolver",
     "solve_batch_sharded",
     "default_workers",
-    "ON_ERROR_MODES",
 ]
 
 #: Pool start method preference: ``fork`` (cheap, inherits the loaded numpy)

@@ -223,7 +223,7 @@ class MicroBatcher:
         )
 
     def has_ready(self, now: float, exclude: Container = ()) -> bool:
-        """Would :meth:`pop_ready` return anything at time ``now`` (from a
+        """Would :meth:`pop_one` return a batch at time ``now`` (from a
         group not in ``exclude``)?"""
         return any(
             group.entries
@@ -290,37 +290,6 @@ class MicroBatcher:
         return MicroBatch(
             key=best_key, entries=self.take(best_key, self.max_batch_size)
         )
-
-    def pop_ready(self, now: float, force: bool = False) -> list[MicroBatch]:
-        """Remove and return every batch due at ``now``.
-
-        A group flushes when full (chunked to ``max_batch_size``) or when
-        its oldest request aged out — an aged group flushes *entirely*
-        (chunked), since its younger members would only age out moments
-        later.  ``force=True`` drains everything (shutdown).  Batches come
-        back oldest-first across groups so a drain completes in arrival
-        order.
-        """
-        batches: list[MicroBatch] = []
-        for key in list(self._groups):
-            group = self._groups[key]
-            entries = group.entries
-            if not entries:
-                continue
-            size, wait = self.effective_params(key)
-            aged = force or now - entries[0].enqueue_t >= wait
-            take = len(entries) if aged else (len(entries) // size) * size
-            if take == 0:
-                continue
-            if not force and not self._statically_ready(group, now):
-                self.adaptive_adjustments += 1
-            taken = self.take(key, take)
-            for lo in range(0, take, self.max_batch_size):
-                batches.append(MicroBatch(
-                    key=key, entries=taken[lo:lo + self.max_batch_size]
-                ))
-        batches.sort(key=lambda b: b.entries[0].enqueue_t)
-        return batches
 
     def drain(self) -> list[PendingEntry]:
         """Remove and return every pending entry, oldest first (no batching)."""

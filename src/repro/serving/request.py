@@ -72,9 +72,10 @@ class SolveRequest:
         ``seed=s`` resolves the *same* ``q0`` a direct
         ``api.solve(robot, target, solver, seed=s)`` call would, which is
         what makes served results comparable one-to-one with offline solves.
-    config / tolerance / max_iterations / kernel:
+    config / tolerance / max_iterations:
         Convergence policy, exactly as :func:`repro.api.solve` takes it
-        (``config`` is mutually exclusive with the individual fields).
+        (``config`` is mutually exclusive with the individual fields).  The
+        kernel is the server's (``ServerConfig.options.kernel``).
     deadline_s:
         Latency budget in seconds, measured from submission.  ``None``
         means no deadline; a non-positive budget is rejected at admission;
@@ -101,7 +102,6 @@ class SolveRequest:
     config: Any = None
     tolerance: float | None = None
     max_iterations: int | None = None
-    kernel: str | None = None
     deadline_s: float | None = None
     warm_start: bool | None = None
     options: dict[str, Any] = field(default_factory=dict)

@@ -17,8 +17,9 @@ with a flushed micro-batch depends on its key:
   the moment its own row retires.  While the run is live and has room, no
   other loop starts a second run for the key.
 * **Micro-batch.**  Every other key executes each flushed batch through
-  one :func:`repro.api.solve_batch` call, inheriting ``workers=`` process
-  sharding, timeouts and the ``on_error="fallback"`` resilience chain.
+  one :func:`repro.api.solve_batch` call under the server's ``options``:
+  process sharding (``workers``), timeouts and the
+  ``on_error="fallback"`` resilience chain.
 
 Design invariants:
 
@@ -76,7 +77,7 @@ from typing import Any
 import numpy as np
 
 from repro.api import _resolve_config, resolve_robot
-from repro.execution import ON_ERROR_MODES, ExecutionOptions
+from repro.execution import ExecutionOptions
 from repro.kinematics.chain import KinematicChain
 from repro.resilience.guards import (
     FATAL_GUARD_KINDS,
@@ -146,20 +147,14 @@ class ServerConfig:
         late.  Only affects requests that carry a ``deadline_s``.
     options:
         Typed execution policy (:class:`~repro.execution.ExecutionOptions`)
-        every served solve follows — the forward-compatible home for
-        ``workers`` / ``timeout`` / ``on_error`` plus the kernel spec
-        (mode / dtype / chunk).  It also decides which keys run on
-        admission (see the module docstring).  When set, the individual
-        ``workers`` / ``timeout`` / ``on_error`` fields must be left at
-        their defaults, and ``options.on_error`` governs verbatim (note
-        its default is ``"raise"``, not the serving-flavoured ``"skip"``
-        below — set it explicitly when building options by hand).
-    workers / timeout / on_error:
-        Legacy form of the same policy, kept working: when ``options`` is
-        not given these build it.  The serving default is
-        ``on_error="skip"``: one bad request degrades into a typed
-        placeholder result instead of poisoning its batch-mates with an
-        exception.
+        every served solve follows: the kernel spec (mode / dtype / chunk),
+        ``workers`` / ``timeout`` and ``on_error``.  It also decides which
+        keys run on admission (see the module docstring).  The serving
+        default is ``ExecutionOptions(on_error="skip")``: one bad request
+        degrades into a typed placeholder result instead of poisoning its
+        batch-mates with an exception.  Options built by hand govern
+        verbatim, and ``ExecutionOptions``'s own default is
+        ``on_error="raise"``, so set ``"skip"`` explicitly to keep it.
     warm_start:
         Server-wide default for the warm-start seed cache (requests can
         override per call).  **On by default** since PR 7: correlated
@@ -183,15 +178,12 @@ class ServerConfig:
     dispatch_workers: int = 1
     adaptive: bool = True
     slo_shedding: bool = True
-    workers: int | None = None
-    timeout: float | None = None
-    on_error: str = "skip"
     warm_start: bool = True
     seed_cache_capacity: int = 256
     warm_start_max_distance: float | None = None
     seed_k: int = DEFAULT_K
     seed_limit_penalty: float = DEFAULT_LIMIT_PENALTY
-    options: "ExecutionOptions | None" = None
+    options: ExecutionOptions = ExecutionOptions(on_error="skip")
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -202,46 +194,17 @@ class ServerConfig:
             raise ValueError("max_queue must be >= 1")
         if self.dispatch_workers < 1:
             raise ValueError("dispatch_workers must be >= 1")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None)")
-        if self.on_error not in ON_ERROR_MODES:
-            raise ValueError(
-                f"on_error must be one of {ON_ERROR_MODES}, got {self.on_error!r}"
-            )
         if self.seed_cache_capacity < 0:
             raise ValueError("seed_cache_capacity must be >= 0")
         if self.seed_k < 1:
             raise ValueError("seed_k must be >= 1")
         if self.seed_limit_penalty < 0:
             raise ValueError("seed_limit_penalty must be >= 0")
-        if self.options is None:
-            # Legacy form: normalise the individual fields into the typed
-            # policy once, so the execute path has a single source of truth.
-            object.__setattr__(self, "options", ExecutionOptions(
-                workers=self.workers,
-                timeout=self.timeout,
-                on_error=self.on_error,
-            ))
-        else:
-            if not isinstance(self.options, ExecutionOptions):
-                raise TypeError(
-                    "options must be ExecutionOptions, got "
-                    f"{type(self.options).__name__}"
-                )
-            if (
-                self.workers is not None
-                or self.timeout is not None
-                or self.on_error != "skip"
-            ):
-                raise ValueError(
-                    "pass either options= or workers/timeout/on_error, "
-                    "not both"
-                )
-            # Mirror the typed policy into the legacy fields so existing
-            # readers (repr, bench payloads) stay truthful.
-            object.__setattr__(self, "workers", self.options.workers)
-            object.__setattr__(self, "timeout", self.options.timeout)
-            object.__setattr__(self, "on_error", self.options.on_error)
+        if not isinstance(self.options, ExecutionOptions):
+            raise TypeError(
+                "options must be ExecutionOptions, got "
+                f"{type(self.options).__name__}"
+            )
 
 
 @dataclass
@@ -291,7 +254,8 @@ class ServingStats:
 
     @property
     def mean_occupancy(self) -> float:
-        """Requests per executed micro-batch (the coalescing win)."""
+        """Requests per batch (the coalescing win): per executed
+        micro-batch, or per run for a key served by admission."""
         return self.requests_batched / self.batches if self.batches else float("nan")
 
     @property
@@ -486,8 +450,7 @@ class IKServer:
         chain = self._resolve_chain(request.robot)
         target = request.target_array()
         config = _resolve_config(
-            request.config, request.tolerance,
-            request.max_iterations, request.kernel,
+            request.config, request.tolerance, request.max_iterations
         )
         key = GroupKey(
             robot_key=(
@@ -552,12 +515,6 @@ class IKServer:
             self.start()
         return entry.future
 
-    def submit_many(
-        self, requests: "list[SolveRequest]"
-    ) -> "list[concurrent.futures.Future]":
-        """Admit a list of requests (stops at the first rejection)."""
-        return [self.submit(request) for request in requests]
-
     def solve(
         self, request: SolveRequest, timeout: float | None = None
     ) -> Any:
@@ -594,9 +551,9 @@ class IKServer:
         with self._cond:
             snapshot = replace(self._stats)
             snapshot.adaptive_flushes = self._batcher.adaptive_adjustments
-        if self._seed_cache is not None:
-            snapshot.cache_hits = self._seed_cache.stats.hits
-            snapshot.cache_misses = self._seed_cache.stats.misses
+            if self._seed_cache is not None:
+                snapshot.cache_hits = self._seed_cache.stats.hits
+                snapshot.cache_misses = self._seed_cache.stats.misses
         return snapshot
 
     # -- internals -------------------------------------------------------
@@ -982,12 +939,12 @@ class IKServer:
         rows: dict[int, PendingEntry] = {}
         run = None
         try:
-            # Built exactly as ``api.solve_batch`` builds it for this key.
+            # Built exactly as ``api.solve_batch`` builds it for this key
+            # (the kernel applied here, not at submission: coalescing keys
+            # an ad-hoc chain by identity).
             run = make_batch_solver(
-                key.solver, entries[0].chain,
-                config=_resolve_config(
-                    key.config_key, None, None, self.config.options.kernel
-                ),
+                key.solver, entries[0].chain, config=key.config_key,
+                options=ExecutionOptions(kernel=self.config.options.kernel),
                 **entries[0].request.options,
             ).open_run(tr)
             if tr.enabled:
@@ -1037,6 +994,6 @@ class IKServer:
             f"max_wait_ms={self.config.max_wait_ms}, "
             f"dispatch_workers={self.config.dispatch_workers}, "
             f"adaptive={self.config.adaptive}, "
-            f"on_error={self.config.on_error!r}, "
+            f"on_error={self.config.options.on_error!r}, "
             f"queue_depth={self.queue_depth})"
         )

@@ -182,7 +182,6 @@ class TrackingSession:
         config: Any,
         tolerance: float | None,
         max_iterations: int | None,
-        kernel: str | None,
         options: dict[str, Any] | None,
     ) -> None:
         self._manager = manager
@@ -193,7 +192,6 @@ class TrackingSession:
         self._config = config
         self._tolerance = tolerance
         self._max_iterations = max_iterations
-        self._kernel = kernel
         self._options = dict(options) if options else {}
         self._chain = manager.server._resolve_chain(robot)
         if q0 is not None:
@@ -277,7 +275,6 @@ class TrackingSession:
                 config=self._config,
                 tolerance=self._tolerance,
                 max_iterations=self._max_iterations,
-                kernel=self._kernel,
                 deadline_s=deadline_s,
                 options=dict(self._options),
             )
@@ -451,7 +448,6 @@ class SessionManager:
         config: Any = None,
         tolerance: float | None = None,
         max_iterations: int | None = None,
-        kernel: str | None = None,
         options: dict[str, Any] | None = None,
     ) -> TrackingSession:
         """Open a new tracking session.
@@ -477,7 +473,7 @@ class SessionManager:
             self._next_id += 1
             session = TrackingSession(
                 self, session_id, robot, solver, seed, q0, config,
-                tolerance, max_iterations, kernel, options,
+                tolerance, max_iterations, options,
             )
             self._sessions[session_id] = session
             self.opened += 1

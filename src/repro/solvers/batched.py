@@ -367,12 +367,10 @@ class LockStepEngine:
     carry blocks, :meth:`_start`) and set :attr:`name` /
     :attr:`speculations`.
 
-    ``config.kernel`` may be a kernel-mode name or a full
-    :class:`~repro.execution.KernelSpec`; a spec's dtype re-materialises the
-    chain (e.g. to float32) and its chunk overrides the per-kernel default
-    unless an explicit ``chunk`` argument is given.  All engine state
-    (configurations, positions, errors, targets) is kept in the chain's
-    dtype so a float32 sweep never round-trips through float64.
+    The engine runs on the chain it is handed: its kernel mode picks the
+    default ``chunk``, and all engine state (configurations, positions,
+    errors, targets) is kept in the chain's dtype so a float32 sweep never
+    round-trips through float64.
     """
 
     name = "lock-step"
@@ -387,10 +385,7 @@ class LockStepEngine:
         chunk: int | None = None,
     ) -> None:
         self.config = config or SolverConfig()
-        spec = self.config.kernel_spec
-        self.chain = spec.apply(chain) if spec is not None else chain
-        if chunk is None and spec is not None:
-            chunk = spec.chunk
+        self.chain = chain
         if chunk is None:
             chunk = (
                 VECTORIZED_CHUNK

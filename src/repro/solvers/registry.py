@@ -28,6 +28,7 @@ from typing import Any
 from repro.core.base import RowUpdateSolver
 from repro.core.hybrid import HybridSpeculativeSolver
 from repro.core.quick_ik import QuickIKSolver
+from repro.execution import ExecutionOptions
 from repro.solvers.batched import BatchedQuickIK, BatchedRowSolver
 from repro.solvers.ccd import CyclicCoordinateDescentSolver
 from repro.solvers.dls import DampedLeastSquaresSolver
@@ -130,17 +131,7 @@ def make_solver(name: str, chain, config=None, **kwargs):
     return factory(chain, config=config, **kwargs)
 
 
-def make_batch_solver(
-    name: str,
-    chain,
-    config=None,
-    options=None,
-    workers=None,
-    timeout=None,
-    on_error="raise",
-    resilience=None,
-    **kwargs,
-):
+def make_batch_solver(name: str, chain, config=None, options=None, **kwargs):
     """Instantiate a batch solver by name.
 
     Names in :data:`BATCH_REGISTRY` get a lock-step engine: Quick-IK its
@@ -156,64 +147,28 @@ def make_batch_solver(
     scalar solve of its target from the same start.
 
     ``options`` is the typed execution policy
-    (:class:`~repro.execution.ExecutionOptions`): its kernel spec folds into
-    ``config.kernel`` (an error if both are set), and its
-    sharding/failure-policy fields replace the individual ``workers`` /
-    ``timeout`` / ``on_error`` / ``resilience`` keywords, which keep
-    working but are mutually exclusive with ``options``.
+    (:class:`~repro.execution.ExecutionOptions`).  Its kernel spec is
+    applied to ``chain`` once, here, and the spec's ``chunk`` goes to
+    Quick-IK's engine unless its ``chunk`` option is passed explicitly.
 
-    With ``workers`` set, the solver is wrapped in a
+    With ``options.workers`` set, the solver is wrapped in a
     :class:`~repro.parallel.ShardedBatchSolver` that shards every batch
     across that many subprocesses (``workers=1`` runs the identical shard
     path inline); results are bit-identical for any worker count under the
-    same seed.  ``timeout`` bounds one pooled batch in seconds.
+    same seed.  ``options.timeout`` bounds one pooled batch in seconds.
 
-    ``on_error`` selects the failure policy (``"raise"`` / ``"skip"`` /
-    ``"fallback"``, see :class:`~repro.parallel.ShardedBatchSolver`) and
-    ``resilience`` is an optional
+    ``options.on_error`` selects the failure policy (``"raise"`` /
+    ``"skip"`` / ``"fallback"``, see
+    :class:`~repro.parallel.ShardedBatchSolver`) and
+    ``options.resilience`` is an optional
     :class:`~repro.resilience.ResilienceConfig`.  Requesting either without
     ``workers`` wraps the solver in a single-worker sharded solver so the
     guard / failure-report machinery still applies.
     """
-    from repro.execution import ExecutionOptions
-
-    if options is None:
-        options = ExecutionOptions(
-            workers=workers,
-            timeout=timeout,
-            on_error=on_error,
-            resilience=resilience,
-        )
-    else:
-        if (
-            workers is not None
-            or timeout is not None
-            or on_error != "raise"
-            or resilience is not None
-        ):
-            raise ValueError(
-                "pass either options= or workers/timeout/on_error/resilience,"
-                " not both"
-            )
-        if not isinstance(options, ExecutionOptions):
-            raise TypeError(
-                f"options must be ExecutionOptions, got {type(options).__name__}"
-            )
+    options = ExecutionOptions.coerce(options)
     spec = options.kernel
     if spec is not None:
-        from dataclasses import replace
-
-        from repro.core.result import SolverConfig
-
-        if config is None:
-            config = SolverConfig(kernel=spec)
-        elif config.kernel is None:
-            config = replace(config, kernel=spec)
-        else:
-            raise ValueError(
-                "kernel configured twice: both config.kernel and "
-                "options.kernel are set"
-            )
+        chain = spec.apply(chain)
     # Only the per-target driver arms a watchdog.
     engine = (
         BATCH_REGISTRY.get(name)
@@ -222,6 +177,8 @@ def make_batch_solver(
     )
     if engine is BatchedQuickIK:
         _validate_kwargs(name, engine, kwargs, BATCH_REGISTRY)
+        if spec is not None and spec.chunk is not None:
+            kwargs.setdefault("chunk", spec.chunk)
         solver = engine(chain, config=config, **kwargs)
     else:
         solver = make_solver(name, chain, config=config, **kwargs)

@@ -140,15 +140,10 @@ class EvaluationSuite:
     options:
         Typed execution policy (:class:`~repro.execution.ExecutionOptions`):
         the kernel spec (mode / dtype / chunk) is applied to every
-        evaluation chain, and ``workers`` shards each solver run.
-    workers:
-        Deprecated alias for ``options.workers`` (default 1: in-process).
-        Any value produces identical per-target results — the sharded path
-        draws the same restart stream (see :mod:`repro.parallel`).
-    kernel:
-        Deprecated alias for ``options.kernel``: FK/Jacobian kernel mode
-        for the evaluation chains (:mod:`repro.kinematics.kernels`);
-        ``None`` keeps the chains' default (scalar).
+        evaluation chain (``None`` keeps the chains' default, scalar), and
+        ``workers`` shards each solver run.  Any worker count produces
+        identical per-target results — the sharded path draws the same
+        restart stream (see :mod:`repro.parallel`).
     """
 
     def __init__(
@@ -158,8 +153,6 @@ class EvaluationSuite:
         target_kind: str = "reachable",
         seed: int = 2017,
         total_reach: float = 1.2,
-        workers: int | None = None,
-        kernel: str | None = None,
         options: "ExecutionOptions | None" = None,
     ) -> None:
         if dofs is None:
@@ -175,18 +168,7 @@ class EvaluationSuite:
         self.target_kind = target_kind
         self.seed = seed
         self.total_reach = total_reach
-        # workers=1 was the old explicit default; it adds no information, so
-        # it does not count as a legacy usage worth warning about.
-        self.options = ExecutionOptions.from_legacy(
-            options, "EvaluationSuite",
-            kernel=kernel,
-            workers=None if workers == 1 else workers,
-        )
-        self.workers = (
-            self.options.workers if self.options.workers is not None else 1
-        )
-        spec = self.options.kernel
-        self.kernel = spec.name if spec is not None else None
+        self.options = ExecutionOptions.coerce(options)
         self._chains: dict[int, KinematicChain] = {}
         self._targets: dict[int, np.ndarray] = {}
 
@@ -234,11 +216,12 @@ class EvaluationSuite:
         run (the parent draws the same restart stream in target order).
         """
         rng = self.solver_rng(dof, solver.name)
-        if self.workers > 1:
+        workers = self.options.workers or 1
+        if workers > 1:
             from repro.parallel import solve_batch_sharded
 
             batch = solve_batch_sharded(
-                solver, self.targets(dof), workers=self.workers, rng=rng,
+                solver, self.targets(dof), workers=workers, rng=rng,
                 timeout=self.options.timeout,
             )
             return list(batch.results)

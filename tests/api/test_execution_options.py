@@ -4,11 +4,12 @@ Pins the contracts the redesign promised:
 
 * :class:`KernelSpec` coercion (``"mode"``, ``"mode:dtype"``, numpy dtypes)
   and chain application;
-* :class:`ExecutionOptions` validation and the ``from_legacy`` bridge —
-  legacy keywords still work, warn exactly once per (site, keyword), and
-  conflict loudly with an explicit ``options=``;
+* :class:`ExecutionOptions` validation and coercion of ``options=``;
 * the options object actually reaches the execution layers (registry,
-  serving config, api entry points) rather than being decorative.
+  serving config, api entry points) rather than being decorative;
+* ``options=`` is the only spelling: the per-entry-point keywords it
+  replaced (``kernel=``, ``workers=``, ``timeout=``, ``on_error=``,
+  ``resilience=``) raise ``TypeError``.
 """
 
 import warnings
@@ -18,26 +19,21 @@ import pytest
 
 from repro import api
 from repro.core.result import SolverConfig
+from repro.evaluation.experiments import PaperExperiments
 from repro.execution import (
     KERNEL_DTYPES,
     ON_ERROR_MODES,
     ExecutionOptions,
     KernelSpec,
-    reset_legacy_warnings,
     resolve_kernel_dtype,
 )
 from repro.kinematics.robots import paper_chain
+from repro.serving import IKServer, SessionManager, SolveRequest
 from repro.serving.server import ServerConfig
 from repro.solvers.registry import make_batch_solver
+from repro.workloads.suite import EvaluationSuite
 
 SEED = 20170619
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_ledger():
-    reset_legacy_warnings()
-    yield
-    reset_legacy_warnings()
 
 
 # ----------------------------------------------------------------------
@@ -150,48 +146,23 @@ class TestExecutionOptions:
 
 
 # ----------------------------------------------------------------------
-# from_legacy bridge
+# options= normalisation at the entry points (ExecutionOptions.coerce,
+# which took over from the deleted from_legacy bridge)
 # ----------------------------------------------------------------------
 
 
 class TestFromLegacy:
     def test_options_passthrough(self):
         opts = ExecutionOptions(workers=3)
-        assert ExecutionOptions.from_legacy(opts, "site") is opts
-
-    def test_options_plus_legacy_is_an_error(self):
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionOptions.from_legacy(
-                ExecutionOptions(), "site", workers=2
-            )
-
-    def test_legacy_kwargs_build_options_and_warn_once(self):
-        with pytest.warns(DeprecationWarning, match="'workers'"):
-            opts = ExecutionOptions.from_legacy(
-                None, "api.solve_batch", workers=2
-            )
-        assert opts.workers == 2
-        # Second use of the same (site, kwarg): silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ExecutionOptions.from_legacy(None, "api.solve_batch", workers=4)
-        # A different site still warns.
-        with pytest.warns(DeprecationWarning, match="api.serve"):
-            ExecutionOptions.from_legacy(None, "api.serve", workers=2)
+        assert ExecutionOptions.coerce(opts) is opts
+        with pytest.raises(TypeError, match="ExecutionOptions"):
+            ExecutionOptions.coerce({"workers": 3})
 
     def test_no_legacy_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            opts = ExecutionOptions.from_legacy(None, "site")
+            opts = ExecutionOptions.coerce(None)
         assert opts == ExecutionOptions()
-
-    def test_warn_false_suppresses(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opts = ExecutionOptions.from_legacy(
-                None, "site", kernel="vectorized", warn=False
-            )
-        assert opts.kernel == KernelSpec(name="vectorized")
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +178,9 @@ class TestWiring:
             for _ in range(n)
         ])
 
-    def test_options_kernel_matches_legacy_kernel(self):
+    def test_options_kernel_matches_applied_chain(self):
+        # options.kernel is applied once, at the entry point: identical to
+        # handing the entry point a chain already built for that kernel.
         chain = paper_chain(12)
         targets = self._targets(chain)
         via_options = api.solve_batch(
@@ -216,42 +189,41 @@ class TestWiring:
             seed=SEED,
             options=ExecutionOptions(kernel="vectorized"),
         )
-        with pytest.warns(DeprecationWarning):
-            via_legacy = api.solve_batch(
-                chain, targets, seed=SEED, kernel="vectorized"
-            )
-        for a, b in zip(via_options, via_legacy):
+        via_chain = api.solve_batch(
+            KernelSpec(name="vectorized").apply(chain), targets, seed=SEED
+        )
+        for a, b in zip(via_options, via_chain):
             assert np.array_equal(a.q, b.q)
             assert a.iterations == b.iterations
 
-    def test_kernel_configured_twice_is_an_error(self):
+    def test_spec_chunk_reaches_quick_ik_engine(self):
         chain = paper_chain(12)
-        with pytest.raises(ValueError, match="kernel"):
-            make_batch_solver(
-                "JT-Speculation",
-                chain,
-                config=SolverConfig(kernel=KernelSpec(name="scalar")),
-                options=ExecutionOptions(kernel="vectorized"),
-            )
+        spec = KernelSpec(name="vectorized", dtype="float32", chunk=16)
+        engine = make_batch_solver(
+            "JT-Speculation", chain, options=ExecutionOptions(kernel=spec)
+        )
+        assert engine.chunk == 16
+        assert engine.chain.kernel == "vectorized"
+        assert engine.chain.dtype == np.float32
+        # An explicit engine option still wins over the spec's chunk.
+        engine = make_batch_solver(
+            "JT-Speculation", chain, options=ExecutionOptions(kernel=spec),
+            chunk=4,
+        )
+        assert engine.chunk == 4
 
-    def test_server_config_normalises_legacy_fields(self):
-        # Legacy dataclass fields fold into the typed policy silently (they
-        # are still first-class fields, not deprecated kwargs).
-        cfg = ServerConfig(workers=2, on_error="skip")
-        assert cfg.options.workers == 2
-        assert cfg.options.on_error == "skip"
-
-    def test_server_config_rejects_both_forms(self):
-        with pytest.raises(ValueError, match="not both"):
-            ServerConfig(workers=2, options=ExecutionOptions(workers=2))
+    def test_server_config_defaults_to_skip(self):
+        # The serving default policy: one bad request degrades into a
+        # typed placeholder instead of failing its batch-mates.
+        assert ServerConfig().options == ExecutionOptions(on_error="skip")
+        with pytest.raises(TypeError, match="ExecutionOptions"):
+            ServerConfig(options={"on_error": "skip"})
 
     def test_server_config_accepts_options_directly(self):
         opts = ExecutionOptions(
             kernel=KernelSpec(name="vectorized", dtype="float32"),
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = ServerConfig(options=opts)
+        cfg = ServerConfig(options=opts)
         assert cfg.options is opts
 
     def test_public_reexports(self):
@@ -259,6 +231,66 @@ class TestWiring:
 
         assert repro.ExecutionOptions is ExecutionOptions
         assert repro.KernelSpec is KernelSpec
-        from repro.parallel.pool import ON_ERROR_MODES as pool_modes
+        # The failure-policy names have one public home.
+        import repro.parallel.pool as pool
 
-        assert pool_modes is ON_ERROR_MODES
+        assert "ON_ERROR_MODES" not in pool.__all__
+
+
+# ----------------------------------------------------------------------
+# options= is the only spelling
+# ----------------------------------------------------------------------
+
+TARGET = [0.3, 0.2, 0.1]
+
+
+def _open_session(**kwargs):
+    server = IKServer()
+    try:
+        return SessionManager(server).open("dadu-12dof", **kwargs)
+    finally:
+        server.close()
+
+
+REMOVED_SPELLINGS = {
+    "api.solve(kernel=)": lambda: api.solve(
+        "dadu-12dof", TARGET, kernel="vectorized"),
+    "api.solve(resilience=)": lambda: api.solve(
+        "dadu-12dof", TARGET, resilience=True),
+    "api.solve_batch(kernel=)": lambda: api.solve_batch(
+        "dadu-12dof", [TARGET], kernel="vectorized"),
+    "api.solve_batch(workers=)": lambda: api.solve_batch(
+        "dadu-12dof", [TARGET], workers=1),
+    "api.solve_batch(timeout=)": lambda: api.solve_batch(
+        "dadu-12dof", [TARGET], timeout=30.0),
+    "api.solve_batch(on_error=)": lambda: api.solve_batch(
+        "dadu-12dof", [TARGET], on_error="skip"),
+    "api.solve_batch(resilience=)": lambda: api.solve_batch(
+        "dadu-12dof", [TARGET], resilience=True),
+    "make_batch_solver(workers=)": lambda: make_batch_solver(
+        "JT-Speculation", paper_chain(12), workers=1),
+    "make_batch_solver(timeout=)": lambda: make_batch_solver(
+        "JT-Speculation", paper_chain(12), timeout=30.0),
+    "make_batch_solver(on_error=)": lambda: make_batch_solver(
+        "JT-Speculation", paper_chain(12), on_error="skip"),
+    "make_batch_solver(resilience=)": lambda: make_batch_solver(
+        "JT-Speculation", paper_chain(12), resilience=True),
+    "ServerConfig(workers=)": lambda: ServerConfig(workers=2),
+    "ServerConfig(timeout=)": lambda: ServerConfig(timeout=30.0),
+    "ServerConfig(on_error=)": lambda: ServerConfig(on_error="skip"),
+    "api.serve(on_error=)": lambda: api.serve(on_error="skip", start=False),
+    "SolverConfig(kernel=)": lambda: SolverConfig(kernel="vectorized"),
+    "SolveRequest(kernel=)": lambda: SolveRequest(
+        "dadu-12dof", TARGET, kernel="vectorized"),
+    "SessionManager.open(kernel=)": lambda: _open_session(kernel="vectorized"),
+    "EvaluationSuite(workers=)": lambda: EvaluationSuite(dofs=(12,), workers=2),
+    "EvaluationSuite(kernel=)": lambda: EvaluationSuite(
+        dofs=(12,), kernel="vectorized"),
+    "PaperExperiments(workers=)": lambda: PaperExperiments(workers=2),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(REMOVED_SPELLINGS))
+def test_removed_spelling_raises_type_error(spelling):
+    with pytest.raises(TypeError):
+        REMOVED_SPELLINGS[spelling]()

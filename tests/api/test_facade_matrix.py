@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.execution import ExecutionOptions
 from repro.kinematics.robots import named_robot
 
 ROBOT = "dadu-12dof"
@@ -43,7 +44,8 @@ def baselines(targets):
     return {
         (solver, kernel): api.solve_batch(
             ROBOT, targets, solver, seed=SEED,
-            max_iterations=MAX_ITERATIONS, kernel=kernel,
+            max_iterations=MAX_ITERATIONS,
+            options=ExecutionOptions(kernel=kernel),
         )
         for solver in SOLVERS
         for kernel in KERNELS
@@ -70,7 +72,9 @@ def test_matrix_bit_identical_to_serial_baseline(
 ):
     batch = api.solve_batch(
         ROBOT, targets, solver, seed=SEED, max_iterations=MAX_ITERATIONS,
-        workers=workers, kernel=kernel, on_error=on_error,
+        options=ExecutionOptions(
+            kernel=kernel, workers=workers, on_error=on_error
+        ),
     )
     _assert_bit_identical(batch, baselines[(solver, kernel)])
     # A healthy batch reports no failures regardless of policy.
@@ -102,7 +106,7 @@ def test_per_row_q0_matches_scalar_loop(solver, targets):
     ])
     batch = api.solve_batch(
         ROBOT, targets, solver, q0=q0, max_iterations=MAX_ITERATIONS,
-        on_error="skip",
+        options=ExecutionOptions(on_error="skip"),
     )
     for i, got in enumerate(batch):
         want = api.solve(
@@ -121,5 +125,6 @@ def test_per_row_q0_shape_validated(targets):
     with pytest.raises(ValueError, match="q0"):
         api.solve_batch(
             ROBOT, targets, "JT-DLS",
-            q0=np.zeros((len(targets) + 1, 12)), on_error="skip",
+            q0=np.zeros((len(targets) + 1, 12)),
+            options=ExecutionOptions(on_error="skip"),
         )

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.result import SolverConfig
+from repro.execution import ExecutionOptions, KernelSpec
 from repro.kinematics.kernels import KERNEL_MODES
 from repro.kinematics.robots import ROBOT_NAMES, named_robot
 from repro.solvers.registry import (
@@ -133,12 +134,9 @@ def test_candidate_errors_agree(robot):
 
 # -- solver-level equivalence ------------------------------------------
 
-SOLVER_CONFIGS = {
-    mode: SolverConfig(
-        tolerance=1e-2, max_iterations=120, record_history=False, kernel=mode
-    )
-    for mode in KERNEL_MODES
-}
+SOLVER_CONFIG = SolverConfig(
+    tolerance=1e-2, max_iterations=120, record_history=False
+)
 
 
 def _solver_workload(dof: int = 25, n: int = 4):
@@ -167,7 +165,9 @@ def test_solver_results_identical_across_kernels(name):
     chain, targets = _solver_workload()
     runs = {}
     for mode in KERNEL_MODES:
-        solver = make_solver(name, chain, config=SOLVER_CONFIGS[mode])
+        solver = make_solver(
+            name, KernelSpec(name=mode).apply(chain), config=SOLVER_CONFIG
+        )
         assert solver.chain.kernel == mode
         runs[mode] = [
             solver.solve(t, rng=np.random.default_rng((SEED + 3, i)))
@@ -183,7 +183,10 @@ def test_lockstep_engines_identical_across_kernels(name):
     chain, targets = _solver_workload()
     runs = {}
     for mode in KERNEL_MODES:
-        engine = make_batch_solver(name, chain, config=SOLVER_CONFIGS[mode])
+        engine = make_batch_solver(
+            name, chain, config=SOLVER_CONFIG,
+            options=ExecutionOptions(kernel=mode),
+        )
         runs[mode] = engine.solve_batch(
             targets, rng=np.random.default_rng((SEED + 4,))
         )
@@ -192,14 +195,15 @@ def test_lockstep_engines_identical_across_kernels(name):
 
 
 def test_api_kernel_switch_round_trip():
-    """api.solve(kernel=...) reaches the kernel layer and agrees."""
+    """api.solve(options=ExecutionOptions(kernel=...)) reaches the kernel
+    layer and agrees."""
     from repro import api
 
     chain, targets = _solver_workload(dof=12, n=1)
     results = {
         mode: api.solve(
             chain, targets[0], seed=7, tolerance=1e-2,
-            max_iterations=120, kernel=mode,
+            max_iterations=120, options=ExecutionOptions(kernel=mode),
         )
         for mode in KERNEL_MODES
     }

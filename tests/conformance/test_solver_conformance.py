@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.result import SolverConfig
+from repro.execution import ExecutionOptions, KernelSpec
 from repro.parallel import ShardedBatchSolver
 from repro.solvers.registry import (
     BATCH_REGISTRY,
@@ -123,8 +124,12 @@ def test_api_workers_identical(name):
     kwargs = dict(
         solver=name, seed=11, tolerance=1e-2, max_iterations=120
     )
-    one = api.solve_batch(chain, targets, workers=1, **kwargs)
-    four = api.solve_batch(chain, targets, workers=4, **kwargs)
+    one = api.solve_batch(
+        chain, targets, options=ExecutionOptions(workers=1), **kwargs
+    )
+    four = api.solve_batch(
+        chain, targets, options=ExecutionOptions(workers=4), **kwargs
+    )
     _assert_bit_identical(one, four)
 
 
@@ -210,7 +215,8 @@ def test_lockstep_rows_equal_single_rows_and_scalar_solves(name, kernel):
     """B = 1 == B = M bit for bit, and each row == make_solver(name).solve
     of its target from the same start."""
     chain, targets, q0 = _cold_batch(12, 8)
-    config = SolverConfig(tolerance=1e-2, max_iterations=150, kernel=kernel)
+    chain = KernelSpec(name=kernel).apply(chain)
+    config = SolverConfig(tolerance=1e-2, max_iterations=150)
     engine = make_batch_solver(name, chain, config=config)
     many = engine.solve_batch(targets, q0=q0)
     assert len({r.iterations for r in many}) > 1
@@ -229,9 +235,8 @@ def test_vectorized_batch_equals_its_halves(name):
     32-target batch equals its two 16-row halves bit for bit — the
     ``workers=2`` split of the same batch."""
     chain, targets, q0 = _cold_batch(50, 32)
-    config = SolverConfig(
-        tolerance=1e-2, max_iterations=30, kernel="vectorized"
-    )
+    chain = KernelSpec(name="vectorized").apply(chain)
+    config = SolverConfig(tolerance=1e-2, max_iterations=30)
     engine = make_batch_solver(name, chain, config=config)
     whole = engine.solve_batch(targets, q0=q0)
     halves = [

@@ -33,6 +33,7 @@ def generate_trace(path) -> None:
     import numpy as np
 
     from repro import api
+    from repro.execution import ExecutionOptions
     from repro.resilience import ResilienceConfig
     from repro.serving import IKServer, ServerConfig, SessionManager
 
@@ -46,19 +47,21 @@ def generate_trace(path) -> None:
         api.solve(chain, targets[0], "JT-Speculation", seed=2, tracer=tracer)
         api.solve_batch(chain, targets, "JT-Speculation", seed=2, tracer=tracer)
         api.solve_batch(
-            chain, targets, "JT-Speculation", seed=2, workers=2, tracer=tracer
+            chain, targets, "JT-Speculation", seed=2,
+            options=ExecutionOptions(workers=2), tracer=tracer,
         )
         # Resilient paths: a skip-mode batch rejecting a NaN target (adds
         # the "failed" field to the merged solve_end), and a scalar
         # resilient solve whose every chained attempt fails (emits the
         # fallback_used / solve_failed counters).
         api.solve_batch(
-            chain, guarded, "JT-Speculation", seed=2, on_error="skip",
-            tracer=tracer,
+            chain, guarded, "JT-Speculation", seed=2,
+            options=ExecutionOptions(on_error="skip"), tracer=tracer,
         )
         api.solve(
             chain, targets[0], "JT-Speculation", seed=2, max_iterations=1,
-            resilience=ResilienceConfig(), tracer=tracer,
+            options=ExecutionOptions(resilience=ResilienceConfig()),
+            tracer=tracer,
         )
         # Streaming session: sequential awaited ticks against a single
         # dispatch loop (no adaptive tuning, no seed cache) keep the

@@ -7,6 +7,7 @@ import pytest
 
 from repro import api
 from repro.core.result import BatchResult, SolverConfig
+from repro.execution import ExecutionOptions
 from repro.kinematics.robots import paper_chain
 from repro.parallel import (
     ParallelExecutionError,
@@ -67,7 +68,8 @@ class TestWiring:
     def test_registry_workers_kwarg_wraps(self):
         chain = paper_chain(12)
         sharded = make_batch_solver(
-            "JT-Serial", chain, config=CONFIG, workers=3, timeout=60.0
+            "JT-Serial", chain, config=CONFIG,
+            options=ExecutionOptions(workers=3, timeout=60.0),
         )
         assert isinstance(sharded, ShardedBatchSolver)
         assert sharded.workers == 3
@@ -81,7 +83,8 @@ class TestWiring:
     def test_api_returns_batch_result(self):
         chain = paper_chain(12)
         batch = api.solve_batch(
-            chain, _targets(chain, 5), workers=2, seed=1, max_iterations=200
+            chain, _targets(chain, 5), seed=1, max_iterations=200,
+            options=ExecutionOptions(workers=2),
         )
         assert isinstance(batch, BatchResult)
         assert len(batch) == 5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.execution import ExecutionOptions
 from repro.kinematics.robots import paper_chain
 from repro.resilience import (
     FATAL_GUARD_KINDS,
@@ -92,13 +93,17 @@ class TestApiBoundary:
     def test_batch_raise_mode_rejects_nonfinite(self):
         targets = [[0.1, 0.1, 0.1], [np.nan, 0.0, 0.0]]
         with pytest.raises(GuardViolation) as excinfo:
-            api.solve_batch(CHAIN, targets, workers=1, max_iterations=10)
+            api.solve_batch(
+                CHAIN, targets, max_iterations=10,
+                options=ExecutionOptions(workers=1),
+            )
         assert excinfo.value.report.by_kind() == {"nonfinite_target": 1}
 
     def test_batch_raise_mode_attempts_unreachable(self):
         # Advisory kind: historical hit-the-cap behaviour must survive.
         batch = api.solve_batch(
-            CHAIN, [[99.0, 0.0, 0.0]], workers=1, max_iterations=5, seed=0
+            CHAIN, [[99.0, 0.0, 0.0]], max_iterations=5, seed=0,
+            options=ExecutionOptions(workers=1),
         )
         assert batch[0].iterations == 5
         assert batch[0].status == "max_iterations"
@@ -106,7 +111,8 @@ class TestApiBoundary:
     def test_batch_skip_mode_rejects_both(self):
         targets = [[np.nan, 0.0, 0.0], [99.0, 0.0, 0.0], [0.1, 0.1, 0.1]]
         batch = api.solve_batch(
-            CHAIN, targets, on_error="skip", max_iterations=500, seed=0
+            CHAIN, targets, max_iterations=500, seed=0,
+            options=ExecutionOptions(on_error="skip"),
         )
         assert len(batch) == 3
         assert batch[0].status == "nonfinite_target"
@@ -124,7 +130,7 @@ class TestApiBoundary:
         api.solve_batch(
             CHAIN,
             [[np.nan, 0.0, 0.0], [0.1, 0.1, 0.1]],
-            on_error="skip",
+            options=ExecutionOptions(on_error="skip"),
             max_iterations=200,
             seed=0,
             tracer=tracer,

@@ -15,6 +15,7 @@ import pytest
 
 from repro import api
 from repro.core.result import SolverConfig
+from repro.execution import ExecutionOptions
 from repro.kinematics.robots import paper_chain
 from repro.resilience import (
     DivergingSolver,
@@ -47,7 +48,8 @@ class TestRegistryCoversNewFamilies:
 class TestGuards:
     def test_facade_guard_rejects_nonfinite_target(self, name):
         result = api.solve(
-            CHAIN, [np.nan, 0.0, 0.0], name, resilience=True
+            CHAIN, [np.nan, 0.0, 0.0], name,
+            options=ExecutionOptions(resilience=True),
         )
         assert not result.converged
         assert result.status == "nonfinite_target"
@@ -57,7 +59,8 @@ class TestGuards:
     def test_guard_counter_fires(self, name):
         tracer = SummaryTracer()
         api.solve(
-            CHAIN, [np.inf, 0.0, 0.0], name, resilience=True, tracer=tracer
+            CHAIN, [np.inf, 0.0, 0.0], name,
+            options=ExecutionOptions(resilience=True), tracer=tracer,
         )
         assert tracer.counters.get("guard_rejected") == 1
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro import api
 from repro.core.result import SolverConfig
+from repro.execution import ExecutionOptions
 from repro.kinematics.robots import paper_chain
 from repro.resilience import (
     DEFAULT_FALLBACK_CHAIN,
@@ -136,14 +137,17 @@ class TestResilientSolver:
 class TestApiIntegration:
     def test_solve_resilience_true(self):
         result = api.solve(
-            CHAIN, _reachable(11), seed=12, resilience=True,
-            max_iterations=500,
+            CHAIN, _reachable(11), seed=12, max_iterations=500,
+            options=ExecutionOptions(resilience=True),
         )
         assert result.converged
         assert result.solver.endswith("+resilient")
 
     def test_solve_resilience_never_raises_on_nan(self):
-        result = api.solve(CHAIN, [np.nan, 0.0, 0.0], resilience=True)
+        result = api.solve(
+            CHAIN, [np.nan, 0.0, 0.0],
+            options=ExecutionOptions(resilience=True),
+        )
         assert result.status == "nonfinite_target"
 
     def test_plain_solve_still_raises_on_bad_shape(self):
@@ -152,14 +156,19 @@ class TestApiIntegration:
 
     def test_restarts_and_resilience_exclusive(self):
         with pytest.raises(ValueError):
-            api.solve(CHAIN, _reachable(), restarts=3, resilience=True)
+            api.solve(
+                CHAIN, _reachable(), restarts=3,
+                options=ExecutionOptions(resilience=True),
+            )
 
     def test_batch_fallback_config_plumbs_through(self):
         batch = api.solve_batch(
             CHAIN,
             np.stack([_reachable(i) for i in range(3)]),
-            on_error="fallback",
-            resilience=ResilienceConfig(fallback_chain=("JT-DLS",)),
+            options=ExecutionOptions(
+                on_error="fallback",
+                resilience=ResilienceConfig(fallback_chain=("JT-DLS",)),
+            ),
             max_iterations=500,
             seed=13,
         )

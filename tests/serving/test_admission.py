@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.execution import ExecutionOptions
 from repro.kinematics.robots import named_robot
 from repro.resilience.guards import GuardViolation
 from repro.serving import IKServer, ServerClosed, ServerConfig, SolveRequest
@@ -93,7 +94,9 @@ def _start_slow_run(srv: IKServer):
 
 def _config(**kwargs) -> ServerConfig:
     kwargs.setdefault("max_wait_ms", 0.0)
-    return ServerConfig(on_error="raise", warm_start=False, **kwargs)
+    return ServerConfig(
+        options=ExecutionOptions(on_error="raise"), warm_start=False, **kwargs
+    )
 
 
 def test_requests_join_the_live_run_and_equal_offline():
@@ -201,7 +204,8 @@ def test_engine_failure_fails_the_live_requests_only(monkeypatch):
 def test_fatal_guard_under_raise_with_one_worker_fails_its_request_only():
     targets, q0 = _problems(1, seed=5)
     config = ServerConfig(
-        max_batch_size=2, max_wait_ms=10_000.0, workers=1, on_error="raise",
+        max_batch_size=2, max_wait_ms=10_000.0,
+        options=ExecutionOptions(workers=1, on_error="raise"),
         warm_start=False,
     )
     with IKServer(config) as srv:

@@ -40,10 +40,12 @@ class TestGrouping:
         batcher.add(_entry(b, 0.0))
         assert batcher.pending_count == 4
 
-        batches = batcher.pop_ready(now=100.0)  # everything aged out
+        # Everything aged out: one batch per group, then nothing.
+        batches = [batcher.pop_one(now=100.0), batcher.pop_one(now=100.0)]
         assert {batch.key for batch in batches} == {a, b}
         sizes = {batch.key: len(batch) for batch in batches}
         assert sizes[a] == 3 and sizes[b] == 1
+        assert batcher.pop_one(now=100.0) is None
         assert batcher.pending_count == 0
 
     def test_distinct_solver_or_config_splits_groups(self):
@@ -63,7 +65,7 @@ class TestSizeTrigger:
             batcher.add(_entry(key, 0.0, tag=i))
         assert batcher.has_ready(now=0.0)
 
-        (batch,) = batcher.pop_ready(now=0.0)
+        batch = batcher.pop_one(now=0.0)
         assert [e.request for e in batch.entries] == [0, 1, 2]
         assert batcher.pending_count == 0
 
@@ -73,10 +75,11 @@ class TestSizeTrigger:
         for i in range(7):
             batcher.add(_entry(key, 0.0, tag=i))
 
-        batches = batcher.pop_ready(now=0.0)
+        batches = [batcher.pop_one(now=0.0), batcher.pop_one(now=0.0)]
         assert [len(b) for b in batches] == [3, 3]
         assert [e.request for b in batches for e in b.entries] == list(range(6))
         # The trailing partial chunk is not size-ready; it waits for age.
+        assert batcher.pop_one(now=0.0) is None
         assert batcher.pending_count == 1
         assert not batcher.has_ready(now=0.0)
 
@@ -88,19 +91,22 @@ class TestAgeTrigger:
         assert not batcher.has_ready(now=11.9)
         assert batcher.has_ready(now=12.0)
 
-        assert batcher.pop_ready(now=11.9) == []
-        (batch,) = batcher.pop_ready(now=12.0)
+        assert batcher.pop_one(now=11.9) is None
+        batch = batcher.pop_one(now=12.0)
         assert len(batch) == 1
 
-    def test_aged_group_flushes_entirely_chunked(self):
-        # Once the oldest request ages out, the whole group goes (its younger
-        # members would only age out moments later), chunked to size.
+    def test_aged_group_pops_one_full_chunk_per_call(self):
+        # Once the oldest request ages out, one call takes at most a full
+        # batch; the rest waits until its own head ages out.
         batcher = MicroBatcher(max_batch_size=3, max_wait_s=2.0)
         key = _key("robot")
         for i in range(5):
             batcher.add(_entry(key, 10.0 + 0.1 * i, tag=i))
-        batches = batcher.pop_ready(now=12.0)
-        assert [len(b) for b in batches] == [3, 2]
+        batch = batcher.pop_one(now=12.0)
+        assert [e.request for e in batch.entries] == [0, 1, 2]
+        assert batcher.pop_one(now=12.0) is None
+        batch = batcher.pop_one(now=13.0)
+        assert [e.request for e in batch.entries] == [3, 4]
         assert batcher.pending_count == 0
 
     def test_next_flush_at_is_earliest_group_deadline(self):
@@ -114,7 +120,7 @@ class TestAgeTrigger:
         batcher = MicroBatcher(max_batch_size=32, max_wait_s=0.0)
         batcher.add(_entry(_key("robot"), 10.0))
         assert batcher.has_ready(now=10.0)
-        (batch,) = batcher.pop_ready(now=10.0)
+        batch = batcher.pop_one(now=10.0)
         assert len(batch) == 1
 
 
@@ -123,14 +129,15 @@ class TestOrderingAndDrain:
         batcher = MicroBatcher(max_batch_size=32, max_wait_s=1.0)
         batcher.add(_entry(_key("late"), 20.0, tag="late"))
         batcher.add(_entry(_key("early"), 10.0, tag="early"))
-        batches = batcher.pop_ready(now=100.0)
+        batches = [batcher.pop_one(now=100.0), batcher.pop_one(now=100.0)]
         assert [b.entries[0].request for b in batches] == ["early", "late"]
 
     def test_force_pops_unready_groups(self):
         batcher = MicroBatcher(max_batch_size=32, max_wait_s=1000.0)
         batcher.add(_entry(_key("robot"), 0.0))
-        assert batcher.pop_ready(now=0.0) == []
-        (batch,) = batcher.pop_ready(now=0.0, force=True)
+        assert not batcher.has_ready(now=0.0)
+        assert batcher.pop_one(now=0.0) is None
+        batch = batcher.pop_one(now=0.0, force=True)
         assert len(batch) == 1 and batcher.pending_count == 0
 
     def test_drain_returns_arrival_order_across_groups(self):

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.execution import ExecutionOptions
 from repro.kinematics.robots import named_robot
 from repro.serving import IKServer, ServerConfig, SolveRequest
 
@@ -179,7 +180,8 @@ def test_sharded_serving_matches_inline():
 
     def run(workers):
         config = ServerConfig(
-            max_batch_size=4, max_wait_ms=10_000.0, workers=workers,
+            max_batch_size=4, max_wait_ms=10_000.0,
+            options=ExecutionOptions(workers=workers, on_error="skip"),
             warm_start=False,
         )
         with IKServer(config) as srv:

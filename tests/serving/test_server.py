@@ -12,6 +12,7 @@ import pytest
 
 from repro import api
 from repro.core.result import IKResult
+from repro.execution import ExecutionOptions
 from repro.kinematics.robots import named_robot
 from repro.serving import (
     DeadlineExceeded,
@@ -166,7 +167,8 @@ class TestErrorSemantics:
     def test_on_error_skip_degrades_bad_request_only(self):
         (good,) = reachable_targets(ROBOT, 1)
         config = ServerConfig(
-            max_batch_size=2, max_wait_ms=10_000.0, on_error="skip"
+            max_batch_size=2, max_wait_ms=10_000.0,
+            options=ExecutionOptions(on_error="skip"),
         )
         with IKServer(config) as srv:
             bad_future = srv.submit(request([np.nan, 0.0, 0.0]))
@@ -179,7 +181,8 @@ class TestErrorSemantics:
     def test_on_error_raise_fails_the_whole_batch(self):
         targets = reachable_targets(ROBOT, 2)
         config = ServerConfig(
-            max_batch_size=2, max_wait_ms=10_000.0, on_error="raise"
+            max_batch_size=2, max_wait_ms=10_000.0,
+            options=ExecutionOptions(on_error="raise"),
         )
         with IKServer(config) as srv:
             futures = [
@@ -289,22 +292,27 @@ class TestFacade:
 
 
 class TestConfigValidation:
+    #: Each entry builds its settings inside the check, since the execution
+    #: policy validates itself when built.
+    BAD_CONFIGS = [
+        lambda: {"max_batch_size": 0},
+        lambda: {"max_wait_ms": -1.0},
+        lambda: {"max_queue": 0},
+        lambda: {"options": ExecutionOptions(workers=0)},
+        lambda: {"dispatch_workers": 0},
+        lambda: {"options": ExecutionOptions(on_error="explode")},
+        lambda: {"seed_cache_capacity": -1},
+        lambda: {"seed_k": 0},
+        lambda: {"seed_limit_penalty": -0.1},
+    ]
+
     @pytest.mark.parametrize(
-        "kwargs", [
-            {"max_batch_size": 0},
-            {"max_wait_ms": -1.0},
-            {"max_queue": 0},
-            {"workers": 0},
-            {"dispatch_workers": 0},
-            {"on_error": "explode"},
-            {"seed_cache_capacity": -1},
-            {"seed_k": 0},
-            {"seed_limit_penalty": -0.1},
-        ],
+        "kwargs", BAD_CONFIGS,
+        ids=[f"kwargs{i}" for i in range(len(BAD_CONFIGS))],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            ServerConfig(**kwargs)
+            ServerConfig(**kwargs())
 
     def test_serving_defaults(self):
         # PR-7 defaults: warm-start on, adaptive batching on, predictive

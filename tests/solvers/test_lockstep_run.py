@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.result import SolverConfig
+from repro.execution import KernelSpec
 from repro.kinematics.robots import paper_chain
 from repro.solvers.registry import make_batch_solver
 from repro.telemetry import SummaryTracer
@@ -25,9 +26,10 @@ UNREACHABLE, NONFINITE = 4, 5
 
 def _engine(name, kernel, cap=CAP):
     config = SolverConfig(
-        tolerance=1e-2, max_iterations=cap, record_history=True, kernel=kernel
+        tolerance=1e-2, max_iterations=cap, record_history=True
     )
-    return make_batch_solver(name, paper_chain(DOF), config=config)
+    chain = KernelSpec(name=kernel).apply(paper_chain(DOF))
+    return make_batch_solver(name, chain, config=config)
 
 
 def _problems():
