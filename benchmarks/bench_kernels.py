@@ -7,11 +7,16 @@ shapes the Quick-IK pipeline actually runs:
   ``B x Max`` (problem, candidate) speculative evaluations of one lock-step
   iteration at 50 DOF (default 64 x 32 = 2048 FK rows) in one call.  The
   acceptance gate in ``ISSUE`` expects >= 2x here.
+* ``candidate_sweep_served`` — the sweep at the size the server runs:
+  about four live problems x ``Max = 64`` candidates = 256 FK rows (the
+  serve-tracking workload's sweeps average 150-250 rows).  The fold's
+  fixed cost is paid per joint, not per row, so this is the size that
+  shows it.
 * ``candidate_sweep_single`` — one problem's ``Max = 32`` candidates (the
   single-solve speculative sweep of Algorithm 1).
 * ``jacobian_single`` — one Jacobian build at ``B = 1`` (the scalar driver
   loop's per-iteration cost; the vectorized path uses the log-depth
-  Hillis-Steele prefix scan here).
+  Brent-Kung prefix scan here).
 * ``jacobian_batch`` — the lock-step engines' per-iteration Jacobian over
   all unconverged problems.
 
@@ -45,6 +50,9 @@ from repro.kinematics.robots import paper_chain
 from repro.solvers.batched import BatchedQuickIK
 
 DEFAULT_REPEATS = 7
+
+#: ``candidate_sweep_served``: live problems x candidates per problem.
+SERVED_PROBLEMS, SERVED_SPECULATIONS = 4, 64
 
 #: Engine-level solve workload: iteration cap for the 50-DOF batch solve
 #: (the paper tolerance converges well before this on reachable targets).
@@ -82,6 +90,7 @@ def run_kernel_bench(
 
     single = _candidates(scalar, speculations, seed)
     lockstep = _candidates(scalar, batch * speculations, seed + 1)
+    served = _candidates(scalar, SERVED_PROBLEMS * SERVED_SPECULATIONS, seed + 5)
     q = single[0]
     jac_rows = _candidates(scalar, batch, seed + 2)
 
@@ -111,6 +120,16 @@ def run_kernel_bench(
             - scalar.end_positions_batch(lockstep)
         ).max(),
         inner=3,
+    )
+    section(
+        "candidate_sweep_served",
+        lambda: scalar.end_positions_batch(served),
+        lambda: vectorized.end_positions_batch(served),
+        np.abs(
+            vectorized.end_positions_batch(served)
+            - scalar.end_positions_batch(served)
+        ).max(),
+        inner=10,
     )
     section(
         "candidate_sweep_single",
@@ -317,6 +336,7 @@ def test_kernel_bench_smoke():
     assert payload["benchmark"] == "kernel-speedup"
     assert set(payload["sections"]) == {
         "candidate_sweep_lockstep",
+        "candidate_sweep_served",
         "candidate_sweep_single",
         "jacobian_single",
         "jacobian_batch",

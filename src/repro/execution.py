@@ -22,7 +22,7 @@ are handed.  Code that builds solvers directly applies a spec itself:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -204,7 +204,3 @@ class ExecutionOptions:
         if self.resilience is False:
             return None
         return self.resilience
-
-    def merged(self, **overrides: Any) -> "ExecutionOptions":
-        """Copy with ``overrides`` applied (``dataclasses.replace`` sugar)."""
-        return replace(self, **overrides)

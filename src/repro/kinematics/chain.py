@@ -18,8 +18,11 @@ This is the substrate the whole paper sits on.  Design notes:
 * The FK/Jacobian computations themselves live in
   :mod:`repro.kinematics.kernels`: every chain owns a kernel object
   (``kernel="scalar"`` keeps the original link-by-link loops as the
-  differential oracle; ``"vectorized"`` swaps in stacked-matmul kernels
-  with prefix-transform caching) and the methods below dispatch to it.
+  differential oracle; ``"vectorized"`` swaps in a tool-point fold for the
+  candidate sweep and a cached log-depth prefix scan for frames and
+  Jacobians) and the methods below dispatch to it.  :meth:`~KinematicChain.
+  with_kernel` / :meth:`~KinematicChain.astype` build each kernel / dtype
+  twin once per chain and share it.
 """
 
 from __future__ import annotations
@@ -83,8 +86,8 @@ class KinematicChain:
     kernel:
         FK/Jacobian kernel mode (see :mod:`repro.kinematics.kernels`):
         ``"scalar"`` (default) runs the original link-by-link loops;
-        ``"vectorized"`` replaces them with stacked-matmul kernels that
-        agree with the scalar oracle to ~1e-15 (the differential tier pins
+        ``"vectorized"`` replaces them with batched kernels that agree
+        with the scalar oracle to ~1e-15 (the differential tier pins
         1e-12).
     """
 
@@ -146,36 +149,54 @@ class KinematicChain:
         assert self._const.shape == (n, 4, 4)
         self._kernel_mode = resolve_kernel_mode(kernel)
         self._kernels = make_kernels(self, self._kernel_mode)
+        #: ``(kernel mode, dtype name) -> twin`` built by :meth:`_twin`.
+        self._twins: dict[tuple[str, str], KinematicChain] = {}
+
+    def __getstate__(self) -> dict:
+        # Twins stay in the process that built them: a pickled chain (a
+        # ``workers > 1`` shard) ships without them.
+        state = self.__dict__.copy()
+        state["_twins"] = {}
+        return state
+
+    def _twin(self, kernel: str, dtype: np.dtype) -> "KinematicChain":
+        """This chain computing under another kernel mode / dtype.
+
+        Built once per ``(mode, dtype)`` and shared by every later call:
+        entry points apply a :class:`~repro.execution.KernelSpec` per
+        solve call or served run, and a 50-DOF rebuild takes about 0.5 ms.
+        ``setdefault`` keeps one twin when two threads build it at once.
+        """
+        key = (kernel, dtype.name)
+        twin = self._twins.get(key)
+        if twin is None:
+            twin = self._twins.setdefault(key, KinematicChain(
+                self.joints,
+                base=self.base,
+                tool=self.tool,
+                convention=self.convention,
+                name=self.name,
+                dtype=dtype,
+                kernel=kernel,
+            ))
+        return twin
 
     def astype(self, dtype: np.dtype | type) -> "KinematicChain":
-        """Copy of the chain computing in a different floating-point dtype."""
-        return KinematicChain(
-            self.joints,
-            base=self.base,
-            tool=self.tool,
-            convention=self.convention,
-            name=self.name,
-            dtype=dtype,
-            kernel=self._kernel_mode,
-        )
+        """The chain computing in a different floating-point dtype (a
+        shared twin; see :meth:`with_kernel`)."""
+        return self._twin(self._kernel_mode, np.dtype(dtype))
 
     def with_kernel(self, kernel: str | None) -> "KinematicChain":
-        """Copy of the chain computing with a different FK/Jacobian kernel.
+        """The chain computing with a different FK/Jacobian kernel.
 
-        Returns ``self`` when the mode already matches (kernels carry no
-        per-solve state besides a cache, so sharing is safe).
+        Returns ``self`` when the mode already matches, and otherwise the
+        same twin on every call (kernels carry no per-solve state besides
+        a cache, so sharing is safe).
         """
-        if resolve_kernel_mode(kernel) == self._kernel_mode:
+        mode = resolve_kernel_mode(kernel)
+        if mode == self._kernel_mode:
             return self
-        return KinematicChain(
-            self.joints,
-            base=self.base,
-            tool=self.tool,
-            convention=self.convention,
-            name=self.name,
-            dtype=self.dtype,
-            kernel=kernel,
-        )
+        return self._twin(mode, self.dtype)
 
     # ------------------------------------------------------------------
     # Basic properties

@@ -12,23 +12,40 @@ analogue: every :class:`~repro.kinematics.chain.KinematicChain` owns a
   ``tests/conformance/test_kernel_conformance.py`` holds the fast path to it
   at 1e-12).
 * :class:`VectorizedKernels` replaces the per-joint Python loops with
-  stacked-matmul calls:
+  calls that each cover every row of a batch:
 
-  - **Static link factors are precomputed once.**  A DH link transform is
-    ``S(theta, d) @ C`` (standard) or ``C @ S(theta, d)`` (modified) with
-    ``C`` constant; because ``S`` is a z-screw, the product has closed form
-    ``rows01 = e^{i theta} * (C_row0 + i C_row1)`` — one complex multiply
-    assembles both rotation-mixed rows of *every* link of *every* candidate
-    in a single numpy call, with bit-identical rounding to the naive
-    ``c*C0 - s*C1`` / ``s*C0 + c*C1`` expressions.
+  - **The speculative sweep is a tool-point fold.**  Quick-IK needs only
+    the end *position* of each of its ``B x Max`` candidates (Algorithm 1
+    line 10), so :meth:`~VectorizedKernels.end_positions_batch` never
+    builds a transform.  It carries the tool point from the tool to the
+    base, one link at a time, in structure-of-arrays layout: the point's
+    ``x`` / ``y`` / ``z`` are ``(R,)`` rows, the joint angles' ``cos`` /
+    ``sin`` are ``(N, R)`` planes computed once, and each link applies its
+    static factor ``Tx(a) Rx(alpha)`` (Python-float coefficients) and its
+    screw ``Tz(d)`` then ``Rz(theta)`` in the order its DH convention
+    multiplies them — about 14 flops per row per joint, where a tree of
+    ``(3, 4)`` blocks pays a local transform *and* a compose.  The fold's
+    cost is about 8 ufunc calls per joint whatever the row count, so its
+    fixed cost is paid per joint, not per row: it beats a tree of blocks
+    from about 64 rows up and loses below that (``docs/performance.md``
+    has the table).  It uses real elementwise ufuncs only: a 2-D
+    ``(R, 3) @ (3, 3)`` matmul, or a complex multiply in place on a
+    strided view, can round a row differently depending on how many rows
+    share the call (both did on an AVX-512 x86 host).  So every row
+    carries the same bits alone as in any batch, at any offset.
+  - **Static link factors are precomputed once.**  For the frame pass, a
+    DH link transform is ``S(theta, d) @ C`` (standard) or ``C @ S(theta,
+    d)`` (modified) with ``C`` constant; because ``S`` is a z-screw, the
+    product has closed form ``rows01 = e^{i theta} * (C_row0 + i C_row1)``
+    — one complex multiply assembles both rotation-mixed rows of *every*
+    link of *every* row in a single numpy call, with bit-identical
+    rounding to the naive ``c*C0 - s*C1`` / ``s*C0 + c*C1`` expressions.
   - **Transforms are compact.**  Rigid transforms are carried as ``(3, 4)``
     affine blocks (the constant ``[0 0 0 1]`` row is never materialised),
     roughly halving both assembly writes and compose flops.
-  - **Chain products are log-depth.**  The cumulative product
-    ``1Ti = 1Ti-1 @ i-1Ti`` that the scalar path walks joint-by-joint is
-    evaluated as a pairwise tree: ``ceil(log2 N)`` stacked matmuls over all
-    ``B x Max`` (problem, candidate) rows at once, instead of ``N`` Python
-    iterations.  Same multiply count, a fraction of the dispatch overhead.
+  - **Chain products are log-depth.**  Full poses (:meth:`~VectorizedKernels.
+    fk_batch`) multiply the link blocks as a pairwise tree: ``ceil(log2
+    N)`` stacked matmuls instead of ``N`` Python iterations.
   - **One FK pass per iteration is shared.**  The prefix transforms
     (world frames of every joint) yield both the end position and the
     Jacobian — the software analogue of the SPU pipeline reusing ``1TiC``
@@ -72,7 +89,6 @@ __all__ = [
     "make_kernels",
     "ScalarKernels",
     "VectorizedKernels",
-    "tree_product",
     "position_jacobian",
 ]
 
@@ -105,24 +121,6 @@ def make_kernels(chain: "KinematicChain", mode: str | None = None):
 # ----------------------------------------------------------------------
 # Stacked-matmul building blocks (pure functions, unit-tested directly)
 # ----------------------------------------------------------------------
-
-
-def tree_product(mats: np.ndarray) -> np.ndarray:
-    """Ordered product of 4x4 transforms along axis ``-3``, log-depth.
-
-    ``mats`` has shape ``(..., N, 4, 4)``; returns ``(..., 4, 4)``.  Exactly
-    ``N - 1`` multiplies (same as the sequential walk) grouped into
-    ``ceil(log2 N)`` stacked matmul calls.  Consumes ``mats``.
-    """
-    n = mats.shape[-3]
-    while n > 1:
-        if n % 2:
-            mats[..., n - 2, :, :] = mats[..., n - 2, :, :] @ mats[..., n - 1, :, :]
-            n -= 1
-        pairs = mats[..., :n, :, :].reshape(*mats.shape[:-3], n // 2, 2, 4, 4)
-        mats = pairs[..., 0, :, :] @ pairs[..., 1, :, :]
-        n //= 2
-    return mats[..., 0, :, :]
 
 
 def _affine_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -343,6 +341,37 @@ class VectorizedKernels:
         self._base_affine = np.ascontiguousarray(chain.base[:3, :])
         self._tool_affine = np.ascontiguousarray(chain.tool[:3, :])
         self._tool_t = np.ascontiguousarray(chain.tool[:3, 3])
+        self._snapshot_fold()
+
+    def _snapshot_fold(self) -> None:
+        """Statics of the tool-point fold (:meth:`end_positions_batch`).
+
+        Both conventions share the static factor ``C = Tx(a) Rx(alpha)``
+        (the two commute), so each link contributes ``cos(alpha)`` as a
+        Python float, ``(-sin(alpha), sin(alpha))`` as a ``(2, 1)`` column
+        that turns the rotation into one paired multiply-add, ``a``, and
+        ``d`` (``None`` for a prismatic joint, whose ``d`` varies per row).
+        Links are listed tool side first, the order the fold visits them.
+        """
+        chain = self.chain
+        dtype = chain.dtype
+        const = chain._const
+        links = []
+        for i in reversed(range(chain.dof)):
+            sin_a = const[i, 2, 1]
+            links.append((
+                i,
+                float(const[i, 1, 1]),
+                np.array([[-sin_a], [sin_a]], dtype=dtype),
+                float(const[i, 0, 3]),
+                float(self._d_offset[i]) if chain._revolute_mask[i] else None,
+            ))
+        self._fold_links = tuple(links)
+        self._fold_tool = np.ascontiguousarray(chain.tool[:3, 3:])
+        # Base columns, each ``(3, 1)``: world = sum_k base[:, k] * p_k.
+        self._fold_base = tuple(
+            np.ascontiguousarray(chain.base[:3, k:k + 1]) for k in range(4)
+        )
 
     def _chain_fingerprint(self) -> bytes:
         """Digest of every parameter array a kernel result depends on."""
@@ -448,18 +477,80 @@ class VectorizedKernels:
         return poses
 
     def end_positions_batch(self, qs: np.ndarray) -> np.ndarray:
-        """All candidate positions in ``ceil(log2 N)`` stacked matmuls.
+        """All candidate positions by one right-to-left tool-point fold.
 
         This is the speculative-sweep hot path: Quick-IK calls it with one
-        row per ``alpha_k`` and the lock-step engines with all ``B x Max``
-        (problem, candidate) rows at once.
+        row per ``alpha_k`` and the lock-step engine with all ``B x Max``
+        (problem, candidate) rows at once.  The point ``p`` starts at the
+        tool and moves through each link, last joint first:
+        ``p <- Rz(theta) Tz(d) Tx(a) Rx(alpha) p`` (standard) or
+        ``p <- Rx(alpha) Tx(a) Rz(theta) Tz(d) p`` (modified); then the
+        base maps it to the world.  A rotation of two coordinates is one
+        paired multiply-add: ``(x, y) <- c (x, y) + (-s, s) (y, x)``.
+        Every step is elementwise, so a row's bits do not depend on the
+        rows it shares the call with.
         """
-        if qs.shape[0] == 0:
-            return np.empty((0, 3), dtype=self.chain.dtype)
-        prod = _affine_tree_product(self._locals_affine(qs))
-        p = self._tool_position(prod)
-        base = self._base_affine
-        return p @ base[:, :3].T + base[:, 3]
+        dtype = self.chain.dtype
+        n, rows = self.chain.dof, qs.shape[0]
+        qt = qs.T
+        # theta = theta_offset + q (revolute); contiguous planes, one row
+        # per joint, so every row of a plane is a contiguous (R,) vector.
+        theta = np.multiply(qt, self._rev[:, None], out=np.empty((n, rows), dtype))
+        theta += self._theta_offset[:, None]
+        cos = np.cos(theta)
+        sin2 = np.empty((n, 2, rows), dtype)  # (-sin, sin) per joint
+        np.sin(theta, out=sin2[:, 1])
+        np.negative(sin2[:, 1], out=sin2[:, 0])
+
+        p = np.empty((3, rows), dtype)
+        p[...] = self._fold_tool
+        x, z = p[0], p[2]
+        xy, yz = p[:2], p[1:]
+        yx, zy = xy[::-1], yz[::-1]
+        t = np.empty((2, rows), dtype)
+        u = np.empty((2, rows), dtype)
+        mul, add = np.multiply, np.add
+        if self.chain.is_standard_convention:
+            for i, cos_a, sin_pair, a, d in self._fold_links:
+                mul(yz, cos_a, out=t)  # Rx(alpha)
+                mul(zy, sin_pair, out=u)
+                add(t, u, out=yz)
+                if a:
+                    add(x, a, out=x)  # Tx(a)
+                if d is None:
+                    add(z, add(qt[i], self._d_offset[i]), out=z)  # Tz(d)
+                elif d:
+                    add(z, d, out=z)
+                mul(xy, cos[i], out=t)  # Rz(theta)
+                mul(yx, sin2[i], out=u)
+                add(t, u, out=xy)
+        else:
+            for i, cos_a, sin_pair, a, d in self._fold_links:
+                if d is None:
+                    add(z, add(qt[i], self._d_offset[i]), out=z)  # Tz(d)
+                elif d:
+                    add(z, d, out=z)
+                mul(xy, cos[i], out=t)  # Rz(theta)
+                mul(yx, sin2[i], out=u)
+                add(t, u, out=xy)
+                if a:
+                    add(x, a, out=x)  # Tx(a)
+                mul(yz, cos_a, out=t)  # Rx(alpha)
+                mul(zy, sin_pair, out=u)
+                add(t, u, out=yz)
+
+        # World = base @ p, elementwise; written straight into (R, 3) rows.
+        out = np.empty((rows, 3), dtype)
+        world = out.T
+        b0, b1, b2, b3 = self._fold_base
+        scratch = np.empty((3, rows), dtype)
+        mul(b0, x, out=world)
+        mul(b1, p[1], out=scratch)
+        add(world, scratch, out=world)
+        mul(b2, z, out=scratch)
+        add(world, scratch, out=world)
+        add(world, b3, out=world)
+        return out
 
     # -- prefix transforms and Jacobians -------------------------------
 

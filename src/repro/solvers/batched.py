@@ -10,7 +10,9 @@ Two engines share the loop in :class:`LockStepEngine`:
 
 * :class:`BatchedQuickIK` — Quick-IK's speculative sweep: one batched
   Jacobian, the Eq. 9 candidate grid and one ``B x Max`` FK sweep per
-  iteration.
+  iteration, with :class:`~repro.core.quick_ik.QuickIKSolver`'s own
+  per-row arithmetic (:mod:`repro.core.rows`), so a row equals
+  ``QuickIKSolver.solve`` of its target from its start bit for bit.
 * :class:`BatchedRowSolver` — every family whose iteration is one row
   update (:class:`~repro.core.base.RowUpdateSolver`: JT-Serial, JT-DLS,
   J-1-SVD, JT-SDLS, fdik, mdik).  It runs the solver's own update on all
@@ -60,8 +62,9 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.core.alpha import FALLBACK_ALPHA
+from repro.core.alpha import buss_alpha_rows
 from repro.core.base import task_errors
+from repro.core.rows import matvec, rmatvec
 from repro.core.result import BatchResult, IKResult, SolverConfig
 from repro.telemetry.tracer import Tracer, get_tracer
 
@@ -79,9 +82,11 @@ __all__ = [
 #: chains.
 DEFAULT_CHUNK = 128
 
-#: FK rows per chunk on the vectorized kernel, whose log-depth tree product
-#: *wants* all ``B x Max`` (problem, candidate) rows in one stacked call —
-#: its per-call dispatch amortises with row count instead of thrashing.
+#: FK rows per chunk on the vectorized kernel, whose tool-point fold *wants*
+#: all ``B x Max`` (problem, candidate) rows in one call: it makes about
+#: eight ufunc calls per joint whatever the row count, so its fixed cost
+#: amortises with rows, and its scratch (four ``(N, R)`` planes) is about
+#: 13 MB at 50 DOF and 8192 rows.
 VECTORIZED_CHUNK = 8192
 
 
@@ -435,8 +440,13 @@ class LockStepEngine:
         self, qs: np.ndarray
     ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """End positions of the start configurations, plus the per-row
-        blocks the iterations carry (none by default)."""
-        return self._fk_chunked(qs), ()
+        blocks the iterations carry (none by default).
+
+        The positions come from the prefix-frame pass, the scan the scalar
+        driver's ``end_position`` makes: admission waves are a few rows,
+        where the sweep's fold costs more than the scan.
+        """
+        return self.chain.fk_jacobian_batch(qs)[0], ()
 
     def _advance_dense(
         self,
@@ -532,21 +542,17 @@ class BatchedQuickIK(LockStepEngine):
         timed = tracer.enabled
         if timed:
             t0 = time.perf_counter()
-        dof = self.chain.dof
+        dof, dtype = self.chain.dof, self.chain.dtype
         e_vec = t_c - p_c
 
         jacobians = self.chain.jacobian_position_batch(q_c)  # (A,3,N)
-        dq_base = np.einsum("akn,ak->an", jacobians, e_vec)  # J^T e
-        jjte = np.einsum("akn,an->ak", jacobians, dq_base)  # J J^T e
+        dq_base = rmatvec(jacobians, e_vec)  # J^T e
+        jjte = matvec(jacobians, dq_base)  # J J^T e
         if timed:
             t1 = time.perf_counter()
             tracer.add_phase("jacobian", t1 - t0)
-        denom = np.einsum("ak,ak->a", jjte, jjte)
-        numer = np.einsum("ak,ak->a", e_vec, jjte)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha_base = numer / denom
-        bad = ~np.isfinite(alpha_base) | (alpha_base <= 0.0) | (denom <= 0.0)
-        alpha_base = np.where(bad, FALLBACK_ALPHA, alpha_base)
+        # Eq. 8 per row, as QuickIKSolver._step; back in the engine dtype.
+        alpha_base = buss_alpha_rows(e_vec, jjte).astype(dtype, copy=False)
 
         alphas = alpha_base[:, None] * self._ks[None, :]  # (A,Max)
         candidates = (

@@ -141,9 +141,12 @@ class EvaluationSuite:
         Typed execution policy (:class:`~repro.execution.ExecutionOptions`):
         the kernel spec (mode / dtype / chunk) is applied to every
         evaluation chain (``None`` keeps the chains' default, scalar), and
-        ``workers`` shards each solver run.  Any worker count produces
-        identical per-target results — the sharded path draws the same
-        restart stream (see :mod:`repro.parallel`).
+        ``workers`` shards each solver run (``timeout`` bounds each
+        sharded run).  Any worker count produces identical per-target
+        results — the sharded path draws the same restart stream (see
+        :mod:`repro.parallel`).  The suite runs every target as the paper
+        does, so a failure policy (``on_error`` other than ``"raise"``)
+        or a ``resilience`` config is rejected rather than ignored.
     """
 
     def __init__(
@@ -169,6 +172,11 @@ class EvaluationSuite:
         self.seed = seed
         self.total_reach = total_reach
         self.options = ExecutionOptions.coerce(options)
+        if self.options.on_error != "raise" or self.options.resilience:
+            raise ValueError(
+                "EvaluationSuite runs without a failure policy: pass "
+                "ExecutionOptions without on_error / resilience"
+            )
         self._chains: dict[int, KinematicChain] = {}
         self._targets: dict[int, np.ndarray] = {}
 

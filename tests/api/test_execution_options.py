@@ -138,12 +138,6 @@ class TestExecutionOptions:
         cfg = ResilienceConfig()
         assert ExecutionOptions(resilience=cfg).resolved_resilience() is cfg
 
-    def test_merged_overrides(self):
-        base = ExecutionOptions(workers=2)
-        merged = base.merged(on_error="skip")
-        assert merged.workers == 2 and merged.on_error == "skip"
-        assert base.on_error == "raise"  # frozen original untouched
-
 
 # ----------------------------------------------------------------------
 # options= normalisation at the entry points (ExecutionOptions.coerce,
@@ -211,6 +205,39 @@ class TestWiring:
             chunk=4,
         )
         assert engine.chunk == 4
+
+    def test_twin_built_once_across_calls_and_served_runs(self, monkeypatch):
+        """Entry points apply the spec per solve call and per served run;
+        the source chain builds its vectorized twin once and hands the
+        same twin back after that."""
+        from repro.kinematics import kernels
+
+        built = []
+        build = kernels.VectorizedKernels.__init__
+
+        def counting_build(self, chain):
+            built.append(chain.name)
+            build(self, chain)
+
+        monkeypatch.setattr(kernels.VectorizedKernels, "__init__", counting_build)
+        options = ExecutionOptions(kernel="vectorized")
+        chain = paper_chain(12)
+        targets = self._targets(chain)
+        for _ in range(4):
+            api.solve_batch(chain, targets, seed=SEED, options=options)
+        assert built == ["dadu-12dof"]
+
+        with api.serve(
+            options=ExecutionOptions(kernel="vectorized", on_error="skip")
+        ) as server:
+            # One request at a time: each opens (and drains) its own run.
+            for target in targets:
+                server.submit(
+                    SolveRequest("dadu-12dof", target, seed=SEED)
+                ).result(timeout=60)
+            assert server.stats().batches == len(targets)
+        # The server's own dadu-12dof chain: one more twin, not one per run.
+        assert built == ["dadu-12dof"] * 2
 
     def test_server_config_defaults_to_skip(self):
         # The serving default policy: one bad request degrades into a

@@ -291,3 +291,22 @@ class TestDtype:
 
     def test_default_dtype_is_float64(self, dadu12):
         assert dadu12.dtype == np.float64
+
+    def test_twins_are_built_once_and_stay_out_of_pickles(self, dadu12, rng):
+        import pickle
+
+        twin = dadu12.with_kernel("vectorized")
+        assert dadu12.with_kernel("vectorized") is twin
+        assert dadu12.with_kernel("scalar") is dadu12
+        assert dadu12.astype(np.float32) is dadu12.astype("float32")
+        assert twin.astype(np.float32).kernel == "vectorized"
+        # A shipped chain (a workers > 1 shard) carries no twins and
+        # builds its own on the other side.
+        clone = pickle.loads(pickle.dumps(dadu12))
+        assert clone._twins == {}
+        assert dadu12._twins
+        q = dadu12.random_configuration(rng)
+        assert np.array_equal(
+            clone.with_kernel("vectorized").end_position(q),
+            twin.end_position(q),
+        )

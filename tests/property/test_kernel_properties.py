@@ -13,12 +13,17 @@ lengths, twists, offsets; revolute, mixed and all-prismatic joints):
 * **Cache invalidation** — mutating a chain parameter array in place is
   detected by the fingerprint guard on the cached path, so stale prefix
   frames are never served; ``refresh()`` re-snapshots the statics.
+* **Row invariance of the sweep** — every row of ``end_positions_batch``
+  carries the same bits alone, in its batch and at another offset, for
+  both DH conventions, prismatic mixes, random base and tool transforms,
+  float64 and float32.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kinematics.chain import KinematicChain
 from repro.kinematics.kernels import make_kernels, position_jacobian
 from repro.kinematics.robots import random_chain
 
@@ -85,7 +90,9 @@ def test_prefix_cache_consistent_across_q_updates(seed, dof, prismatic):
     q2 = scalar.random_configuration(rng)
 
     def cold(q):
-        return scalar.with_kernel("vectorized").jacobian_position(q)
+        # A fresh kernel object: ``with_kernel`` hands back the same
+        # (already warm) twin on every call.
+        return _kernel_jacobian(make_kernels(vectorized, "vectorized"), q)
 
     first = vectorized.jacobian_position(q1)
     assert np.array_equal(first, cold(q1))
@@ -94,7 +101,7 @@ def test_prefix_cache_consistent_across_q_updates(seed, dof, prismatic):
     # The end position of the cached configuration shares the same frames.
     assert np.array_equal(
         vectorized.end_position(q1),
-        scalar.with_kernel("vectorized").end_position(q1),
+        make_kernels(vectorized, "vectorized").end_position(q1),
     )
     # New configuration evicts; then the old one is recomputed from scratch.
     assert np.array_equal(vectorized.jacobian_position(q2), cold(q2))
@@ -145,3 +152,51 @@ def test_refresh_resnapshots_statics_after_mutation(seed, dof):
         vectorized.jacobian_position(q_new), _kernel_jacobian(rebuilt, q_new)
     )
     assert np.array_equal(vectorized.fk(q_new), rebuilt.fk(q_new))
+
+
+def _random_rigid(rng: np.random.Generator, shift: float) -> np.ndarray:
+    """A random rotation (QR of a Gaussian matrix) plus a random offset."""
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    transform = np.eye(4)
+    transform[:3, :3] = rotation
+    transform[:3, 3] = rng.normal(scale=shift, size=3)
+    return transform
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    dof=dofs,
+    prismatic=prismatics,
+    convention=st.sampled_from(["standard", "modified"]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    rows=st.integers(min_value=1, max_value=96),
+    data=st.data(),
+)
+def test_sweep_rows_do_not_depend_on_their_batch(
+    seed, dof, prismatic, convention, dtype, rows, data
+):
+    """Each row of the vectorized sweep equals that row alone and at
+    another offset, bit for bit (the lock-step engines' B = 1 == B = M
+    rests on it), and stays within the oracle's bound."""
+    rng = np.random.default_rng(seed)
+    joints = random_chain(dof, rng, prismatic_probability=prismatic).joints
+    oracle = KinematicChain(
+        joints, base=_random_rigid(rng, 0.5), tool=_random_rigid(rng, 0.2),
+        convention=convention, dtype=dtype,
+    )
+    chain = oracle.with_kernel("vectorized")
+    qs = np.stack(
+        [oracle.random_configuration(rng) for _ in range(rows)]
+    ).astype(dtype)
+    whole = chain.end_positions_batch(qs)
+    row = data.draw(st.integers(min_value=0, max_value=rows - 1))
+    assert np.array_equal(chain.end_positions_batch(qs[row:row + 1])[0], whole[row])
+    # The same row at another offset, among other rows.
+    shifted = np.concatenate([qs[::-1], qs[row:row + 1]])
+    assert np.array_equal(chain.end_positions_batch(shifted)[-1], whole[row])
+    assert np.array_equal(chain.end_positions_batch(qs[row:]), whole[row:])
+    bound = ATOL if dtype == np.float64 else 1e-4
+    assert np.allclose(
+        whole, oracle.end_positions_batch(qs), atol=bound, rtol=0.0
+    )

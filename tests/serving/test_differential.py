@@ -2,12 +2,11 @@
 
 A mixed-robot, mixed-solver request stream goes through the micro-batching
 server; every response is compared one-to-one against the offline solve with
-the same robot / target / solver / seed / config.  Row-update families
-(JT-DLS here), which run lock-step on the scalar step's own arithmetic, must
-be **bit-identical**; Quick-IK's engine runs the batched einsum formulation
-whose per-problem numerics the conformance tier pins to the scalar driver at
-1e-9, so q is compared at that bound while the discrete outcome
-(iterations / converged / status / FK count) must match exactly.
+the same robot / target / solver / seed / config.  Both lock-step families
+here — Quick-IK's engine and a row-update family (JT-DLS) — run the scalar
+step's own per-row arithmetic, so every response must be **bit-identical**
+to its direct solve: iterations / converged / status / FK count, ``q`` and
+``error``.
 
 The guarantee is *dispatch-count invariant*: ``q0`` is fixed at admission
 and per-problem numerics are independent of batch composition, so the same
@@ -30,8 +29,7 @@ from repro.execution import ExecutionOptions
 from repro.kinematics.robots import named_robot
 from repro.serving import IKServer, ServerConfig, SolveRequest
 
-#: (solver, lock_step) — Quick-IK's engine gets the 1e-9 q bound.
-SOLVERS = [("JT-Speculation", True), ("JT-DLS", False)]
+SOLVERS = ["JT-Speculation", "JT-DLS"]
 ROBOTS = ["dadu-12dof", "planar-8dof"]
 MAX_ITERATIONS = 200
 TOLERANCE = 1e-2
@@ -44,25 +42,22 @@ def _stream(per_cell: int = 2):
     seed = 500
     for i in range(per_cell):
         for robot in ROBOTS:
-            for solver, lock_step in SOLVERS:
+            for solver in SOLVERS:
                 chain = chains[robot]
                 rng = np.random.default_rng(seed)
                 target = chain.end_position(chain.random_configuration(rng))
                 # The solve seed must differ from the target-generation
                 # seed, or q0 would be the very configuration that produced
                 # the target and every problem would converge in 0 steps.
-                requests.append((
-                    SolveRequest(
-                        robot, target, solver, seed=seed + 10_000,
-                        tolerance=TOLERANCE, max_iterations=MAX_ITERATIONS,
-                    ),
-                    lock_step,
+                requests.append(SolveRequest(
+                    robot, target, solver, seed=seed + 10_000,
+                    tolerance=TOLERANCE, max_iterations=MAX_ITERATIONS,
                 ))
                 seed += 1
     return requests
 
 
-def _assert_equivalent(served, direct, lock_step: bool) -> None:
+def _assert_equivalent(served, direct) -> None:
     # Lock-step engines label their results "<solver>-batched".
     assert served.solver.removesuffix("-batched") == direct.solver
     assert served.dof == direct.dof
@@ -70,12 +65,8 @@ def _assert_equivalent(served, direct, lock_step: bool) -> None:
     assert served.converged == direct.converged
     assert served.status == direct.status
     assert served.fk_evaluations == direct.fk_evaluations
-    if lock_step:
-        np.testing.assert_allclose(served.q, direct.q, atol=1e-9, rtol=0.0)
-        assert served.error == pytest.approx(direct.error, abs=1e-9)
-    else:
-        np.testing.assert_array_equal(served.q, direct.q)
-        assert served.error == direct.error
+    np.testing.assert_array_equal(served.q, direct.q)
+    assert served.error == direct.error
 
 
 @pytest.mark.parametrize("dispatch_workers", [1, 4])
@@ -86,15 +77,15 @@ def test_mixed_stream_matches_direct_solves(dispatch_workers):
         dispatch_workers=dispatch_workers,
     )
     with IKServer(config) as srv:
-        futures = [srv.submit(req) for req, _ in stream]
+        futures = [srv.submit(req) for req in stream]
         served = [f.result(timeout=120) for f in futures]
 
-    for (req, lock_step), result in zip(stream, served):
+    for req, result in zip(stream, served):
         direct = api.solve(
             req.robot, req.target, req.solver, seed=req.seed,
             tolerance=TOLERANCE, max_iterations=MAX_ITERATIONS,
         )
-        _assert_equivalent(result, direct, lock_step)
+        _assert_equivalent(result, direct)
 
     # The stream actually coalesced: fewer batches than requests.
     stats = srv.stats()

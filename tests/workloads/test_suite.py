@@ -36,6 +36,22 @@ class TestDefaults:
         with pytest.raises(ValueError):
             EvaluationSuite(targets_per_dof=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"on_error": "skip"}, {"on_error": "fallback"}, {"resilience": True}],
+        ids=["skip", "fallback", "resilience"],
+    )
+    def test_failure_policy_rejected_not_ignored(self, fields):
+        """The suite solves every target under the defaults, so options it
+        would not apply raise instead of being dropped silently."""
+        from repro.execution import ExecutionOptions
+
+        with pytest.raises(ValueError, match="on_error / resilience"):
+            EvaluationSuite(
+                dofs=(12,), targets_per_dof=2,
+                options=ExecutionOptions(**fields),
+            )
+
 
 class TestDeterminism:
     def test_targets_deterministic(self):
