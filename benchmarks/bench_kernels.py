@@ -12,6 +12,11 @@ shapes the Quick-IK pipeline actually runs:
   serve-tracking workload's sweeps average 150-250 rows).  The fold's
   fixed cost is paid per joint, not per row, so this is the size that
   shows it.
+* ``ray_sweep_served`` — the same served size handed over as a
+  :class:`~repro.kinematics.kernels.SpeculationGrid` (4 problems, each
+  ``Max = 64`` candidates on one ray), the form Quick-IK's solvers sweep
+  under the linear schedule: the vectorized kernel steps its joint angles
+  along each ray, the scalar oracle materialises the candidates.
 * ``candidate_sweep_single`` — one problem's ``Max = 32`` candidates (the
   single-solve speculative sweep of Algorithm 1).
 * ``jacobian_single`` — one Jacobian build at ``B = 1`` (the scalar driver
@@ -46,6 +51,7 @@ import numpy as np
 
 from repro.core.result import SolverConfig
 from repro.execution import KernelSpec
+from repro.kinematics.kernels import SpeculationGrid
 from repro.kinematics.robots import paper_chain
 from repro.solvers.batched import BatchedQuickIK
 
@@ -77,6 +83,18 @@ def _candidates(chain, rows: int, seed: int) -> np.ndarray:
     return np.stack([chain.random_configuration(rng) for _ in range(rows)])
 
 
+def _grid(chain, problems: int, count: int, seed: int) -> SpeculationGrid:
+    """``problems`` seeded rays of ``count`` candidates each, with a full
+    step (``alpha_base`` times the direction) of about 0.05 rad a joint."""
+    rng = np.random.default_rng(seed)
+    return SpeculationGrid(
+        _candidates(chain, problems, seed),
+        rng.normal(size=(problems, chain.dof)),
+        rng.uniform(0.02, 0.08, size=problems),
+        count,
+    )
+
+
 def run_kernel_bench(
     dof: int = 50,
     speculations: int = 32,
@@ -91,6 +109,7 @@ def run_kernel_bench(
     single = _candidates(scalar, speculations, seed)
     lockstep = _candidates(scalar, batch * speculations, seed + 1)
     served = _candidates(scalar, SERVED_PROBLEMS * SERVED_SPECULATIONS, seed + 5)
+    rays = _grid(scalar, SERVED_PROBLEMS, SERVED_SPECULATIONS, seed + 6)
     q = single[0]
     jac_rows = _candidates(scalar, batch, seed + 2)
 
@@ -128,6 +147,16 @@ def run_kernel_bench(
         np.abs(
             vectorized.end_positions_batch(served)
             - scalar.end_positions_batch(served)
+        ).max(),
+        inner=10,
+    )
+    section(
+        "ray_sweep_served",
+        lambda: scalar.end_positions_batch(rays),
+        lambda: vectorized.end_positions_batch(rays),
+        np.abs(
+            vectorized.end_positions_batch(rays)
+            - scalar.end_positions_batch(rays)
         ).max(),
         inner=10,
     )
@@ -337,6 +366,7 @@ def test_kernel_bench_smoke():
     assert set(payload["sections"]) == {
         "candidate_sweep_lockstep",
         "candidate_sweep_served",
+        "ray_sweep_served",
         "candidate_sweep_single",
         "jacobian_single",
         "jacobian_batch",

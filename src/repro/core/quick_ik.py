@@ -15,7 +15,11 @@ Because ``k = Max`` reproduces the plain Buss step, the greedy choice is never
 worse per iteration than JT-Serial — that is the mechanism behind the 97%
 iteration reduction.  All ``Max`` forward-kinematics evaluations are
 independent, which is what IKAcc's SSU array exploits in hardware; here they
-are evaluated as one batched numpy FK.
+are evaluated as one batched numpy FK.  Under the paper's linear schedule
+the candidates lie on one ray, so the sweep hands the FK a
+:class:`~repro.kinematics.kernels.SpeculationGrid` and builds only the
+winner's configuration; :func:`speculate` is that sweep for ``B`` problems,
+shared with the lock-step engine.
 """
 
 from __future__ import annotations
@@ -24,16 +28,51 @@ import time
 
 import numpy as np
 
-from repro.core.alpha import ScheduleFn, buss_alpha, get_schedule
+from repro.core.alpha import ScheduleFn, buss_alpha, get_schedule, linear_schedule
 from repro.core.base import IterativeIKSolver
 from repro.core.result import SolverConfig, StepOutcome
 from repro.kinematics.chain import KinematicChain
+from repro.kinematics.kernels import SpeculationGrid
+from repro.telemetry.tracer import Tracer
 
-__all__ = ["QuickIKSolver", "DEFAULT_SPECULATIONS"]
+__all__ = ["QuickIKSolver", "DEFAULT_SPECULATIONS", "speculate"]
 
 #: The paper's operating point: "we will set the number of speculations as 64"
 #: (Section 6.2, Figure 4 trade-off).
 DEFAULT_SPECULATIONS = 64
+
+
+def speculate(fk, sweep, targets: np.ndarray, tolerance: float, tracer: Tracer):
+    """Algorithm 1 lines 10-16 for ``B`` problems of ``Max`` candidates.
+
+    ``sweep`` is a :class:`~repro.kinematics.kernels.SpeculationGrid` or an
+    explicit ``(B, Max, N)`` candidate block (clamped candidates, ablation
+    schedules), and ``fk`` maps its rows to end positions.  Each problem
+    keeps its first candidate within ``tolerance``, else its nearest one.
+    Returns the winners' ``(q, position, error)``, their indices and
+    whether each was within tolerance; a grid builds only the winners'
+    rows, with the bits of the explicit block's.
+    """
+    timed = tracer.enabled
+    if timed:
+        t0 = time.perf_counter()
+    grid = isinstance(sweep, SpeculationGrid)
+    positions = fk(sweep if grid else sweep.reshape(-1, sweep.shape[-1]))
+    positions = positions.reshape(len(targets), -1, 3)
+    if timed:
+        t1 = time.perf_counter()
+        tracer.add_phase("fk_sweep", t1 - t0)
+    errors = np.linalg.norm(targets[:, None, :] - positions, axis=2)  # line 11
+    below = errors < tolerance
+    early = below.any(axis=1)
+    # Lines 12-13: the hardware returns the first candidate (in enumeration
+    # order) that meets the accuracy constraint; line 16 the nearest.
+    chosen = np.where(early, below.argmax(axis=1), errors.argmin(axis=1))
+    rows = np.arange(len(targets))
+    q = sweep.rows(chosen) if grid else sweep[rows, chosen]
+    if timed:
+        tracer.add_phase("selection", time.perf_counter() - t1)
+    return q, positions[rows, chosen], errors[rows, chosen], chosen, early
 
 
 class QuickIKSolver(IterativeIKSolver):
@@ -92,38 +131,31 @@ class QuickIKSolver(IterativeIKSolver):
             tr.add_phase("jacobian", t1 - t0)
         alpha_base = buss_alpha(error_vec, jjte)  # line 5
 
-        alphas = self.schedule(alpha_base, self.speculations)  # lines 6-7
-        candidates = q[None, :] + alphas[:, None] * dq_base[None, :]  # 8-9
-        if self.config.respect_limits:
-            candidates = np.clip(
-                candidates, self.chain.lower_limits, self.chain.upper_limits
+        # Lines 6-9: the candidates theta + alpha_k dtheta_base.
+        if self.schedule is linear_schedule and not self.config.respect_limits:
+            sweep = SpeculationGrid(
+                q[None], dq_base[None], np.array([alpha_base]), self.speculations
             )
-        if timed:
-            t2 = time.perf_counter()
-            tr.add_phase("alpha", t2 - t1)
-        positions = self.chain.end_positions_batch(candidates)  # line 10
-        if timed:
-            t3 = time.perf_counter()
-            tr.add_phase("fk_sweep", t3 - t2)
-        errors = np.linalg.norm(target[None, :] - positions, axis=1)  # line 11
-
-        below = np.flatnonzero(errors < self.config.tolerance)
-        if below.size:
-            # Lines 12-13: the hardware returns the first candidate (in
-            # enumeration order) that meets the accuracy constraint.
-            chosen = int(below[0])
-            early = True
         else:
-            chosen = int(np.argmin(errors))  # line 16
-            early = False
-        if self.track_chosen:
-            self.chosen_history.append(chosen)
+            alphas = self.schedule(alpha_base, self.speculations)
+            candidates = q[None, :] + alphas[:, None] * dq_base[None, :]
+            if self.config.respect_limits:
+                candidates = np.clip(
+                    candidates, self.chain.lower_limits, self.chain.upper_limits
+                )
+            sweep = candidates[None]
         if timed:
-            tr.add_phase("selection", time.perf_counter() - t3)
+            tr.add_phase("alpha", time.perf_counter() - t1)
+        q_new, position, error, chosen, early = speculate(  # lines 10-16
+            self.chain.end_positions_batch, sweep, target[None],
+            self.config.tolerance, tr,
+        )
+        if self.track_chosen:
+            self.chosen_history.append(int(chosen[0]))
         return StepOutcome(
-            q=candidates[chosen],
-            position=positions[chosen],
-            error=float(errors[chosen]),
+            q=q_new[0],
+            position=position[0],
+            error=float(error[0]),
             fk_evaluations=self.speculations,
-            early_exit=early,
+            early_exit=bool(early[0]),
         )

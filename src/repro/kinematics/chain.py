@@ -11,7 +11,9 @@ This is the substrate the whole paper sits on.  Design notes:
   the ``1Ti = 1Ti-1 @ i-1Ti`` recurrence that IKAcc pipelines in hardware.
 * :meth:`KinematicChain.end_positions_batch` evaluates the FK of ``B``
   configurations at once.  Quick-IK calls it with one row per speculative
-  ``alpha_k`` (Algorithm 1, lines 6-15).
+  ``alpha_k`` (Algorithm 1, lines 6-15), as a
+  :class:`~repro.kinematics.kernels.SpeculationGrid` of rays under the
+  linear schedule.
 * The geometric Jacobian follows Buss [11]: for revolute joint ``i`` the
   position rows are ``z_{i-1} x (p_ee - p_{i-1})``, for prismatic joints they
   are ``z_{i-1}`` (axes taken at the joint's screw frame).
@@ -35,6 +37,7 @@ from repro.kinematics import transforms
 from repro.kinematics.dh import DHConvention
 from repro.kinematics.joint import Joint, JointType
 from repro.kinematics.kernels import (
+    SpeculationGrid,
     make_kernels,
     position_jacobian,
     resolve_kernel_mode,
@@ -357,8 +360,17 @@ class KinematicChain:
         """
         return self._kernels.fk_batch(self._check_qs(qs))
 
-    def end_positions_batch(self, qs: np.ndarray) -> np.ndarray:
-        """End-effector positions for a batch of configurations; ``(B, 3)``."""
+    def end_positions_batch(self, qs) -> np.ndarray:
+        """End-effector positions for a batch of configurations; ``(B, 3)``.
+
+        ``qs`` is a ``(B, N)`` array or a :class:`~repro.kinematics.kernels.
+        SpeculationGrid`, whose ``len(qs)`` candidate rows it evaluates.
+        """
+        if isinstance(qs, SpeculationGrid):
+            shape = (qs.problems, self.dof)
+            if qs.q.shape != shape or qs.direction.shape != shape:
+                raise ValueError(f"expected grid rays of shape {shape}")
+            return self._kernels.end_positions_batch(qs)
         return self._kernels.end_positions_batch(self._check_qs(qs))
 
     # ------------------------------------------------------------------
@@ -435,6 +447,7 @@ class KinematicChain:
             base=self.base,
             convention=self.convention,
             name=f"{self.name}[:{stop}]",
+            dtype=self.dtype,
             kernel=self._kernel_mode,
         )
 
@@ -446,6 +459,7 @@ class KinematicChain:
             tool=tool,
             convention=self.convention,
             name=self.name,
+            dtype=self.dtype,
             kernel=self._kernel_mode,
         )
 

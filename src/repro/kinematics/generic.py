@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.kinematics.joint import JointLimits
+from repro.kinematics.kernels import SpeculationGrid
 
 __all__ = ["GenericJointType", "GenericJoint", "GenericChain"]
 
@@ -306,8 +307,11 @@ class GenericChain:
             pose = pose @ locals_[:, i]
         return pose @ self.tool
 
-    def end_positions_batch(self, qs: np.ndarray) -> np.ndarray:
-        """Batched end-effector positions; ``(B, 3)``."""
+    def end_positions_batch(self, qs) -> np.ndarray:
+        """Batched end-effector positions; ``(B, 3)``.  A
+        :class:`~repro.kinematics.kernels.SpeculationGrid` is materialised."""
+        if isinstance(qs, SpeculationGrid):
+            qs = qs.candidates()
         return self.fk_batch(qs)[:, :3, 3]
 
     # ------------------------------------------------------------------

@@ -33,6 +33,17 @@ analogue: every :class:`~repro.kinematics.chain.KinematicChain` owns a
     strided view, can round a row differently depending on how many rows
     share the call (both did on an AVX-512 x86 host).  So every row
     carries the same bits alone as in any batch, at any offset.
+  - **Quick-IK's candidates are swept as rays.**  Under Eq. 9 a problem's
+    ``Max`` candidates lie on one ray, ``theta + (k / Max) alpha_base
+    dtheta``, and Quick-IK hands them over as a :class:`SpeculationGrid`.
+    On a float64 chain the ``cos`` / ``sin`` planes then come from two
+    angles per problem and joint and a recurrence along the ray,
+    ``e^{i theta_k} = e^{i theta} w^k`` (:meth:`~VectorizedKernels.
+    _ray_planes`), instead of ``B x Max x N`` trigonometric calls; the
+    fold that follows is the same.  Its complex multiplies run out of
+    place on contiguous runs of one problem's candidates, so a problem's
+    rows carry the same bits alone as in any grid.  The scalar oracle and
+    float32 chains materialise the grid's candidates.
   - **Static link factors are precomputed once.**  For the frame pass, a
     DH link transform is ``S(theta, d) @ C`` (standard) or ``C @ S(theta,
     d)`` (modified) with ``C`` constant; because ``S`` is a z-screw, the
@@ -88,6 +99,7 @@ __all__ = [
     "resolve_kernel_mode",
     "make_kernels",
     "ScalarKernels",
+    "SpeculationGrid",
     "VectorizedKernels",
     "position_jacobian",
 ]
@@ -116,6 +128,70 @@ def make_kernels(chain: "KinematicChain", mode: str | None = None):
     if mode == "vectorized":
         return VectorizedKernels(chain)
     return ScalarKernels(chain)
+
+
+class SpeculationGrid:
+    """Quick-IK's Eq. 9 candidates, one ray per problem.
+
+    Problem ``b`` contributes the ``count`` configurations ``q[b] +
+    alphas[b, k] direction[b]`` with ``alphas[b, k] = alpha_base[b] (k + 1)
+    / count``; row ``b * count + k`` of :meth:`candidates` is that
+    candidate, so ``len(grid)`` is ``B * count``, the rows of the explicit
+    candidate block in the same problem-major order.  ``end_positions_batch``
+    accepts a grid wherever it accepts that block.  On a float64 chain the
+    vectorized kernel then takes ``cos`` / ``sin`` of two angles per
+    problem and joint and steps along the ray; the scalar kernel and
+    float32 chains materialise the block.
+    """
+
+    __slots__ = ("q", "direction", "alpha_base", "count", "alphas")
+
+    def __init__(
+        self,
+        q: np.ndarray,
+        direction: np.ndarray,
+        alpha_base: np.ndarray,
+        count: int,
+    ) -> None:
+        self.q = q  # (B, N)
+        self.direction = direction  # (B, N)
+        self.alpha_base = alpha_base  # (B,)
+        self.count = int(count)
+        fractions = np.arange(1, self.count + 1) / self.count
+        # In alpha_base's dtype: a float64 grid would upcast a float32 one.
+        self.alphas = alpha_base[:, None] * fractions.astype(
+            alpha_base.dtype, copy=False
+        )
+
+    @property
+    def problems(self) -> int:
+        """Number of rays ``B``."""
+        return self.q.shape[0]
+
+    def __len__(self) -> int:
+        return self.problems * self.count
+
+    def __getitem__(self, problems: slice) -> "SpeculationGrid":
+        """The grid of a slice of whole problems."""
+        return SpeculationGrid(
+            self.q[problems], self.direction[problems],
+            self.alpha_base[problems], self.count,
+        )
+
+    def candidates(self, joints=slice(None)) -> np.ndarray:
+        """The candidate rows ``(B * count, N)`` (only the ``joints``
+        columns when given), with the explicit block's bits."""
+        block = (
+            self.q[:, None, joints]
+            + self.alphas[:, :, None] * self.direction[:, None, joints]
+        )
+        return block.reshape(len(self), block.shape[-1])
+
+    def rows(self, chosen: np.ndarray) -> np.ndarray:
+        """Candidate ``chosen[b]`` of each problem ``b``, ``(B, N)``: the
+        bits of the matching row of :meth:`candidates`."""
+        alphas = self.alphas[np.arange(self.problems), chosen]
+        return self.q + alphas[:, None] * self.direction
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +325,9 @@ class ScalarKernels:
             pose = pose @ locals_[:, i]
         return pose @ chain.tool
 
-    def end_positions_batch(self, qs: np.ndarray) -> np.ndarray:
+    def end_positions_batch(self, qs) -> np.ndarray:
+        if isinstance(qs, SpeculationGrid):
+            qs = qs.candidates().astype(self.chain.dtype, copy=False)
         return self.fk_batch(qs)[:, :3, 3]
 
     # -- Jacobians ------------------------------------------------------
@@ -367,6 +445,7 @@ class VectorizedKernels:
                 float(self._d_offset[i]) if chain._revolute_mask[i] else None,
             ))
         self._fold_links = tuple(links)
+        self._prismatic = np.flatnonzero(~chain._revolute_mask)
         self._fold_tool = np.ascontiguousarray(chain.tool[:3, 3:])
         # Base columns, each ``(3, 1)``: world = sum_k base[:, k] * p_k.
         self._fold_base = tuple(
@@ -476,20 +555,30 @@ class VectorizedKernels:
         poses[..., 3, 3] = 1.0
         return poses
 
-    def end_positions_batch(self, qs: np.ndarray) -> np.ndarray:
+    def end_positions_batch(self, qs) -> np.ndarray:
         """All candidate positions by one right-to-left tool-point fold.
 
-        This is the speculative-sweep hot path: Quick-IK calls it with one
-        row per ``alpha_k`` and the lock-step engine with all ``B x Max``
-        (problem, candidate) rows at once.  The point ``p`` starts at the
-        tool and moves through each link, last joint first:
-        ``p <- Rz(theta) Tz(d) Tx(a) Rx(alpha) p`` (standard) or
-        ``p <- Rx(alpha) Tx(a) Rz(theta) Tz(d) p`` (modified); then the
-        base maps it to the world.  A rotation of two coordinates is one
-        paired multiply-add: ``(x, y) <- c (x, y) + (-s, s) (y, x)``.
-        Every step is elementwise, so a row's bits do not depend on the
-        rows it shares the call with.
+        This is the speculative-sweep hot path: Quick-IK calls it with its
+        ``Max`` candidates and the lock-step engine with all ``B x Max``
+        (problem, candidate) rows at once, either as an explicit ``(R, N)``
+        block or as a :class:`SpeculationGrid`.  The joint-angle planes
+        come from :meth:`_planes` or, for a float64 grid, from
+        :meth:`_ray_planes`; the fold that follows is the same for both.
+        A float32 chain materialises a grid: its ``cos`` / ``sin`` cost
+        about what the recurrence does, whose steps would have to run in
+        float64 to hold the float32 tier's bound.
         """
+        dtype = self.chain.dtype
+        if isinstance(qs, SpeculationGrid):
+            if dtype == np.float64:
+                return self._fold(*self._ray_planes(qs))
+            qs = qs.candidates().astype(dtype, copy=False)
+        return self._fold(*self._planes(qs))
+
+    def _planes(self, qs: np.ndarray):
+        """``cos`` ``(N, R)`` and ``(-sin, sin)`` ``(N, 2, R)`` planes of
+        explicit rows, and each joint's variable row (the fold reads those
+        of prismatic joints)."""
         dtype = self.chain.dtype
         n, rows = self.chain.dof, qs.shape[0]
         qt = qs.T
@@ -501,7 +590,84 @@ class VectorizedKernels:
         sin2 = np.empty((n, 2, rows), dtype)  # (-sin, sin) per joint
         np.sin(theta, out=sin2[:, 1])
         np.negative(sin2[:, 1], out=sin2[:, 0])
+        return cos, sin2, qt
 
+    def _ray_planes(self, grid: SpeculationGrid):
+        """The planes of a float64 grid by stepping along each problem's ray.
+
+        Candidate ``k`` of a problem turns revolute joint ``j`` to
+        ``theta_j + (k + 1) delta_j``, where ``theta`` is the ray origin's
+        joint angle and ``delta = alphas[:, 0] direction`` one step, so
+        ``e^{i theta_k} = e^{i theta} w^(k + 1)`` with ``w = e^{i delta}``.
+        Only the ``N x B`` angles ``theta`` and ``delta`` pass through
+        ``cos`` / ``sin``.  An ``(N, B, count)`` block ``z`` starts at
+        ``e^{i theta} w`` and doubles, ``z[..., s + k] = z[..., k] w^s``
+        with ``w^s`` squared per level: ``log2(count)`` complex multiplies
+        of contiguous ``k`` runs, giving the planes in row order.  Every
+        multiply writes to memory its inputs do not share: numpy rounds a
+        complex multiply in place on a strided view differently depending
+        on the call's shape, out of place on contiguous runs it does not,
+        so a problem's rows carry the same bits alone as in any grid.
+        Prismatic joints (``w = 1``) keep their angle; only their slide
+        rows are materialised.
+        """
+        n, problems, count = self.chain.dof, grid.problems, grid.count
+        rows = len(grid)
+        rev = self._rev[:, None]
+        theta = grid.q.T * rev + self._theta_offset[:, None]
+        delta = grid.direction.T * rev
+        delta *= grid.alphas[:, 0]
+
+        def unit(angles):  # e^{i angles}, (N, B, 1)
+            out = np.empty(angles.shape + (1,), np.complex128)
+            out[..., 0].real = np.cos(angles)
+            out[..., 0].imag = np.sin(angles)
+            return out
+
+        # One allocation holds z and then the sine planes, which serve the
+        # doubling as scratch first.  As separate arrays, each half of the
+        # peak, they met glibc's trim threshold (twice the largest chunk),
+        # so every call returned them to the system and faulted them back.
+        buffer = np.empty(4 * n * rows)
+        z = buffer[: 2 * n * rows].view(np.complex128).reshape(n, problems, count)
+        spare = buffer[2 * n * rows:]
+        power = unit(delta)  # w^done
+        z[..., :1] = unit(theta) * power
+        done = 1
+        while done < count:
+            more = min(done, count - done)
+            out = spare[: 2 * n * problems * more].view(np.complex128)
+            out = out.reshape(n, problems, more)
+            np.multiply(z[..., :more], power, out=out)
+            z[..., done:done + more] = out
+            done += more
+            if done < count:
+                power = power * power
+        z = z.reshape(n, rows)
+
+        sin2 = spare.reshape(n, 2, rows)
+        sin2[:, 1] = z.imag
+        np.negative(sin2[:, 1], out=sin2[:, 0])
+        slides = {}
+        if self._prismatic.size:
+            columns = grid.candidates(self._prismatic).astype(np.float64, copy=False)
+            slides = dict(zip(self._prismatic.tolist(), columns.T))
+        return z.real, sin2, slides
+
+    def _fold(self, cos: np.ndarray, sin2: np.ndarray, slides) -> np.ndarray:
+        """Carry the tool point to the world through every link.
+
+        The point ``p`` starts at the tool and moves through each link,
+        last joint first: ``p <- Rz(theta) Tz(d) Tx(a) Rx(alpha) p``
+        (standard) or ``p <- Rx(alpha) Tx(a) Rz(theta) Tz(d) p``
+        (modified); then the base maps it to the world.  A rotation of two
+        coordinates is one paired multiply-add: ``(x, y) <- c (x, y) +
+        (-s, s) (y, x)``.  ``slides[j]`` is prismatic joint ``j``'s
+        variable row.  Every step is elementwise, so a row's bits do not
+        depend on the rows it shares the call with.
+        """
+        dtype = self.chain.dtype
+        rows = cos.shape[1]
         p = np.empty((3, rows), dtype)
         p[...] = self._fold_tool
         x, z = p[0], p[2]
@@ -518,7 +684,7 @@ class VectorizedKernels:
                 if a:
                     add(x, a, out=x)  # Tx(a)
                 if d is None:
-                    add(z, add(qt[i], self._d_offset[i]), out=z)  # Tz(d)
+                    add(z, add(slides[i], self._d_offset[i]), out=z)  # Tz(d)
                 elif d:
                     add(z, d, out=z)
                 mul(xy, cos[i], out=t)  # Rz(theta)
@@ -527,7 +693,7 @@ class VectorizedKernels:
         else:
             for i, cos_a, sin_pair, a, d in self._fold_links:
                 if d is None:
-                    add(z, add(qt[i], self._d_offset[i]), out=z)  # Tz(d)
+                    add(z, add(slides[i], self._d_offset[i]), out=z)  # Tz(d)
                 elif d:
                     add(z, d, out=z)
                 mul(xy, cos[i], out=t)  # Rz(theta)

@@ -9,9 +9,11 @@ trajectories (verified by tests).
 Two engines share the loop in :class:`LockStepEngine`:
 
 * :class:`BatchedQuickIK` — Quick-IK's speculative sweep: one batched
-  Jacobian, the Eq. 9 candidate grid and one ``B x Max`` FK sweep per
-  iteration, with :class:`~repro.core.quick_ik.QuickIKSolver`'s own
-  per-row arithmetic (:mod:`repro.core.rows`), so a row equals
+  Jacobian and one ``B x Max`` FK sweep of the Eq. 9 rays per iteration
+  (a :class:`~repro.kinematics.kernels.SpeculationGrid`; only each row's
+  winner is materialised), with :class:`~repro.core.quick_ik.
+  QuickIKSolver`'s own per-row arithmetic (:mod:`repro.core.rows`) and
+  sweep (:func:`~repro.core.quick_ik.speculate`), so a row equals
   ``QuickIKSolver.solve`` of its target from its start bit for bit.
 * :class:`BatchedRowSolver` — every family whose iteration is one row
   update (:class:`~repro.core.base.RowUpdateSolver`: JT-Serial, JT-DLS,
@@ -64,8 +66,10 @@ import numpy as np
 
 from repro.core.alpha import buss_alpha_rows
 from repro.core.base import task_errors
+from repro.core.quick_ik import speculate
 from repro.core.rows import matvec, rmatvec
 from repro.core.result import BatchResult, IKResult, SolverConfig
+from repro.kinematics.kernels import SpeculationGrid
 from repro.telemetry.tracer import Tracer, get_tracer
 
 __all__ = [
@@ -85,7 +89,9 @@ DEFAULT_CHUNK = 128
 #: FK rows per chunk on the vectorized kernel, whose tool-point fold *wants*
 #: all ``B x Max`` (problem, candidate) rows in one call: it makes about
 #: eight ufunc calls per joint whatever the row count, so its fixed cost
-#: amortises with rows, and its scratch (four ``(N, R)`` planes) is about
+#: amortises with rows.  The engine hands it a ``SpeculationGrid``, split
+#: by whole problems (128 of 64 candidates per call); its scratch (the
+#: complex ``(N, R)`` ray block and the ``(-sin, sin)`` planes) is about
 #: 13 MB at 50 DOF and 8192 rows.
 VECTORIZED_CHUNK = 8192
 
@@ -404,12 +410,19 @@ class LockStepEngine:
         self._lower = self.chain.lower_limits.astype(self.chain.dtype)
         self._upper = self.chain.upper_limits.astype(self.chain.dtype)
 
-    def _fk_chunked(self, qs: np.ndarray) -> np.ndarray:
-        if qs.shape[0] <= self.chunk:
+    def _fk_chunked(self, qs) -> np.ndarray:
+        """End positions of ``qs`` in calls of at most ``chunk`` rows; a
+        :class:`SpeculationGrid` is split by whole problems (at least one
+        per call)."""
+        if len(qs) <= self.chunk:
             return self.chain.end_positions_batch(qs)
+        if isinstance(qs, SpeculationGrid):
+            step, total = max(1, self.chunk // qs.count), qs.problems
+        else:
+            step, total = self.chunk, len(qs)
         parts = [
-            self.chain.end_positions_batch(qs[i : i + self.chunk])
-            for i in range(0, qs.shape[0], self.chunk)
+            self.chain.end_positions_batch(qs[i : i + step])
+            for i in range(0, total, step)
         ]
         return np.concatenate(parts, axis=0)
 
@@ -531,12 +544,6 @@ class BatchedQuickIK(LockStepEngine):
         if speculations < 1:
             raise ValueError("speculations must be >= 1")
         self.speculations = int(speculations)
-        # Eq. 9 schedule in the engine dtype: under NEP 50 a float64 ks
-        # grid would silently upcast a float32 candidate sweep back to
-        # float64 (and the chain would re-cast per FK call).
-        self._ks = (
-            np.arange(1, self.speculations + 1) / self.speculations
-        ).astype(self.chain.dtype, copy=False)
 
     def _advance_dense(self, q_c, p_c, t_c, carry, tracer):
         timed = tracer.enabled
@@ -553,40 +560,17 @@ class BatchedQuickIK(LockStepEngine):
             tracer.add_phase("jacobian", t1 - t0)
         # Eq. 8 per row, as QuickIKSolver._step; back in the engine dtype.
         alpha_base = buss_alpha_rows(e_vec, jjte).astype(dtype, copy=False)
-
-        alphas = alpha_base[:, None] * self._ks[None, :]  # (A,Max)
-        candidates = (
-            q_c[:, None, :] + alphas[:, :, None] * dq_base[:, None, :]
-        )  # (A,Max,N)
+        sweep = SpeculationGrid(q_c, dq_base, alpha_base, self.speculations)
         if self.config.respect_limits:
             # As QuickIKSolver._step: clamp every candidate before the sweep.
-            candidates = np.clip(candidates, self._lower, self._upper)
+            sweep = np.clip(
+                sweep.candidates(), self._lower, self._upper
+            ).reshape(len(q_c), self.speculations, dof)
         if timed:
-            t2 = time.perf_counter()
-            tracer.add_phase("alpha", t2 - t1)
-        flat = candidates.reshape(-1, dof)
-        cand_positions = self._fk_chunked(flat).reshape(
-            q_c.shape[0], self.speculations, 3
+            tracer.add_phase("alpha", time.perf_counter() - t1)
+        q_new, p_new, e_new, _, _ = speculate(
+            self._fk_chunked, sweep, t_c, self.config.tolerance, tracer
         )
-        if timed:
-            t3 = time.perf_counter()
-            tracer.add_phase("fk_sweep", t3 - t2)
-        cand_errors = np.linalg.norm(
-            t_c[:, None, :] - cand_positions, axis=2
-        )  # (A,Max)
-
-        below = cand_errors < self.config.tolerance
-        any_below = below.any(axis=1)
-        first_hit = below.argmax(axis=1)
-        argmin = cand_errors.argmin(axis=1)
-        chosen = np.where(any_below, first_hit, argmin)
-
-        rows = np.arange(q_c.shape[0])
-        q_new = candidates[rows, chosen]
-        p_new = cand_positions[rows, chosen]
-        e_new = cand_errors[rows, chosen]
-        if timed:
-            tracer.add_phase("selection", time.perf_counter() - t3)
         return q_new, p_new, e_new, carry, self.speculations
 
 

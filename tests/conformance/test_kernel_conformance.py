@@ -10,7 +10,8 @@ is kept verbatim as the oracle.  This tier holds the fast path to it:
 * **Candidate-error agreement** — the speculative-sweep quantity Quick-IK
   branches on (``||X_t - f(theta + alpha_k dtheta)||`` over all ``Max``
   candidates) agrees within 1e-12, so step selection cannot silently
-  diverge.
+  diverge — for an explicit candidate block and for the Eq. 9 ray that
+  Quick-IK hands the vectorized kernel as a ``SpeculationGrid``.
 * **Solver equivalence** — every registered solver (and every lock-step
   batch engine) run under ``kernel="vectorized"`` terminates with the same
   iteration count, status and convergence verdict as under
@@ -27,7 +28,8 @@ import pytest
 
 from repro.core.result import SolverConfig
 from repro.execution import ExecutionOptions, KernelSpec
-from repro.kinematics.kernels import KERNEL_MODES
+from repro.core.alpha import buss_alpha
+from repro.kinematics.kernels import KERNEL_MODES, SpeculationGrid
 from repro.kinematics.robots import ROBOT_NAMES, named_robot
 from repro.solvers.registry import (
     BATCH_REGISTRY,
@@ -130,6 +132,32 @@ def test_candidate_errors_agree(robot):
         target - vectorized.end_positions_batch(candidates), axis=1
     )
     np.testing.assert_allclose(err_vectorized, err_scalar, atol=ATOL, rtol=0.0)
+
+
+@pytest.mark.parametrize("robot", ROBOTS)
+def test_ray_sweep_errors_agree(robot):
+    """Quick-IK's own sweep: the Eq. 9 grid of ``Max = 64`` candidates on
+    the Jacobian-transpose ray with the Buss step, which the vectorized
+    kernel evaluates by stepping the joint angles along the ray and the
+    scalar oracle by materialising the candidates."""
+    scalar, vectorized = _twins(robot)
+    rng = np.random.default_rng((SEED + 2, scalar.dof))
+    qs = _configurations(scalar, 3)
+    targets = np.stack([
+        scalar.end_position(scalar.random_configuration(rng)) for _ in qs
+    ])
+    errors = targets - np.stack([scalar.end_position(q) for q in qs])
+    jacobians = scalar.jacobian_position_batch(qs)
+    directions = np.stack([j.T @ e for j, e in zip(jacobians, errors)])
+    alphas = np.array([
+        buss_alpha(e, j @ d) for j, e, d in zip(jacobians, errors, directions)
+    ])
+    grid = SpeculationGrid(qs, directions, alphas, 64)
+    want = scalar.end_positions_batch(grid.candidates())
+    np.testing.assert_array_equal(scalar.end_positions_batch(grid), want)
+    np.testing.assert_allclose(
+        vectorized.end_positions_batch(grid), want, atol=ATOL, rtol=0.0
+    )
 
 
 # -- solver-level equivalence ------------------------------------------

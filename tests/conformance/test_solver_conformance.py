@@ -11,7 +11,8 @@ they must agree per problem:
   lock-step family — the row-update families run the scalar step's own
   arithmetic on every row, and Quick-IK's engine contracts with the same
   :mod:`repro.core.rows` helpers, starts from the same prefix-frame pass
-  and sweeps with the same row-invariant FK fold as
+  and sweeps the same problem-invariant ``SpeculationGrid`` through the
+  same helper (``repro.core.quick_ik.speculate``) as
   ``QuickIKSolver._step``;
 * across *batch sizes* (one row alone vs the same row in a batch of many):
   bit-for-bit for every lock-step engine, on both kernels.
@@ -36,6 +37,7 @@ from repro.solvers.registry import (
 )
 from repro.kinematics import transforms
 from repro.kinematics.chain import KinematicChain
+from repro.kinematics.kernels import SpeculationGrid
 from repro.kinematics.robots import random_chain
 
 DOFS = (12, 25, 50)
@@ -285,6 +287,49 @@ def test_lockstep_respects_joint_limits_like_api_solve(name):
             assert want.fk_evaluations == row.fk_evaluations + row.iterations
             want.fk_evaluations = row.fk_evaluations
         _assert_same_row(row, want, exact=name != "JT-Speculation")
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+def test_clamped_quick_ik_keeps_the_explicit_sweep(kernel, monkeypatch):
+    """Under the linear schedule both Quick-IK paths sweep a
+    ``SpeculationGrid``.  ``respect_limits`` clamps every candidate off the
+    ray, so there both hand the FK the explicit candidate block, and the
+    engine's rows equal ``api.solve`` up to the documented exception: the
+    driver's extra FK of the clamped winner (``QUICK_IK_ATOL``)."""
+    from repro import api
+
+    chain, targets, _ = _cold_batch(12, 6)
+    chain = KernelSpec(name=kernel).apply(chain)
+    q0 = np.tile(chain.upper_limits - 1e-3, (len(targets), 1))
+    swept = []
+    sweep = KinematicChain.end_positions_batch
+
+    def spy(self, qs):
+        swept.append(type(qs))
+        return sweep(self, qs)
+
+    monkeypatch.setattr(KinematicChain, "end_positions_batch", spy)
+    free = SolverConfig(tolerance=1e-2, max_iterations=80)
+    api.solve_batch(chain, targets, "JT-Speculation", q0=q0, config=free)
+    api.solve(chain, targets[0], "JT-Speculation", q0=q0[0], config=free)
+    assert swept and set(swept) == {SpeculationGrid}
+
+    swept.clear()
+    clamped = SolverConfig(
+        tolerance=1e-2, max_iterations=80, respect_limits=True
+    )
+    batch = api.solve_batch(
+        chain, targets, "JT-Speculation", q0=q0, config=clamped
+    )
+    for i, row in enumerate(batch):
+        assert chain.within_limits(row.q)
+        want = api.solve(
+            chain, targets[i], "JT-Speculation", q0=q0[i], config=clamped
+        )
+        assert want.fk_evaluations == row.fk_evaluations + row.iterations
+        want.fk_evaluations = row.fk_evaluations
+        _assert_same_row(row, want, exact=False)
+    assert swept and set(swept) == {np.ndarray}
 
 
 @pytest.mark.parametrize("name", LOCKSTEP)

@@ -9,7 +9,12 @@ from repro.kinematics import transforms as tf
 from repro.kinematics.chain import KinematicChain
 from repro.kinematics.dh import DHConvention, dh_transform
 from repro.kinematics.joint import Joint, JointLimits
-from repro.kinematics.robots import planar_chain, random_chain, stanford_arm
+from repro.kinematics.robots import (
+    paper_chain,
+    planar_chain,
+    random_chain,
+    stanford_arm,
+)
 
 
 class TestConstruction:
@@ -291,6 +296,15 @@ class TestDtype:
 
     def test_default_dtype_is_float64(self, dadu12):
         assert dadu12.dtype == np.float64
+
+    @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+    def test_subchain_and_with_tool_keep_dtype_and_kernel(self, kernel):
+        chain32 = paper_chain(12).with_kernel(kernel).astype(np.float32)
+        for derived in (chain32.subchain(5), chain32.with_tool(np.eye(4))):
+            assert derived.dtype == np.float32
+            assert derived.kernel == kernel
+            q = derived.random_configuration(np.random.default_rng(0))
+            assert derived.end_position(q).dtype == np.float32
 
     def test_twins_are_built_once_and_stay_out_of_pickles(self, dadu12, rng):
         import pickle

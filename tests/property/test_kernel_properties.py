@@ -17,14 +17,25 @@ lengths, twists, offsets; revolute, mixed and all-prismatic joints):
   carries the same bits alone, in its batch and at another offset, for
   both DH conventions, prismatic mixes, random base and tool transforms,
   float64 and float32.
+* **Problem invariance of the ray sweep** — a
+  :class:`~repro.kinematics.kernels.SpeculationGrid`'s rows for one
+  problem carry the same bits alone, at another offset and inside a suffix
+  of the grid, and stay within the oracle's bound of the materialised
+  candidates, on the same geometry axes and ``Max`` in {1, 2, 3, 64, 65};
+  the winner rows a grid builds carry the materialised rows' bits.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kinematics.chain import KinematicChain
-from repro.kinematics.kernels import make_kernels, position_jacobian
+from repro.kinematics.kernels import (
+    SpeculationGrid,
+    make_kernels,
+    position_jacobian,
+)
 from repro.kinematics.robots import random_chain
 
 
@@ -200,3 +211,121 @@ def test_sweep_rows_do_not_depend_on_their_batch(
     assert np.allclose(
         whole, oracle.end_positions_batch(qs), atol=bound, rtol=0.0
     )
+
+
+#: The float32 tier's documented FK bound (docs/performance.md).
+FLOAT32_ATOL = 1e-5
+
+geometries = st.fixed_dictionaries({
+    "seed": seeds,
+    "dof": dofs,
+    "prismatic": prismatics,
+    "convention": st.sampled_from(["standard", "modified"]),
+    "dtype": st.sampled_from([np.float64, np.float32]),
+})
+counts = st.sampled_from([1, 2, 3, 64, 65])
+
+
+def _ray_workload(seed, dof, prismatic, convention, dtype, problems, count):
+    """A random-geometry oracle, its vectorized twin and a grid of
+    ``problems`` rays whose full steps reach about 1 rad a joint."""
+    rng = np.random.default_rng(seed)
+    joints = random_chain(dof, rng, prismatic_probability=prismatic).joints
+    oracle = KinematicChain(
+        joints, base=_random_rigid(rng, 0.5), tool=_random_rigid(rng, 0.2),
+        convention=convention, dtype=dtype,
+    )
+    q = np.stack(
+        [oracle.random_configuration(rng) for _ in range(problems)]
+    ).astype(dtype)
+    grid = SpeculationGrid(
+        q,
+        rng.normal(size=(problems, dof)).astype(dtype),
+        rng.uniform(1e-3, 1.0, size=problems).astype(dtype),
+        count,
+    )
+    return oracle, oracle.with_kernel("vectorized"), grid
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    geometry=geometries,
+    count=counts,
+    problems=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_grid_winner_rows_are_its_candidates(geometry, count, problems, data):
+    """``rows(chosen)`` (the one row Quick-IK builds per problem) has the
+    bits of the explicit block's row, and a slice of whole problems is the
+    grid of those problems."""
+    _, chain, grid = _ray_workload(problems=problems, count=count, **geometry)
+    block = grid.candidates()
+    assert block.shape == (len(grid), chain.dof) == (problems * count, chain.dof)
+    chosen = np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=count - 1),
+        min_size=problems, max_size=problems,
+    )))
+    rows = block.reshape(problems, count, -1)[np.arange(problems), chosen]
+    assert np.array_equal(grid.rows(chosen), rows)
+    assert np.array_equal(grid[1:].candidates(), block[count:])
+    bad = SpeculationGrid(grid.q[:, :-1], grid.direction, grid.alpha_base, count)
+    with pytest.raises(ValueError):
+        chain.end_positions_batch(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=geometries,
+    count=counts,
+    problems=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_ray_rows_do_not_depend_on_their_grid(geometry, count, problems, data):
+    """A problem's grid rows equal that problem alone, at another offset
+    and inside a suffix grid, bit for bit: Quick-IK's B = 1 == B = M on the
+    vectorized kernel rests on it."""
+    _, chain, grid = _ray_workload(
+        problems=problems, count=count, **geometry
+    )
+    whole = chain.end_positions_batch(grid)
+    assert whole.shape == (problems * count, 3)
+    b = data.draw(st.integers(min_value=0, max_value=problems - 1))
+    rows = whole[b * count:(b + 1) * count]
+    assert np.array_equal(chain.end_positions_batch(grid[b:b + 1]), rows)
+    order = np.r_[problems - 1:-1:-1, b]  # reversed, then b again last
+    shifted = SpeculationGrid(
+        grid.q[order], grid.direction[order], grid.alpha_base[order], count
+    )
+    assert np.array_equal(chain.end_positions_batch(shifted)[-count:], rows)
+    assert np.array_equal(
+        chain.end_positions_batch(grid[b:]), whole[b * count:]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=geometries,
+    count=counts,
+    problems=st.integers(min_value=1, max_value=4),
+)
+def test_ray_sweep_matches_oracle_of_materialised_candidates(
+    geometry, count, problems
+):
+    """The vectorized grid sweep stays within the oracle's bound of the
+    scalar kernel evaluating the explicit candidates: 1e-12 m for the
+    float64 rays, and in float32, where the kernel evaluates a grid as its
+    candidate block, the float32 tier's 1e-5 m.  The scalar kernel
+    evaluates a grid as exactly those candidates."""
+    oracle, chain, grid = _ray_workload(
+        problems=problems, count=count, **geometry
+    )
+    explicit = oracle.end_positions_batch(grid.candidates())
+    assert np.array_equal(oracle.end_positions_batch(grid), explicit)
+    swept = chain.end_positions_batch(grid)
+    if geometry["dtype"] == np.float64:
+        assert np.allclose(swept, explicit, atol=ATOL, rtol=0.0)
+    else:
+        assert np.array_equal(
+            swept, chain.end_positions_batch(grid.candidates())
+        )
+        assert np.allclose(swept, explicit, atol=FLOAT32_ATOL, rtol=0.0)
