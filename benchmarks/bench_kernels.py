@@ -17,6 +17,11 @@ shapes the Quick-IK pipeline actually runs:
   ``Max = 64`` candidates on one ray), the form Quick-IK's solvers sweep
   under the linear schedule: the vectorized kernel steps its joint angles
   along each ray, the scalar oracle materialises the candidates.
+* ``frame_pass_served`` — one served iteration's prefix-frame pass
+  (``fk_jacobian_batch``): the positions and Jacobians of 8 rows, the
+  serve-tracking workload's live rows.  Quick-IK's lock-step iteration
+  makes this one pass, shared by the rows it admits and the rows it
+  steps.
 * ``candidate_sweep_single`` — one problem's ``Max = 32`` candidates (the
   single-solve speculative sweep of Algorithm 1).
 * ``jacobian_single`` — one Jacobian build at ``B = 1`` (the scalar driver
@@ -59,6 +64,9 @@ DEFAULT_REPEATS = 7
 
 #: ``candidate_sweep_served``: live problems x candidates per problem.
 SERVED_PROBLEMS, SERVED_SPECULATIONS = 4, 64
+
+#: ``frame_pass_served``: rows in one served iteration's frame pass.
+SERVED_FRAME_ROWS = 8
 
 #: Engine-level solve workload: iteration cap for the 50-DOF batch solve
 #: (the paper tolerance converges well before this on reachable targets).
@@ -110,6 +118,7 @@ def run_kernel_bench(
     lockstep = _candidates(scalar, batch * speculations, seed + 1)
     served = _candidates(scalar, SERVED_PROBLEMS * SERVED_SPECULATIONS, seed + 5)
     rays = _grid(scalar, SERVED_PROBLEMS, SERVED_SPECULATIONS, seed + 6)
+    frame_rows = _candidates(scalar, SERVED_FRAME_ROWS, seed + 7)
     q = single[0]
     jac_rows = _candidates(scalar, batch, seed + 2)
 
@@ -159,6 +168,19 @@ def run_kernel_bench(
             - scalar.end_positions_batch(rays)
         ).max(),
         inner=10,
+    )
+    section(
+        "frame_pass_served",
+        lambda: scalar.fk_jacobian_batch(frame_rows),
+        lambda: vectorized.fk_jacobian_batch(frame_rows),
+        max(
+            np.abs(fast - oracle).max()
+            for fast, oracle in zip(
+                vectorized.fk_jacobian_batch(frame_rows),
+                scalar.fk_jacobian_batch(frame_rows),
+            )
+        ),
+        inner=20,
     )
     section(
         "candidate_sweep_single",
@@ -367,6 +389,7 @@ def test_kernel_bench_smoke():
         "candidate_sweep_lockstep",
         "candidate_sweep_served",
         "ray_sweep_served",
+        "frame_pass_served",
         "candidate_sweep_single",
         "jacobian_single",
         "jacobian_batch",

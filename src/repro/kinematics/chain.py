@@ -149,6 +149,15 @@ class KinematicChain:
         self._const = np.stack(const).astype(self.dtype)
         self._lower = np.array([j.limits.lower for j in self.joints])
         self._upper = np.array([j.limits.upper for j in self.joints])
+        # The joint terms of ``total_reach``, summed once: joints are
+        # frozen, and the admission guard asks for the reach every wave.
+        self._joint_reach = 0.0
+        for joint in self.joints:
+            self._joint_reach += abs(joint.link.a) + abs(joint.link.d)
+            if joint.is_prismatic:
+                self._joint_reach += max(
+                    abs(joint.limits.lower), abs(joint.limits.upper)
+                )
         assert self._const.shape == (n, 4, 4)
         self._kernel_mode = resolve_kernel_mode(kernel)
         self._kernels = make_kernels(self, self._kernel_mode)
@@ -244,15 +253,11 @@ class KinematicChain:
         """Upper bound on the distance from base to end-effector.
 
         Sum of link length, link offset, prismatic travel and tool offset —
-        a cheap conservative workspace radius used by target generators.
+        a cheap conservative workspace radius used by target generators and
+        the target guards.  The joint terms are summed at construction; the
+        tool term is read per call, since ``tool`` is a mutable array.
         """
-        reach = 0.0
-        for joint in self.joints:
-            reach += abs(joint.link.a) + abs(joint.link.d)
-            if joint.is_prismatic:
-                reach += max(abs(joint.limits.lower), abs(joint.limits.upper))
-        reach += float(np.linalg.norm(self.tool[:3, 3]))
-        return reach
+        return self._joint_reach + float(np.linalg.norm(self.tool[:3, 3]))
 
     def joint_tip_distance_bounds(self) -> np.ndarray:
         """Upper bound on the distance from each joint to the end effector.

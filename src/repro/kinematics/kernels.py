@@ -579,15 +579,19 @@ class VectorizedKernels:
         """``cos`` ``(N, R)`` and ``(-sin, sin)`` ``(N, 2, R)`` planes of
         explicit rows, and each joint's variable row (the fold reads those
         of prismatic joints)."""
-        dtype = self.chain.dtype
         n, rows = self.chain.dof, qs.shape[0]
         qt = qs.T
-        # theta = theta_offset + q (revolute); contiguous planes, one row
-        # per joint, so every row of a plane is a contiguous (R,) vector.
-        theta = np.multiply(qt, self._rev[:, None], out=np.empty((n, rows), dtype))
+        # One allocation holds every plane, for the reason _ray_planes
+        # gives: as three arrays their peak met glibc's trim threshold.
+        # Contiguous planes, one row per joint, so every row of a plane is
+        # a contiguous (R,) vector.
+        buffer = np.empty((4 * n, rows), self.chain.dtype)
+        cos, theta = buffer[:n], buffer[n : 2 * n]
+        sin2 = buffer[2 * n :].reshape(n, 2, rows)  # (-sin, sin) per joint
+        # theta = theta_offset + q (revolute).
+        np.multiply(qt, self._rev[:, None], out=theta)
         theta += self._theta_offset[:, None]
-        cos = np.cos(theta)
-        sin2 = np.empty((n, 2, rows), dtype)  # (-sin, sin) per joint
+        np.cos(theta, out=cos)
         np.sin(theta, out=sin2[:, 1])
         np.negative(sin2[:, 1], out=sin2[:, 0])
         return cos, sin2, qt

@@ -877,14 +877,16 @@ class IKServer:
         self, run: LockStepRun, key: GroupKey,
         entries: "list[PendingEntry]", tr: Tracer,
     ) -> "list[tuple[PendingEntry, Any]]":
-        """Admit ``entries`` into ``run``; returns the ones finished at once.
+        """Admit ``entries`` into ``run``; returns the admitted rows that
+        finished at once.
 
         Deadline triage and SLO shedding apply as at dispatch.  The target
         guards apply where offline ``api.solve_batch`` applies them (it
         shards under ``on_error="skip"`` or ``workers=1``): a rejected
         target gets its typed placeholder result under ``"skip"``, and a
         fatal one fails its own future with a ``GuardViolation`` under
-        ``"raise"``.
+        ``"raise"``.  A placeholder completes here: it never ran, so its
+        zero wall time stays out of the key's SLO estimate.
         """
         now = time.monotonic()
         entries = self._triage(key, entries, now, tr)
@@ -892,7 +894,7 @@ class IKServer:
             return []
         engine = run.engine
         skip = self.config.options.on_error == "skip"
-        finished: list[tuple[PendingEntry, Any]] = []
+        placeholders: list[tuple[PendingEntry, Any]] = []
         rejected = set()
         guarded = (
             guard_targets(engine.chain, np.stack([e.target for e in entries]))
@@ -901,7 +903,7 @@ class IKServer:
         for record in guarded:
             entry = entries[record.index]
             if skip:
-                finished.append((entry, rejected_result(
+                placeholders.append((entry, rejected_result(
                     engine.chain, entry.target, engine.name,
                     status=record.kind, q=np.array(entry.q0, dtype=float),
                 )))
@@ -914,18 +916,20 @@ class IKServer:
             else:
                 continue  # advisory under "raise": solved anyway
             rejected.add(record.index)
-        if tr.enabled and finished:
-            tr.count("guard_rejected", len(finished))
-            tr.count("solve_failed", len(finished))
+        if tr.enabled and placeholders:
+            tr.count("guard_rejected", len(placeholders))
+            tr.count("solve_failed", len(placeholders))
         rows = [e for i, e in enumerate(entries) if i not in rejected]
         self._note_dispatch(entries, now, tr, occupancy=run.live + len(rows))
-        if rows:
-            finished += run.admit(
-                np.stack([entry.target for entry in rows]),
-                np.stack([entry.q0 for entry in rows]),
-                rows,
-            )
-        return finished
+        if placeholders:
+            self._finish(placeholders, tr)
+        if not rows:
+            return []
+        return run.admit(
+            np.stack([entry.target for entry in rows]),
+            np.stack([entry.q0 for entry in rows]),
+            rows,
+        )
 
     def _serve_run(self, batch: MicroBatch, tr: Tracer) -> None:
         """Serve ``batch``'s key on one resumable lock-step run until it

@@ -8,13 +8,16 @@ trajectories (verified by tests).
 
 Two engines share the loop in :class:`LockStepEngine`:
 
-* :class:`BatchedQuickIK` — Quick-IK's speculative sweep: one batched
-  Jacobian and one ``B x Max`` FK sweep of the Eq. 9 rays per iteration
-  (a :class:`~repro.kinematics.kernels.SpeculationGrid`; only each row's
-  winner is materialised), with :class:`~repro.core.quick_ik.
-  QuickIKSolver`'s own per-row arithmetic (:mod:`repro.core.rows`) and
-  sweep (:func:`~repro.core.quick_ik.speculate`), so a row equals
-  ``QuickIKSolver.solve`` of its target from its start bit for bit.
+* :class:`BatchedQuickIK` — Quick-IK's speculative sweep: one
+  prefix-frame pass for the Jacobians and one ``B x Max`` FK sweep of the
+  Eq. 9 rays per iteration (a :class:`~repro.kinematics.kernels.
+  SpeculationGrid`; only each row's winner is materialised).  Rows that
+  join the run share the next iteration's pass with the live rows: it
+  gives their start positions and everyone's Jacobians.  The engine runs
+  :class:`~repro.core.quick_ik.QuickIKSolver`'s own per-row arithmetic
+  (:mod:`repro.core.rows`) and sweep (:func:`~repro.core.quick_ik.
+  speculate`), so a row equals ``QuickIKSolver.solve`` of its target
+  from its start bit for bit.
 * :class:`BatchedRowSolver` — every family whose iteration is one row
   update (:class:`~repro.core.base.RowUpdateSolver`: JT-Serial, JT-DLS,
   J-1-SVD, JT-SDLS, fdik, mdik).  It runs the solver's own update on all
@@ -148,9 +151,11 @@ class ActiveSet:
 class LockStepRun:
     """One resumable lock-step solve (built by :meth:`LockStepEngine.open_run`).
 
-    * :meth:`admit` adds rows: their start FK (and carried blocks) come
-      from the engine's ``_start``, and a row already within tolerance
-      retires at iteration 0;
+    * :meth:`admit` adds rows: one prefix-frame pass (the engine's
+      ``_start``) gives their start positions and the blocks they carry
+      into the next step — for Quick-IK also the live rows' Jacobians,
+      so a step after an admission makes no pass of its own — and a row
+      already within tolerance retires at iteration 0;
     * :meth:`step` runs one iteration over every live row;
     * both return the rows that retired as ``(tag, IKResult)`` pairs, where
       ``tag`` is whatever the caller named the row with at admission.
@@ -205,15 +210,20 @@ class LockStepRun:
     ) -> list[tuple[Any, IKResult]]:
         """Add one row per target, starting at the matching ``q0`` row.
 
-        Returns the new rows that retire at once (within tolerance at
-        their start, or a zero iteration cap).
+        The engine's admission pass (``_start``) gives the new rows' start
+        positions and the carried blocks, and may refresh the live rows'
+        (Quick-IK's Jacobians ride in the same frame pass).  Returns the
+        new rows that retire at once (within tolerance at their start, or
+        a zero iteration cap).
         """
         engine = self.engine
         dtype = engine.chain.dtype
         tags = list(tags)
         targets = np.array(targets, dtype=dtype).reshape(len(tags), 3)
         qs = np.array(q0, dtype=dtype).reshape(len(tags), engine.chain.dof)
-        positions, carry = engine._start(qs)
+        positions, self._carry, carry = engine._start(
+            qs, self._q, self._carry, self.tracer
+        )
         errors = task_errors(targets, positions)
         count = len(tags)
         if self._traced:
@@ -373,9 +383,9 @@ class LockStepEngine:
     and broadcast, chunked batched FK, the resumable :class:`LockStepRun`
     (live-row blocks, the non-finite guard, error histories, telemetry)
     and assembling the per-problem :class:`IKResult` list into a
-    :class:`BatchResult`.  Subclasses implement one lock-step iteration
-    over a dense block of live rows in :meth:`_advance_dense` (and, to
-    carry blocks, :meth:`_start`) and set :attr:`name` /
+    :class:`BatchResult`.  Subclasses implement the admission pass in
+    :meth:`_start`, one lock-step iteration over a dense block of live
+    rows in :meth:`_advance_dense`, and set :attr:`name` /
     :attr:`speculations`.
 
     The engine runs on the chain it is handed: its kernel mode picks the
@@ -450,16 +460,23 @@ class LockStepEngine:
         return qs
 
     def _start(
-        self, qs: np.ndarray
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """End positions of the start configurations, plus the per-row
-        blocks the iterations carry (none by default).
+        self,
+        qs: np.ndarray,
+        q_live: np.ndarray,
+        carry: tuple[np.ndarray, ...],
+        tracer: Tracer,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The admission pass: end positions of the start configurations
+        ``qs`` and the blocks every row carries into the next step.
 
+        ``q_live`` / ``carry`` are the live rows' configurations and
+        carried blocks.  Returns the positions, the live rows' carried
+        blocks and the new rows' (which :meth:`ActiveSet.admit` appends).
         The positions come from the prefix-frame pass, the scan the scalar
         driver's ``end_position`` makes: admission waves are a few rows,
         where the sweep's fold costs more than the scan.
         """
-        return self.chain.fk_jacobian_batch(qs)[0], ()
+        raise NotImplementedError
 
     def _advance_dense(
         self,
@@ -545,6 +562,28 @@ class BatchedQuickIK(LockStepEngine):
             raise ValueError("speculations must be >= 1")
         self.speculations = int(speculations)
 
+    def _start(self, qs, q_live, carry, tracer):
+        """One prefix-frame pass over the new rows and, when a step has
+        left the live rows without Jacobians, over the live rows too.
+
+        Every row then carries its Jacobian into the next step, so an
+        iteration makes one pass whatever joins it.  The live rows keep
+        the positions their sweep chose.  The pass's time goes to the
+        ``jacobian`` phase, whose work it takes off the step.
+        """
+        timed = tracer.enabled
+        if timed:
+            t0 = time.perf_counter()
+        live = 0 if carry else len(q_live)
+        positions, jacobians = self.chain.fk_jacobian_batch(
+            np.concatenate([q_live, qs]) if live else qs
+        )
+        if timed:
+            tracer.add_phase("jacobian", time.perf_counter() - t0)
+        if live:
+            carry = (jacobians[:live],)
+        return positions[live:], carry, (jacobians[live:],)
+
     def _advance_dense(self, q_c, p_c, t_c, carry, tracer):
         timed = tracer.enabled
         if timed:
@@ -552,7 +591,10 @@ class BatchedQuickIK(LockStepEngine):
         dof, dtype = self.chain.dof, self.chain.dtype
         e_vec = t_c - p_c
 
-        jacobians = self.chain.jacobian_position_batch(q_c)  # (A,3,N)
+        # (A, 3, N): carried from the admission pass, or this step's own.
+        jacobians = (
+            carry[0] if carry else self.chain.jacobian_position_batch(q_c)
+        )
         dq_base = rmatvec(jacobians, e_vec)  # J^T e
         jjte = matvec(jacobians, dq_base)  # J J^T e
         if timed:
@@ -571,7 +613,8 @@ class BatchedQuickIK(LockStepEngine):
         q_new, p_new, e_new, _, _ = speculate(
             self._fk_chunked, sweep, t_c, self.config.tolerance, tracer
         )
-        return q_new, p_new, e_new, carry, self.speculations
+        # The winners' Jacobians are the next pass's to build.
+        return q_new, p_new, e_new, (), self.speculations
 
 
 class BatchedRowSolver(LockStepEngine):
@@ -590,9 +633,12 @@ class BatchedRowSolver(LockStepEngine):
         self.solver = solver
         self.name = f"{solver.name}-batched"
 
-    def _start(self, qs):
+    def _start(self, qs, q_live, carry, tracer):
+        # Live rows carry the Jacobians of their last step's pass.
         positions, jacobians = self.chain.fk_jacobian_batch(qs)
-        return positions, (jacobians, *self.solver.initial_state(qs.shape[0]))
+        return positions, carry, (
+            jacobians, *self.solver.initial_state(qs.shape[0])
+        )
 
     def _advance_dense(self, q_c, p_c, t_c, carry, tracer):
         timed = tracer.enabled

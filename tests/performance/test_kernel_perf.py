@@ -11,8 +11,9 @@ under both kernel modes and asserts the vectorized path has not regressed:
 * no section may be slower than scalar beyond tolerance (1.5x) — catching
   a dispatch-overhead regression even where the win is only parity; the
   sections span 32 rows (one solve's sweep), 256 rows (the served sweep)
-  and 2048 rows (a full lock-step batch), so a kernel whose fixed cost is
-  paid per call is held to the oracle at the sizes the server runs;
+  and 2048 rows (a full lock-step batch), plus the 8-row frame pass of a
+  served iteration, so a kernel whose fixed cost is paid per call is held
+  to the oracle at the sizes the server runs;
 * accuracy rides along: every section's recorded deviation from the
   scalar oracle stays within the 1e-12 conformance bound.
 

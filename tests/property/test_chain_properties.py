@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kinematics import transforms as tf
+from repro.kinematics.chain import KinematicChain
 from repro.kinematics.jacobian import numerical_jacobian_position
+from repro.kinematics.joint import Joint, JointLimits
 from repro.kinematics.robots import random_chain
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -108,3 +110,43 @@ def test_float32_twin_agrees_within_tolerance(seed, dof):
         chain.end_position(q) - chain32.end_position(q).astype(np.float64)
     )
     assert delta < 1e-4  # far below the paper's 1e-2 accuracy constraint
+
+
+def _reference_total_reach(chain) -> float:
+    """``total_reach`` as a per-call walk over the joints, in chain order."""
+    reach = 0.0
+    for joint in chain.joints:
+        reach += abs(joint.link.a) + abs(joint.link.d)
+        if joint.is_prismatic:
+            reach += max(abs(joint.limits.lower), abs(joint.limits.upper))
+    reach += float(np.linalg.norm(chain.tool[:3, 3]))
+    return reach
+
+
+lengths = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@st.composite
+def _joints(draw):
+    a, d, alpha = draw(lengths), draw(lengths), draw(lengths)
+    if draw(st.booleans()):
+        return Joint.revolute(a=a, alpha=alpha, d=d)
+    low, high = sorted((draw(lengths), draw(lengths)))
+    return Joint.prismatic(
+        a=a, alpha=alpha, d_offset=d, limits=JointLimits(low, high)
+    )
+
+
+@settings(max_examples=60)
+@given(
+    joints=st.lists(_joints(), min_size=1, max_size=12),
+    tool=st.lists(lengths, min_size=3, max_size=3),
+)
+def test_total_reach_equals_the_per_call_joint_walk(joints, tool):
+    """The joint terms summed at construction give the per-call walk's
+    bits, and a tool moved after construction still counts."""
+    offset = tf.trans(*tool)
+    chain = KinematicChain(joints, tool=offset)
+    assert chain.total_reach() == _reference_total_reach(chain)
+    chain.tool[:3, 3] = np.asarray(tool)[::-1]
+    assert chain.total_reach() == _reference_total_reach(chain)

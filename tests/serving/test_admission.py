@@ -13,7 +13,9 @@ the moment its own row retires.  The contract pinned here:
   finishes the admitted ones;
 * a busy run stops admitting while another key waits for the only
   dispatch loop;
-* other keys keep the one-``solve_batch``-per-batch path.
+* other keys keep the one-``solve_batch``-per-batch path;
+* a target the guards reject under ``on_error="skip"`` completes with its
+  placeholder and leaves the key's SLO estimate alone.
 
 The slow batch-mate is an unreachable target under ``on_error="raise"``
 (no target guards), so it runs to its iteration cap while the others come
@@ -241,3 +243,26 @@ def test_other_keys_keep_one_solve_batch_per_batch(monkeypatch):
     assert calls == [2]
     for t, q, result in zip(targets, q0, served):
         _assert_bit_identical(result, _offline(t, q, "CCD"))
+
+
+def test_guard_placeholders_stay_out_of_the_slo_estimate():
+    """Under ``on_error="skip"`` an unreachable target completes with a
+    placeholder that never ran (``wall_time`` 0.0).  Folding that into the
+    key's solve-time estimate would cut it by 0.7 per bad target and switch
+    SLO shedding off for the real requests behind them."""
+    targets, q0 = _problems(1, seed=7)
+    config = ServerConfig(
+        max_wait_ms=0.0, options=ExecutionOptions(on_error="skip"),
+        warm_start=False,
+    )
+    with IKServer(config) as srv:
+        assert srv.submit(_request(targets[0], q0[0])).result(
+            timeout=TIMEOUT
+        ).converged
+        with srv._cond:  # held while _finish folds the estimate in
+            (estimate,) = srv._exec_ewma.values()
+        assert estimate > 0.0
+        for _ in range(5):
+            result = srv.submit(_request(FAR, q0[0])).result(timeout=TIMEOUT)
+            assert result.status == "unreachable"
+        assert list(srv._exec_ewma.values()) == [estimate]

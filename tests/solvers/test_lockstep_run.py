@@ -4,8 +4,9 @@
 ``solve_batch`` and the serving layer's iteration-level admission.  A row
 admitted while others are mid-flight must come out bit-identical to
 ``solve_batch`` of that row alone — including a row that hits the
-iteration cap and a row that goes non-finite — on both engines and both
-kernels.
+iteration cap and a row that goes non-finite — on both engines, both
+kernels and both dtypes.  Quick-IK's run makes one frame pass per
+iteration: an admission shares it with the live rows.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ def _engine(name, kernel, cap=CAP):
     config = SolverConfig(
         tolerance=1e-2, max_iterations=cap, record_history=True
     )
-    chain = KernelSpec(name=kernel).apply(paper_chain(DOF))
+    chain = KernelSpec.coerce(kernel).apply(paper_chain(DOF))
     return make_batch_solver(name, chain, config=config)
 
 
@@ -59,7 +60,9 @@ def _assert_same(a, b):
     assert np.array_equal(a.target, b.target, equal_nan=True)
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+@pytest.mark.parametrize(
+    "kernel", ["scalar", "vectorized", "scalar:float32", "vectorized:float32"]
+)
 @pytest.mark.parametrize("name", ["JT-Speculation", "JT-DLS"])
 def test_rows_admitted_mid_flight_equal_rows_alone(name, kernel):
     engine = _engine(name, kernel)
@@ -150,3 +153,44 @@ def test_telemetry_spans_every_admission():
     assert tracer.counters["fk_evaluations"] == sum(
         r.fk_evaluations for _, r in results
     )
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+def test_quick_ik_makes_one_frame_pass_per_iteration(kernel, monkeypatch):
+    """Each Quick-IK iteration makes exactly one ``fk_jacobian_batch``
+    call, over the rows it steps: an admission's pass gives the new rows
+    their start positions and every live row its Jacobian, so the step
+    after it makes none.  Offline ``solve_batch`` and a run with waves
+    admitted between steps alike."""
+    engine = _engine("JT-Speculation", kernel)
+    chain = engine.chain
+    passes = []
+    original = chain.fk_jacobian_batch
+
+    def counting(qs):
+        passes.append(len(qs))
+        return original(qs)
+
+    monkeypatch.setattr(chain, "fk_jacobian_batch", counting)
+    targets, q0 = _problems()
+
+    tracer = SummaryTracer()
+    engine.solve_batch(targets[:4], q0=q0[:4], tracer=tracer)
+    active = [e["active"] for e in tracer.events_of("iteration")]
+    assert active and passes == active
+
+    passes.clear()
+    tracer = SummaryTracer()
+    run = engine.open_run(tracer)
+    schedule = {0: [0, UNREACHABLE], 2: [1], 3: [2, 3]}
+    step = 0
+    while step <= max(schedule) or run.live:
+        rows = schedule.get(step, [])
+        if rows:
+            assert run.admit(targets[rows], q0[rows], rows) == []
+        run.step()
+        step += 1
+    run.close()
+    active = [e["active"] for e in tracer.events_of("iteration")]
+    assert len(passes) == run.steps == len(active)
+    assert passes == active
