@@ -241,22 +241,22 @@ def serve(config=None, *, tracer=None, start=True, **overrides):
     """Build (and by default start) an in-process IK request server.
 
     The online counterpart of :func:`solve_batch`: individual
-    :class:`~repro.serving.SolveRequest` submissions are coalesced by an
-    (adaptive) micro-batching scheduler into the same vectorized lock-step
-    batches the offline path runs, under the server's
-    ``ServerConfig.options`` (kernel, sharding, failure policy; see
-    ``docs/serving.md``).
-    Serving defaults lean online: the IKSel-style warm-start seed cache,
-    adaptive flush triggers and SLO shedding are all **on** (pass
-    ``warm_start=False`` for bit-equivalence with offline solves), and
-    ``dispatch_workers=N`` runs N concurrent dispatch loops so an
-    in-flight batch does not block coalescing the next.
+    :class:`~repro.serving.SolveRequest` submissions are coalesced into
+    the same vectorized lock-step batches the offline path runs, under
+    the server's ``ServerConfig.options`` (kernel, sharding, failure
+    policy; see ``docs/serving.md``).  Batching is continuous: a queued
+    request starts the moment a dispatch loop is free, and a request for
+    a lock-step solver joins its key's live run at the next iteration.
+    Serving defaults lean online: the IKSel-style warm-start seed cache
+    and SLO shedding are **on** (pass ``warm_start=False`` for
+    bit-equivalence with offline solves), and ``dispatch_workers=N`` runs
+    N concurrent dispatch loops so an in-flight batch does not block
+    starting the next.
 
     Pass a full :class:`~repro.serving.ServerConfig` or its fields as
     keywords (mutually exclusive)::
 
-        with api.serve(max_batch_size=64, max_wait_ms=2.0,
-                       dispatch_workers=2) as srv:
+        with api.serve(max_batch_size=64, dispatch_workers=2) as srv:
             future = srv.submit(SolveRequest("dadu-50dof", target, seed=0))
 
     ``start=False`` returns the server without launching its dispatch

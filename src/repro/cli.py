@@ -159,21 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--rate", type=float, default=300.0,
                              help="offered load in requests/second")
     serve_bench.add_argument("--max-batch-size", type=_positive_int, default=32,
-                             help="micro-batch size flush trigger")
-    serve_bench.add_argument("--max-wait-ms", type=float, default=5.0,
-                             help="micro-batch age flush trigger (ms)")
+                             help="most requests per micro-batch, and most "
+                                  "live rows per lock-step run")
     serve_bench.add_argument("--dispatch-workers", type=_positive_int,
                              default=1,
                              help="concurrent dispatch loops draining the "
                                   "batcher (results are identical for any "
                                   "count; overlaps batch execution)")
-    serve_bench.add_argument("--adaptive",
-                             action=argparse.BooleanOptionalAction,
-                             default=True,
-                             help="per-group adaptive batching: tune the "
-                                  "size/wait triggers from each group's "
-                                  "arrival rate (--no-adaptive for the "
-                                  "static triggers)")
     serve_bench.add_argument("--workload", default="iid",
                              choices=["iid", "tracking", "sessions"],
                              help="target stream shape: iid (independent "
@@ -594,9 +586,7 @@ def _cmd_serve_bench(args) -> int:
         requests=args.requests,
         rate_hz=args.rate,
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         dispatch_workers=args.dispatch_workers,
-        adaptive=args.adaptive,
         workers=args.workers,
         kernel=args.kernel,
         dtype=args.dtype,

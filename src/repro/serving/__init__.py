@@ -1,15 +1,17 @@
-"""In-process IK serving with dynamic micro-batching (see docs/serving.md).
+"""In-process IK serving with continuous batching (see docs/serving.md).
 
 The online entry point to the solver stack: individual
 :class:`SolveRequest`\\ s go in, per-request ``IKResult`` futures come out,
-and in between a micro-batching scheduler coalesces compatible requests
-into the vectorized lock-step batches PRs 1-4 built for the offline path.
+and in between compatible requests share the vectorized lock-step
+batches the offline path runs.  A queued request starts the moment a
+dispatch loop is free; a request for a lock-step solver joins its key's
+live run at the next iteration and completes when its own row retires.
 
 Quickstart::
 
     from repro.serving import IKServer, ServerConfig, SolveRequest
 
-    with IKServer(ServerConfig(max_batch_size=64, max_wait_ms=2.0)) as srv:
+    with IKServer(ServerConfig(max_batch_size=64)) as srv:
         future = srv.submit(SolveRequest("dadu-50dof", [0.4, 0.2, 0.6], seed=0))
         print(future.result().summary())
 

@@ -137,10 +137,8 @@ def run_serve_bench(
     requests: int = 200,
     rate_hz: float = 300.0,
     max_batch_size: int = 32,
-    max_wait_ms: float = 5.0,
     max_queue: int = 4096,
     dispatch_workers: int = 1,
-    adaptive: bool = True,
     workers: int | None = None,
     kernel: str | None = None,
     dtype: str | None = None,
@@ -204,10 +202,8 @@ def run_serve_bench(
         config_kwargs["seed_k"] = seed_k
     server = IKServer(ServerConfig(
         max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
         max_queue=max_queue,
         dispatch_workers=dispatch_workers,
-        adaptive=adaptive,
         options=options,
         warm_start=warm_start,
         **config_kwargs,
@@ -357,10 +353,8 @@ def run_serve_bench(
         "seed": seed,
         "config": {
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_ms,
             "max_queue": max_queue,
             "dispatch_workers": dispatch_workers,
-            "adaptive": adaptive,
             "workers": workers,
             "kernel": kernel,
             "dtype": dtype,

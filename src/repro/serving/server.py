@@ -1,25 +1,31 @@
 """The in-process IK request server: futures in, lock-step runs out.
 
 :class:`IKServer` accepts individual :class:`~repro.serving.request.SolveRequest`\\ s
-and returns a :class:`concurrent.futures.Future` per request.  A pool of
-dispatch threads (``ServerConfig.dispatch_workers``) coalesces compatible
-requests (same robot / solver / config / options) through the
-:class:`~repro.serving.batcher.MicroBatcher`.  What a dispatch loop does
-with a flushed micro-batch depends on its key:
+and returns a :class:`concurrent.futures.Future` per request.  Compatible
+requests (same robot / solver / config / options) queue together in the
+:class:`~repro.serving.batcher.MicroBatcher`, and every queued request is
+due at once: a pool of dispatch threads
+(``ServerConfig.dispatch_workers``) takes the oldest key's queue the
+moment a loop is free.  What a dispatch loop does with it depends on the
+key:
 
 * **Iteration-level admission.**  A key that can run in-process on a
   lock-step engine — a ``BATCH_REGISTRY`` solver, ``workers`` unset or 1,
-  no ``timeout``, ``on_error`` ``"raise"`` or ``"skip"``, no
-  ``resilience`` and no watchdog — opens a resumable
-  :class:`~repro.solvers.batched.LockStepRun`.  At every iteration
-  boundary the loop admits that key's queued requests into the run (up to
-  ``max_batch_size`` live rows), and it completes each request's future
-  the moment its own row retires.  While the run is live and has room, no
-  other loop starts a second run for the key.
-* **Micro-batch.**  Every other key executes each flushed batch through
-  one :func:`repro.api.solve_batch` call under the server's ``options``:
-  process sharding (``workers``), timeouts and the
-  ``on_error="fallback"`` resilience chain.
+  ``on_error`` ``"raise"`` or ``"skip"``, no ``resilience`` and no
+  watchdog — opens a resumable
+  :class:`~repro.solvers.batched.LockStepRun` with whatever is queued.  At
+  every iteration boundary the loop admits that key's queued requests
+  into the run (up to ``max_batch_size`` live rows), and it completes each
+  request's future the moment its own row retires.  While the run is live
+  and has room, no other loop starts a second run for the key.
+* **Micro-batch.**  Every other key executes its queue (up to
+  ``max_batch_size`` requests) through one :func:`repro.api.solve_batch`
+  call under the server's ``options``: process sharding (``workers``),
+  timeouts and the ``on_error="fallback"`` resilience chain.
+
+Batching is continuous: nothing holds a request back to fill a batch.
+A batch is whatever queued while every loop was busy, and a run's rows
+are whatever joined it while it was live.
 
 Design invariants:
 
@@ -45,22 +51,21 @@ Design invariants:
   is why it is overridable per request and forced off in the differential
   tier).
 * **Bounded everything.**  The queue is bounded (``max_queue`` →
-  :class:`~repro.serving.request.Overloaded`), coalesce latency is bounded
-  (``max_wait_ms``, adaptively shrunk per group when ``adaptive``), and
-  per-request deadlines are enforced at admission, at dispatch
-  (:class:`~repro.serving.request.DeadlineExceeded`), and *predictively*
-  at dispatch (:class:`~repro.serving.request.SloShed`: a request whose
-  deadline the per-group execution-time estimate says cannot be met is
-  shed instead of solved late).  Admission into a live run applies the
-  same triage.  A run stops admitting while another key has a due batch
-  and every dispatch loop is busy, so one busy key cannot starve the
-  rest.
+  :class:`~repro.serving.request.Overloaded`), a queued request waits
+  only for a free dispatch loop or for its key's live run to reach its
+  next iteration, and per-request deadlines are enforced at admission,
+  at dispatch (:class:`~repro.serving.request.DeadlineExceeded`), and
+  *predictively* at dispatch (:class:`~repro.serving.request.SloShed`: a
+  request whose deadline the per-group execution-time estimate says
+  cannot be met is shed instead of solved late).  Admission into a live
+  run applies the same triage.  A run stops admitting while another key
+  has queued requests and every dispatch loop is busy, so one busy key
+  cannot starve the rest.
 * **Observable.**  Counters (``serve_requests`` / ``serve_batches`` /
   ``serve_overloaded`` / ``serve_deadline_expired`` / ``serve_shed`` /
-  ``serve_adaptive_flushes`` / ``serve_cache_hits`` /
-  ``serve_cache_misses`` / ``serve_warm_iterations`` /
-  ``serve_cold_iterations``) and phases (``serve_coalesce`` /
-  ``serve_execute``) flow through the standard
+  ``serve_cache_hits`` / ``serve_cache_misses`` /
+  ``serve_warm_iterations`` / ``serve_cold_iterations``) and phases
+  (``serve_coalesce`` / ``serve_execute``) flow through the standard
   :class:`~repro.telemetry.tracer.Tracer` sinks; queue-depth / batch
   occupancy gauges live on :meth:`IKServer.stats`.
 """
@@ -118,28 +123,16 @@ class ServerConfig:
     Parameters
     ----------
     max_batch_size:
-        Flush trigger 1 (ceiling): a compatibility group with this many
-        pending requests flushes immediately.  Also the most live rows one
-        admission run holds.
-    max_wait_ms:
-        Flush trigger 2 (ceiling): the longest any request coalesces before
-        its group flushes regardless of size.  ``0`` disables coalescing
-        (every request is solved as a singleton batch as soon as a
-        dispatch loop sees it).
-    adaptive:
-        Tune each group's *effective* batch size / wait from an EWMA of its
-        observed inter-arrival times (see :mod:`repro.serving.batcher`).
-        The static knobs above remain hard ceilings; adaptation only ever
-        shrinks a trigger.  On by default.
+        The most requests one dispatch loop takes from a key's queue at
+        once, and the most live rows one admission run holds.
     dispatch_workers:
-        Concurrent dispatch loops draining the micro-batcher.  With one
-        loop, an in-flight batch blocks dispatching the next; N loops keep
+        Concurrent dispatch loops draining the queues.  With one loop, an
+        in-flight batch blocks dispatching the next; N loops keep
         coalescing while up to N batches execute.  Per-request results are
         independent of this knob (``q0`` is fixed at admission).
     max_queue:
-        Backpressure bound: admitted-but-unflushed requests across all
-        groups; submissions beyond it raise
-        :class:`~repro.serving.request.Overloaded`.
+        Backpressure bound: queued requests across all keys; submissions
+        beyond it raise :class:`~repro.serving.request.Overloaded`.
     slo_shedding:
         Predictive admission control at dispatch: a request whose deadline
         the per-group batch-execution-time EWMA predicts cannot be met is
@@ -173,10 +166,8 @@ class ServerConfig:
     """
 
     max_batch_size: int = 32
-    max_wait_ms: float = 2.0
     max_queue: int = 1024
     dispatch_workers: int = 1
-    adaptive: bool = True
     slo_shedding: bool = True
     warm_start: bool = True
     seed_cache_capacity: int = 256
@@ -188,14 +179,15 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if self.dispatch_workers < 1:
             raise ValueError("dispatch_workers must be >= 1")
         if self.seed_cache_capacity < 0:
             raise ValueError("seed_cache_capacity must be >= 0")
+        distance = self.warm_start_max_distance
+        if distance is not None and distance < 0:
+            raise ValueError("warm_start_max_distance must be >= 0 (or None)")
         if self.seed_k < 1:
             raise ValueError("seed_k must be >= 1")
         if self.seed_limit_penalty < 0:
@@ -238,7 +230,6 @@ class ServingStats:
     expired_in_queue: int = 0
     batches: int = 0
     requests_batched: int = 0
-    adaptive_flushes: int = 0
     occupancy_peak: int = 0
     queue_depth_peak: int = 0
     inflight_peak: int = 0
@@ -308,7 +299,6 @@ class ServingStats:
             "expired_in_queue": self.expired_in_queue,
             "batches": self.batches,
             "requests_batched": self.requests_batched,
-            "adaptive_flushes": self.adaptive_flushes,
             "mean_occupancy": _finite_or_none(self.mean_occupancy),
             "occupancy_peak": self.occupancy_peak,
             "queue_depth_peak": self.queue_depth_peak,
@@ -330,13 +320,13 @@ class ServingStats:
 
 
 class IKServer:
-    """In-process IK serving with adaptive dynamic micro-batching.
+    """In-process IK serving with continuous batching.
 
     Usage::
 
         from repro.serving import IKServer, ServerConfig, SolveRequest
 
-        with IKServer(ServerConfig(max_batch_size=64, max_wait_ms=2.0,
+        with IKServer(ServerConfig(max_batch_size=64,
                                    dispatch_workers=4)) as srv:
             futures = [
                 srv.submit(SolveRequest("dadu-50dof", t, seed=i))
@@ -362,11 +352,7 @@ class IKServer:
         self.config = config or ServerConfig()
         self._tracer = tracer
         self._cond = threading.Condition()
-        self._batcher = MicroBatcher(
-            self.config.max_batch_size,
-            self.config.max_wait_ms / 1e3,
-            adaptive=self.config.adaptive,
-        )
+        self._batcher = MicroBatcher(self.config.max_batch_size)
         self._seed_cache = (
             SeedCache(
                 capacity=self.config.seed_cache_capacity,
@@ -409,8 +395,8 @@ class IKServer:
     def close(self, drain: bool = True) -> None:
         """Stop the dispatch loops.
 
-        ``drain=True`` (default) flushes and solves everything still
-        queued before returning; ``drain=False`` fails every pending
+        ``drain=True`` (default) solves everything still queued before
+        returning; ``drain=False`` fails every pending
         future with :class:`~repro.serving.request.ServerClosed`.
         Idempotent, and safe to call concurrently with ``submit`` (late
         submissions raise :class:`~repro.serving.request.ServerClosed`;
@@ -525,7 +511,7 @@ class IKServer:
 
     @property
     def queue_depth(self) -> int:
-        """Currently admitted-but-unflushed requests (live gauge)."""
+        """Requests queued and not yet taken by a loop or run (live gauge)."""
         with self._cond:
             return self._batcher.pending_count
 
@@ -550,7 +536,6 @@ class IKServer:
         """A consistent snapshot of the server's lifetime stats."""
         with self._cond:
             snapshot = replace(self._stats)
-            snapshot.adaptive_flushes = self._batcher.adaptive_adjustments
             if self._seed_cache is not None:
                 snapshot.cache_hits = self._seed_cache.stats.hits
                 snapshot.cache_misses = self._seed_cache.stats.misses
@@ -602,29 +587,22 @@ class IKServer:
         return chain.random_configuration(rng), False
 
     def _worker(self) -> None:
-        """One dispatch loop: wait for a due batch, pop it, execute it.
+        """One dispatch loop: take the oldest queue, execute it, repeat.
 
         ``pop_one`` hands each loop one batch at a time, so with N loops
         up to N batches (or admission runs) execute concurrently while
         coalescing continues — an in-flight batch no longer serialises the
         whole server.  Keys with a live admission run that has room are
-        excluded: their requests join that run instead.
+        excluded: their requests join that run instead.  With nothing to
+        take, the loop sleeps on the condition until a submission, a run
+        that stops admitting, or ``close`` notifies it.
         """
         tr = self._tracer if self._tracer is not None else get_tracer()
         while True:
             with self._cond:
                 while True:
-                    now = time.monotonic()
-                    adjustments = self._batcher.adaptive_adjustments
-                    batch = self._batcher.pop_one(
-                        now, force=self._closing, exclude=self._admitting
-                    )
+                    batch = self._batcher.pop_one(exclude=self._admitting)
                     if batch is not None:
-                        if (
-                            tr.enabled
-                            and self._batcher.adaptive_adjustments > adjustments
-                        ):
-                            tr.count("serve_adaptive_flushes")
                         self._inflight += 1
                         self._stats.inflight_peak = max(
                             self._stats.inflight_peak, self._inflight
@@ -638,13 +616,7 @@ class IKServer:
                         break
                     if self._closing and self._batcher.pending_count == 0:
                         return
-                    flush_at = self._batcher.next_flush_at(
-                        exclude=self._admitting
-                    )
-                    self._cond.wait(
-                        timeout=None if flush_at is None
-                        else max(0.0, flush_at - now)
-                    )
+                    self._cond.wait()
             try:
                 if admits:
                     self._serve_run(batch, tr)
@@ -832,7 +804,6 @@ class IKServer:
         return (
             key.solver in BATCH_REGISTRY
             and opts.workers in (None, 1)
-            and opts.timeout is None
             and opts.on_error in ("raise", "skip")
             and not opts.resilience
             and (key.config_key is None or key.config_key.watchdog is None)
@@ -861,9 +832,7 @@ class IKServer:
         starving = (
             not self._closing
             and self._inflight >= self.config.dispatch_workers
-            and self._batcher.has_ready(
-                time.monotonic(), exclude=self._admitting.keys() | {key}
-            )
+            and self._batcher.has_queued(exclude=self._admitting.keys() | {key})
         )
         entries = (
             [] if starving else self._batcher.take(key, limit - run.live)
@@ -958,8 +927,8 @@ class IKServer:
             while True:
                 rows.update((id(entry), entry) for entry in entries)
                 finished = self._admit(run, key, entries, tr)
-                if run.live and not finished:
-                    finished = run.step()
+                if run.live:
+                    finished += run.step()
                 with self._cond:
                     entries, has_room = self._next_wave(run, key, has_room)
                 ended = not run.live and not entries
@@ -995,9 +964,7 @@ class IKServer:
     def __repr__(self) -> str:
         return (
             f"IKServer(max_batch_size={self.config.max_batch_size}, "
-            f"max_wait_ms={self.config.max_wait_ms}, "
             f"dispatch_workers={self.config.dispatch_workers}, "
-            f"adaptive={self.config.adaptive}, "
             f"on_error={self.config.options.on_error!r}, "
             f"queue_depth={self.queue_depth})"
         )

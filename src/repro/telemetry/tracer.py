@@ -50,11 +50,15 @@ __all__ = [
 #: (driver exits on a non-finite error), and ``watchdog_deadline`` /
 #: ``watchdog_diverged`` / ``watchdog_stalled`` (watchdog trips).  The
 #: serving layer adds: ``serve_requests`` (admitted requests),
-#: ``serve_batches`` (executed micro-batches), ``serve_overloaded``
+#: ``serve_batches`` (lock-step runs opened for keys served by admission,
+#: executed micro-batches for the others), ``serve_overloaded``
 #: (backpressure rejections), ``serve_deadline_expired`` (latency budgets
-#: expired at admission or in queue), and ``serve_cache_hits`` /
-#: ``serve_cache_misses`` (warm-start seed-cache lookups), plus the
-#: ``serve_coalesce`` / ``serve_execute`` phase timers.  The session layer
+#: expired at admission or in queue), ``serve_shed`` (predicted deadline
+#: misses), ``serve_cache_hits`` / ``serve_cache_misses`` (warm-start
+#: seed-cache lookups) and ``serve_warm_iterations`` /
+#: ``serve_cold_iterations`` (solver iterations of completed requests, by
+#: seed source), plus the ``serve_coalesce`` / ``serve_execute`` phase
+#: timers.  The session layer
 #: (:mod:`repro.serving.sessions`) adds ``serve_session_opened`` /
 #: ``serve_session_closed`` / ``serve_session_expired`` /
 #: ``serve_session_rejected`` (lifecycle) and ``serve_session_ticks`` /

@@ -72,22 +72,27 @@ class TestParsing:
         assert args.out == "BENCH_serving.json"
         assert args.on_error == "skip"
         assert args.deadline_ms is None
-        # PR-7 serving defaults: warm start + adaptive batching on, one
-        # dispatch loop, iid target stream.
+        # Serving defaults: warm start on, one dispatch loop, iid target
+        # stream.
         assert args.warm_start is True
-        assert args.adaptive is True
         assert args.dispatch_workers == 1
         assert args.workload == "iid"
 
     def test_serve_bench_negated_booleans(self):
         args = build_parser().parse_args([
-            "serve-bench", "--no-warm-start", "--no-adaptive",
+            "serve-bench", "--no-warm-start",
             "--dispatch-workers", "4", "--workload", "tracking",
         ])
         assert args.warm_start is False
-        assert args.adaptive is False
         assert args.dispatch_workers == 4
         assert args.workload == "tracking"
+
+    @pytest.mark.parametrize(
+        "flag", ["--max-wait-ms=5", "--adaptive", "--no-adaptive"]
+    )
+    def test_serve_bench_has_no_flush_trigger_flags(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve-bench", flag])
 
     def test_serve_bench_sessions_workload(self):
         args = build_parser().parse_args([
@@ -175,7 +180,7 @@ class TestServeBench:
         out = tmp_path / "bench.json"
         rc = main([
             "serve-bench", "--robot", "dadu-12dof", "--requests", "8",
-            "--rate", "200", "--max-batch-size", "4", "--max-wait-ms", "5",
+            "--rate", "200", "--max-batch-size", "4",
             "--max-iterations", "2000", "--out", str(out),
         ])
         assert rc == 0

@@ -64,12 +64,12 @@ def generate_trace(path) -> None:
             tracer=tracer,
         )
         # Streaming session: sequential awaited ticks against a single
-        # dispatch loop (no adaptive tuning, no seed cache) keep the
-        # per-event counter snapshots deterministic — the server emits all
-        # batch telemetry before completing futures.
+        # dispatch loop (no seed cache) keep the per-event counter
+        # snapshots deterministic — the server emits all batch telemetry
+        # before completing futures.
         server_config = ServerConfig(
-            max_batch_size=4, max_wait_ms=1.0, dispatch_workers=1,
-            adaptive=False, warm_start=False, seed_cache_capacity=0,
+            max_batch_size=4, dispatch_workers=1, warm_start=False,
+            seed_cache_capacity=0,
         )
         with IKServer(server_config, tracer=tracer) as server:
             manager = SessionManager(server)

@@ -180,7 +180,7 @@ class TestServingParity:
         )
 
         server_config = ServerConfig(
-            max_wait_ms=1.0, seed_cache_capacity=0, warm_start=False
+            seed_cache_capacity=0, warm_start=False
         )
         with IKServer(server_config) as srv:
             manager = SessionManager(srv)

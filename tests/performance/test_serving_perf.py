@@ -31,7 +31,6 @@ def payload():
         requests=80,
         rate_hz=OFFERED_RATE_HZ,
         max_batch_size=16,
-        max_wait_ms=4.0,
         kernel="vectorized",
         seed=7,
     )
@@ -60,9 +59,8 @@ def test_latency_accounting_is_sane(payload):
     assert 0.0 < latency["p50"] <= latency["p90"] <= latency["p99"]
     assert latency["p99"] <= latency["max"]
     assert math.isfinite(latency["mean"])
-    # End-to-end latency includes coalescing, so it can't beat the
-    # configured max_wait floor by orders of magnitude nor exceed the
-    # whole-run makespan.
+    # End-to-end latency includes queueing, but no request outlives the
+    # whole run.
     assert latency["max"] <= payload["makespan_s"]
 
 

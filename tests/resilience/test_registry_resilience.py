@@ -146,7 +146,7 @@ def test_serving_accepts_every_family(name):
     # the streamed case for the new families in depth).
     from repro.serving import IKServer, ServerConfig, SolveRequest
 
-    with IKServer(ServerConfig(max_wait_ms=1.0, warm_start=False)) as srv:
+    with IKServer(ServerConfig(warm_start=False)) as srv:
         result = srv.submit(SolveRequest(
             CHAIN, _reachable(7), name, seed=9,
             tolerance=1e-2, max_iterations=800,

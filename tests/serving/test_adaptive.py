@@ -1,10 +1,8 @@
-"""Adaptive batching policy (clock-free) and SLO-aware shedding.
+"""SLO-aware shedding, and the one-batch-per-call dispatch unit.
 
-The batcher half runs entirely on synthetic timestamps — arrival times ride
-in on ``entry.enqueue_t`` and every probe takes ``now`` explicitly — so the
-trigger-tuning policy is pinned without a single sleep.  The shedding half
-drives a real server but injects the per-group execution-time estimate
-directly, making the predicted-miss path deterministic.
+The shedding tests drive a real server but inject the per-group
+execution-time estimate directly, making the predicted-miss path
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,13 +12,7 @@ import pytest
 
 from repro.kinematics.robots import named_robot
 from repro.serving import IKServer, ServerConfig, SloShed, SolveRequest
-from repro.serving.batcher import (
-    FILL_SLACK,
-    WAIT_FLOOR_FRACTION,
-    GroupKey,
-    MicroBatcher,
-    PendingEntry,
-)
+from repro.serving.batcher import GroupKey, MicroBatcher, PendingEntry
 
 KEY = GroupKey("robot-a", "JT-DLS", None, ())
 OTHER = GroupKey("robot-b", "JT-DLS", None, ())
@@ -38,106 +30,16 @@ def feed(batcher: MicroBatcher, times, key: GroupKey = KEY) -> None:
         batcher.add(entry(t, key))
 
 
-class TestEffectiveParams:
-    def test_static_until_an_estimate_exists(self):
-        b = MicroBatcher(max_batch_size=8, max_wait_s=0.1, adaptive=True)
-        assert b.effective_params(KEY) == (8, 0.1)  # unknown group
-        feed(b, [0.0])  # one arrival: no inter-arrival estimate yet
-        assert b.effective_params(KEY) == (8, 0.1)
-
-    def test_adaptive_off_is_always_static(self):
-        b = MicroBatcher(max_batch_size=8, max_wait_s=0.1, adaptive=False)
-        feed(b, [0.0, 1.0, 2.0])
-        assert b.effective_params(KEY) == (8, 0.1)
-
-    def test_slow_group_shrinks_size_trigger_keeps_wait(self):
-        # 1s between arrivals, 0.1s window: at most one request will show
-        # up per window, so the effective size is 1 — a lone request on an
-        # idle group is size-ready immediately.
-        b = MicroBatcher(max_batch_size=8, max_wait_s=0.1, adaptive=True)
-        feed(b, [0.0, 1.0, 2.0])
-        size, wait = b.effective_params(KEY)
-        assert size == 1
-        assert wait == 0.1
-
-    def test_fast_group_keeps_size_shrinks_wait(self):
-        # 5ms between arrivals, 100ms window: the batch will fill on size;
-        # the wait collapses to ~FILL_SLACK x predicted fill time.
-        b = MicroBatcher(max_batch_size=8, max_wait_s=0.1, adaptive=True)
-        feed(b, [0.0, 0.005, 0.010, 0.015])
-        size, wait = b.effective_params(KEY)
-        assert size == 8
-        assert wait == pytest.approx(FILL_SLACK * 0.005 * 8)
-        assert wait < 0.1
-
-    def test_wait_shrink_is_floored(self):
-        # A same-thread burst (tiny but nonzero dt) must not collapse the
-        # age trigger to ~zero: the floor is a fixed fraction of the
-        # static wait.
-        b = MicroBatcher(max_batch_size=4, max_wait_s=0.1, adaptive=True)
-        feed(b, [0.0, 1e-6, 2e-6, 3e-6])
-        _, wait = b.effective_params(KEY)
-        assert wait == pytest.approx(WAIT_FLOOR_FRACTION * 0.1)
-
-    def test_coincident_arrivals_fall_back_to_static(self):
-        b = MicroBatcher(max_batch_size=4, max_wait_s=0.1, adaptive=True)
-        feed(b, [0.0, 0.0, 0.0])  # dt EWMA is exactly 0
-        assert b.effective_params(KEY) == (4, 0.1)
-
-    def test_static_knobs_are_ceilings(self):
-        # Whatever the estimate, the effective triggers never exceed the
-        # configured ones.
-        for times in ([0.0, 10.0], [0.0, 1e-5, 2e-5], [0.0, 0.02, 0.04]):
-            b = MicroBatcher(max_batch_size=6, max_wait_s=0.05, adaptive=True)
-            feed(b, times)
-            size, wait = b.effective_params(KEY)
-            assert 1 <= size <= 6
-            assert 0.0 < wait <= 0.05
-
-
 class TestPopOne:
-    def test_adaptive_flush_of_a_lone_slow_request(self):
-        b = MicroBatcher(max_batch_size=8, max_wait_s=0.1, adaptive=True)
-        feed(b, [0.0, 1.0])        # establish the 1s inter-arrival EWMA
-        b.pop_one(now=1.0, force=True)  # clear the history (not counted)
-        feed(b, [2.0])
-        # Group is slow (effective size 1): the fresh lone request is due
-        # immediately, long before the 0.1s age trigger.
-        batch = b.pop_one(now=2.001)
-        assert batch is not None and len(batch) == 1
-        assert b.adaptive_adjustments == 1
-        assert b.pending_count == 0
-
-    def test_statically_due_flush_is_not_counted_adaptive(self):
-        b = MicroBatcher(max_batch_size=2, max_wait_s=0.1, adaptive=True)
-        feed(b, [0.0, 0.001])  # full batch: static size trigger
-        batch = b.pop_one(now=0.001)
-        assert batch is not None and len(batch) == 2
-        assert b.adaptive_adjustments == 0
-
     def test_one_batch_per_call_oldest_group_first(self):
-        b = MicroBatcher(max_batch_size=2, max_wait_s=0.0, adaptive=False)
+        b = MicroBatcher(max_batch_size=2)
         feed(b, [1.0], key=OTHER)
         feed(b, [0.0, 0.5], key=KEY)
-        first = b.pop_one(now=2.0)
-        second = b.pop_one(now=2.0)
+        first = b.pop_one()
+        second = b.pop_one()
         assert first.key == KEY and len(first) == 2
         assert second.key == OTHER and len(second) == 1
-        assert b.pop_one(now=2.0) is None
-
-    def test_force_drains_undue_groups(self):
-        b = MicroBatcher(max_batch_size=8, max_wait_s=10.0, adaptive=False)
-        feed(b, [0.0, 0.1])
-        assert b.pop_one(now=0.2) is None  # neither trigger fired
-        batch = b.pop_one(now=0.2, force=True)
-        assert batch is not None and len(batch) == 2
-        assert b.adaptive_adjustments == 0  # forced, not adaptive
-
-    def test_next_flush_at_tracks_effective_wait(self):
-        b = MicroBatcher(max_batch_size=8, max_wait_s=0.1, adaptive=True)
-        feed(b, [0.0, 0.005, 0.010])
-        _, wait = b.effective_params(KEY)
-        assert b.next_flush_at() == pytest.approx(0.0 + wait)
+        assert b.pop_one() is None
 
 
 class TestSloShedding:
@@ -157,8 +59,7 @@ class TestSloShedding:
         assert srv._exec_ewma  # the probe's group is now known
 
     def test_predicted_miss_is_shed_not_solved_late(self):
-        with IKServer(ServerConfig(max_wait_ms=20.0,
-                                   warm_start=False)) as srv:
+        with IKServer(ServerConfig(warm_start=False)) as srv:
             self._prime(srv)
             # Inject a pathological estimate: every future batch of this
             # group "will take" 100s, so a 5s budget is predictably dead.
@@ -178,8 +79,7 @@ class TestSloShedding:
         assert stats.expired_in_queue == 0
 
     def test_requests_without_deadline_never_shed(self):
-        with IKServer(ServerConfig(max_wait_ms=20.0,
-                                   warm_start=False)) as srv:
+        with IKServer(ServerConfig(warm_start=False)) as srv:
             self._prime(srv)
             for key in srv._exec_ewma:
                 srv._exec_ewma[key] = 100.0
@@ -192,8 +92,7 @@ class TestSloShedding:
         assert srv.stats().rejected_shed == 0
 
     def test_shedding_disabled_solves_despite_prediction(self):
-        with IKServer(ServerConfig(max_wait_ms=20.0, warm_start=False,
-                                   slo_shedding=False)) as srv:
+        with IKServer(ServerConfig(warm_start=False, slo_shedding=False)) as srv:
             self._prime(srv)
             for key in srv._exec_ewma:
                 srv._exec_ewma[key] = 100.0
@@ -209,7 +108,7 @@ class TestSloShedding:
         from repro.telemetry import SummaryTracer
 
         tracer = SummaryTracer()
-        with IKServer(ServerConfig(max_wait_ms=20.0, warm_start=False),
+        with IKServer(ServerConfig(warm_start=False),
                       tracer=tracer) as srv:
             self._prime(srv)
             for key in srv._exec_ewma:

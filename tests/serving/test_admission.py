@@ -7,8 +7,11 @@ the moment its own row retires.  The contract pinned here:
 
 * a request that joins a live run equals offline ``api.solve_batch`` of
   its target from its ``q0``, bit for bit;
-* a request converged at admission completes before a slow batch-mate;
+* a run opens with whatever is queued when a dispatch loop is free;
+* a request converged at admission completes before a slow batch-mate,
+  and costs the run no extra prefix-frame pass;
 * a run never holds more than ``max_batch_size`` live rows;
+* a ``timeout`` with ``workers`` unset or 1 keeps a key on admission;
 * ``close(drain=False)`` fails only queued, unadmitted requests and still
   finishes the admitted ones;
 * a busy run stops admitting while another key waits for the only
@@ -24,6 +27,7 @@ and go.  Every wait is time-bounded.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -31,10 +35,11 @@ import pytest
 
 from repro import api
 from repro.execution import ExecutionOptions
+from repro.kinematics.chain import KinematicChain
 from repro.kinematics.robots import named_robot
 from repro.resilience.guards import GuardViolation
 from repro.serving import IKServer, ServerClosed, ServerConfig, SolveRequest
-from repro.solvers.batched import BatchedQuickIK
+from repro.solvers.batched import BatchedQuickIK, LockStepRun
 from repro.telemetry import SummaryTracer
 
 ROBOT = "dadu-12dof"
@@ -95,7 +100,6 @@ def _start_slow_run(srv: IKServer):
 
 
 def _config(**kwargs) -> ServerConfig:
-    kwargs.setdefault("max_wait_ms", 0.0)
     return ServerConfig(
         options=ExecutionOptions(on_error="raise"), warm_start=False, **kwargs
     )
@@ -121,6 +125,25 @@ def test_requests_join_the_live_run_and_equal_offline():
         _assert_bit_identical(result, _offline(t, q))
 
 
+@pytest.mark.parametrize("queued", [1, 3])
+def test_a_run_opens_with_what_is_queued_when_a_loop_is_free(
+    queued, hold_dispatch
+):
+    targets, q0 = _problems(queued, seed=8)
+    tracer = SummaryTracer()
+    with IKServer(_config(), tracer=tracer) as srv:
+        with hold_dispatch(srv):
+            futures = [srv.submit(_request(t, q)) for t, q in zip(targets, q0)]
+        served = [f.result(timeout=TIMEOUT) for f in futures]
+    # Nothing waited to fill the run: its first wave is the whole queue,
+    # a lone request included.
+    (start,) = tracer.events_of("solve_start")
+    assert start["batch"] == queued
+    assert srv.stats().batches == 1
+    for t, q, result in zip(targets, q0, served):
+        _assert_bit_identical(result, _offline(t, q))
+
+
 def test_request_converged_at_admission_completes_before_slow_batch_mate():
     chain = named_robot(ROBOT)
     solved = chain.random_configuration(np.random.default_rng(5))
@@ -133,12 +156,68 @@ def test_request_converged_at_admission_completes_before_slow_batch_mate():
     assert srv.stats().batches == 1
 
 
+def test_a_joiner_retired_at_admission_adds_no_frame_pass(monkeypatch):
+    """The live rows step in the iteration where a joiner retired at
+    admission, so the next joiner's admission pass is that of the next
+    step: one ``fk_jacobian_batch`` call per lock-step iteration."""
+    chain = named_robot(ROBOT)
+    solved = chain.random_configuration(np.random.default_rng(5))
+    targets, q0 = _problems(1, seed=9)
+    passes, runs, follower = [], set(), []
+    fk_jacobian_batch, admit = KinematicChain.fk_jacobian_batch, LockStepRun.admit
+
+    def counting(self, qs):
+        if threading.current_thread().name.startswith("ik-server"):
+            passes.append(len(qs))
+        return fk_jacobian_batch(self, qs)
+
+    def admitting(self, *args):
+        runs.add(self)
+        finished = admit(self, *args)
+        if finished and not follower:
+            # The next request is queued before the run's next boundary.
+            follower.append(srv.submit(_request(targets[0], q0[0])))
+        return finished
+
+    monkeypatch.setattr(KinematicChain, "fk_jacobian_batch", counting)
+    monkeypatch.setattr(LockStepRun, "admit", admitting)
+    with IKServer(_config()) as srv:
+        slow = _start_slow_run(srv)
+        instant = srv.submit(_request(chain.end_position(solved), solved))
+        assert instant.result(timeout=TIMEOUT).iterations == 0
+        result = follower[0].result(timeout=TIMEOUT)
+        assert slow.result(timeout=TIMEOUT).status == "max_iterations"
+    (run,) = runs
+    assert len(passes) == run.steps
+    monkeypatch.undo()
+    _assert_bit_identical(result, _offline(targets[0], q0[0]))
+
+
+def test_a_timeout_with_one_worker_keeps_admission():
+    """With ``workers`` unset or 1 a batch runs inline, where a timeout
+    bounds nothing, so the key joins requests into one live run."""
+    targets, q0 = _problems(3, seed=10)
+    options = ExecutionOptions(workers=1, timeout=30.0, on_error="raise")
+    with IKServer(ServerConfig(options=options, warm_start=False)) as srv:
+        slow = _start_slow_run(srv)
+        late = [srv.submit(_request(t, q)) for t, q in zip(targets, q0)]
+        served = [f.result(timeout=TIMEOUT) for f in late]
+        assert not slow.done()
+        slow.result(timeout=TIMEOUT)
+    assert srv.stats().batches == 1
+    for t, q, result in zip(targets, q0, served):
+        offline = api.solve_batch(
+            ROBOT, np.atleast_2d(t), q0=np.atleast_2d(q), tolerance=TOLERANCE,
+            max_iterations=CAP, options=options,
+        )[0]
+        _assert_bit_identical(result, offline)
+
+
 def test_a_run_never_holds_more_than_max_batch_size_rows():
     targets, q0 = _problems(10, seed=1)
     tracer = SummaryTracer()
     config = ServerConfig(
-        max_batch_size=3, max_wait_ms=1.0, dispatch_workers=2,
-        warm_start=False,
+        max_batch_size=3, dispatch_workers=2, warm_start=False,
     )
     with IKServer(config, tracer=tracer) as srv:
         futures = [srv.submit(_request(t, q)) for t, q in zip(targets, q0)]
@@ -181,17 +260,21 @@ def test_busy_run_stops_admitting_while_another_key_waits():
     _assert_bit_identical(results[1], _offline(targets[1], q0[1]))
 
 
-def test_engine_failure_fails_the_live_requests_only(monkeypatch):
+def test_engine_failure_fails_the_live_requests_only(
+    monkeypatch, hold_dispatch
+):
     targets, q0 = _problems(4, seed=4)
 
     def boom(self, *args):
         raise RuntimeError("boom")
 
-    with IKServer(_config(max_wait_ms=10_000.0, max_batch_size=2)) as srv:
+    with IKServer(_config(max_batch_size=2)) as srv:
         monkeypatch.setattr(BatchedQuickIK, "_advance_dense", boom)
-        failing = [
-            srv.submit(_request(t, q)) for t, q in zip(targets[:2], q0[:2])
-        ]
+        with hold_dispatch(srv):
+            failing = [
+                srv.submit(_request(t, q))
+                for t, q in zip(targets[:2], q0[:2])
+            ]
         errors = [f.exception(timeout=TIMEOUT) for f in failing]
         assert all(isinstance(e, RuntimeError) for e in errors)
         monkeypatch.undo()
@@ -203,16 +286,19 @@ def test_engine_failure_fails_the_live_requests_only(monkeypatch):
     assert srv.stats().failed == 2
 
 
-def test_fatal_guard_under_raise_with_one_worker_fails_its_request_only():
+def test_fatal_guard_under_raise_with_one_worker_fails_its_request_only(
+    hold_dispatch,
+):
     targets, q0 = _problems(1, seed=5)
     config = ServerConfig(
-        max_batch_size=2, max_wait_ms=10_000.0,
+        max_batch_size=2,
         options=ExecutionOptions(workers=1, on_error="raise"),
         warm_start=False,
     )
     with IKServer(config) as srv:
-        bad = srv.submit(_request([np.nan, 0.0, 0.0], q0[0]))
-        good = srv.submit(_request(targets[0], q0[0]))
+        with hold_dispatch(srv):
+            bad = srv.submit(_request([np.nan, 0.0, 0.0], q0[0]))
+            good = srv.submit(_request(targets[0], q0[0]))
         assert isinstance(bad.exception(timeout=TIMEOUT), GuardViolation)
         result = good.result(timeout=TIMEOUT)
     _assert_bit_identical(result, _offline(targets[0], q0[0]))
@@ -223,7 +309,7 @@ def test_fatal_guard_under_raise_with_one_worker_fails_its_request_only():
         )
 
 
-def test_other_keys_keep_one_solve_batch_per_batch(monkeypatch):
+def test_other_keys_keep_one_solve_batch_per_batch(monkeypatch, hold_dispatch):
     targets, q0 = _problems(2, seed=6)
     calls = []
     original = api.solve_batch
@@ -234,11 +320,12 @@ def test_other_keys_keep_one_solve_batch_per_batch(monkeypatch):
 
     monkeypatch.setattr(api, "solve_batch", counting)
     # CCD has no lock-step engine, so its batches go through solve_batch.
-    with IKServer(_config(max_batch_size=2, max_wait_ms=10_000.0)) as srv:
-        futures = [
-            srv.submit(_request(t, q, solver="CCD"))
-            for t, q in zip(targets, q0)
-        ]
+    with IKServer(_config(max_batch_size=2)) as srv:
+        with hold_dispatch(srv):
+            futures = [
+                srv.submit(_request(t, q, solver="CCD"))
+                for t, q in zip(targets, q0)
+            ]
         served = [f.result(timeout=TIMEOUT) for f in futures]
     assert calls == [2]
     for t, q, result in zip(targets, q0, served):
@@ -252,8 +339,7 @@ def test_guard_placeholders_stay_out_of_the_slo_estimate():
     SLO shedding off for the real requests behind them."""
     targets, q0 = _problems(1, seed=7)
     config = ServerConfig(
-        max_wait_ms=0.0, options=ExecutionOptions(on_error="skip"),
-        warm_start=False,
+        options=ExecutionOptions(on_error="skip"), warm_start=False,
     )
     with IKServer(config) as srv:
         assert srv.submit(_request(targets[0], q0[0])).result(

@@ -1,7 +1,9 @@
-"""Unit tests for the micro-batching flush policy.
+"""Unit tests for the per-key request queues.
 
-The batcher is clock-free (callers pass ``now``), so every size/age trigger
-is exercised here deterministically, with no sleeps and no threads.
+The batcher reads no clock and every queued entry is due at once, so its
+behaviour is exercised here deterministically, with no sleeps and no
+threads.  ``tests/property/test_batcher_properties.py`` checks random
+call sequences against a list model.
 """
 
 from __future__ import annotations
@@ -24,28 +26,24 @@ def _entry(key: GroupKey, t: float, tag: object = None) -> PendingEntry:
 class TestValidation:
     def test_max_batch_size_floor(self):
         with pytest.raises(ValueError, match="max_batch_size"):
-            MicroBatcher(max_batch_size=0, max_wait_s=1.0)
-
-    def test_negative_wait(self):
-        with pytest.raises(ValueError, match="max_wait_s"):
-            MicroBatcher(max_batch_size=4, max_wait_s=-0.1)
+            MicroBatcher(max_batch_size=0)
 
 
 class TestGrouping:
     def test_entries_group_by_key(self):
-        batcher = MicroBatcher(max_batch_size=8, max_wait_s=1.0)
+        batcher = MicroBatcher(max_batch_size=8)
         a, b = _key("robot-a"), _key("robot-b")
         for i in range(3):
             batcher.add(_entry(a, float(i)))
         batcher.add(_entry(b, 0.0))
         assert batcher.pending_count == 4
 
-        # Everything aged out: one batch per group, then nothing.
-        batches = [batcher.pop_one(now=100.0), batcher.pop_one(now=100.0)]
+        # One batch per key, then nothing.
+        batches = [batcher.pop_one(), batcher.pop_one()]
         assert {batch.key for batch in batches} == {a, b}
         sizes = {batch.key: len(batch) for batch in batches}
         assert sizes[a] == 3 and sizes[b] == 1
-        assert batcher.pop_one(now=100.0) is None
+        assert batcher.pop_one() is None
         assert batcher.pending_count == 0
 
     def test_distinct_solver_or_config_splits_groups(self):
@@ -56,96 +54,52 @@ class TestGrouping:
         assert len({base, other_solver, other_options}) == 3
 
 
-class TestSizeTrigger:
-    def test_full_group_flushes_immediately(self):
-        batcher = MicroBatcher(max_batch_size=3, max_wait_s=1000.0)
-        key = _key("robot")
-        for i in range(3):
-            assert not batcher.has_ready(now=0.0)
-            batcher.add(_entry(key, 0.0, tag=i))
-        assert batcher.has_ready(now=0.0)
-
-        batch = batcher.pop_one(now=0.0)
-        assert [e.request for e in batch.entries] == [0, 1, 2]
+class TestDueAtOnce:
+    def test_request_on_an_idle_key_pops_at_once(self):
+        batcher = MicroBatcher(max_batch_size=32)
+        batcher.add(_entry(_key("robot"), 10.0, tag="lone"))
+        batch = batcher.pop_one()
+        assert [e.request for e in batch.entries] == ["lone"]
         assert batcher.pending_count == 0
 
-    def test_backlog_chunked_to_full_batches_partial_left(self):
-        batcher = MicroBatcher(max_batch_size=3, max_wait_s=1000.0)
+    def test_backlog_pops_in_max_batch_size_chunks(self):
+        batcher = MicroBatcher(max_batch_size=3)
         key = _key("robot")
         for i in range(7):
             batcher.add(_entry(key, 0.0, tag=i))
+        batches = [batcher.pop_one() for _ in range(3)]
+        assert [len(b) for b in batches] == [3, 3, 1]
+        assert [e.request for b in batches for e in b.entries] == list(range(7))
+        assert batcher.pop_one() is None
 
-        batches = [batcher.pop_one(now=0.0), batcher.pop_one(now=0.0)]
-        assert [len(b) for b in batches] == [3, 3]
-        assert [e.request for b in batches for e in b.entries] == list(range(6))
-        # The trailing partial chunk is not size-ready; it waits for age.
-        assert batcher.pop_one(now=0.0) is None
-        assert batcher.pending_count == 1
-        assert not batcher.has_ready(now=0.0)
-
-
-class TestAgeTrigger:
-    def test_lone_request_flushes_after_max_wait(self):
-        batcher = MicroBatcher(max_batch_size=32, max_wait_s=2.0)
-        batcher.add(_entry(_key("robot"), 10.0))
-        assert not batcher.has_ready(now=11.9)
-        assert batcher.has_ready(now=12.0)
-
-        assert batcher.pop_one(now=11.9) is None
-        batch = batcher.pop_one(now=12.0)
-        assert len(batch) == 1
-
-    def test_aged_group_pops_one_full_chunk_per_call(self):
-        # Once the oldest request ages out, one call takes at most a full
-        # batch; the rest waits until its own head ages out.
-        batcher = MicroBatcher(max_batch_size=3, max_wait_s=2.0)
-        key = _key("robot")
-        for i in range(5):
-            batcher.add(_entry(key, 10.0 + 0.1 * i, tag=i))
-        batch = batcher.pop_one(now=12.0)
-        assert [e.request for e in batch.entries] == [0, 1, 2]
-        assert batcher.pop_one(now=12.0) is None
-        batch = batcher.pop_one(now=13.0)
-        assert [e.request for e in batch.entries] == [3, 4]
+    def test_excluded_key_is_left_for_its_run(self):
+        batcher = MicroBatcher(max_batch_size=8)
+        live, other = _key("live"), _key("other")
+        batcher.add(_entry(live, 0.0, tag="joiner"))
+        assert batcher.pop_one(exclude={live}) is None
+        assert not batcher.has_queued(exclude={live})
+        batcher.add(_entry(other, 1.0, tag="other"))
+        assert batcher.has_queued(exclude={live})
+        assert batcher.pop_one(exclude={live}).key == other
+        # The live run takes its own key's requests.
+        assert [e.request for e in batcher.take(live, 8)] == ["joiner"]
         assert batcher.pending_count == 0
-
-    def test_next_flush_at_is_earliest_group_deadline(self):
-        batcher = MicroBatcher(max_batch_size=32, max_wait_s=2.0)
-        assert batcher.next_flush_at() is None
-        batcher.add(_entry(_key("a"), 10.0))
-        batcher.add(_entry(_key("b"), 5.0))
-        assert batcher.next_flush_at() == pytest.approx(7.0)
-
-    def test_zero_wait_means_always_ready(self):
-        batcher = MicroBatcher(max_batch_size=32, max_wait_s=0.0)
-        batcher.add(_entry(_key("robot"), 10.0))
-        assert batcher.has_ready(now=10.0)
-        batch = batcher.pop_one(now=10.0)
-        assert len(batch) == 1
 
 
 class TestOrderingAndDrain:
     def test_batches_pop_oldest_first_across_groups(self):
-        batcher = MicroBatcher(max_batch_size=32, max_wait_s=1.0)
+        batcher = MicroBatcher(max_batch_size=32)
         batcher.add(_entry(_key("late"), 20.0, tag="late"))
         batcher.add(_entry(_key("early"), 10.0, tag="early"))
-        batches = [batcher.pop_one(now=100.0), batcher.pop_one(now=100.0)]
+        batches = [batcher.pop_one(), batcher.pop_one()]
         assert [b.entries[0].request for b in batches] == ["early", "late"]
 
-    def test_force_pops_unready_groups(self):
-        batcher = MicroBatcher(max_batch_size=32, max_wait_s=1000.0)
-        batcher.add(_entry(_key("robot"), 0.0))
-        assert not batcher.has_ready(now=0.0)
-        assert batcher.pop_one(now=0.0) is None
-        batch = batcher.pop_one(now=0.0, force=True)
-        assert len(batch) == 1 and batcher.pending_count == 0
-
     def test_drain_returns_arrival_order_across_groups(self):
-        batcher = MicroBatcher(max_batch_size=32, max_wait_s=1000.0)
+        batcher = MicroBatcher(max_batch_size=32)
         batcher.add(_entry(_key("a"), 1.0, tag=1))
         batcher.add(_entry(_key("b"), 0.0, tag=0))
         batcher.add(_entry(_key("a"), 2.0, tag=2))
         drained = batcher.drain()
         assert [e.request for e in drained] == [0, 1, 2]
         assert batcher.pending_count == 0
-        assert batcher.next_flush_at() is None
+        assert batcher.pop_one() is None

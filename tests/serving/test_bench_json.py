@@ -58,7 +58,7 @@ class TestFreshPayloads:
     def test_serve_bench_payload_round_trips_strict(self):
         payload = run_serve_bench(
             robot="dadu-12dof", requests=6, rate_hz=200.0,
-            max_batch_size=4, max_wait_ms=4.0, max_iterations=2000,
+            max_batch_size=4, max_iterations=2000,
             workload="tracking", seed=11,
         )
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -79,7 +79,7 @@ class TestFreshPayloads:
     def test_warm_start_off_payload_is_strict(self):
         payload = run_serve_bench(
             robot="dadu-12dof", requests=4, rate_hz=200.0,
-            max_batch_size=4, max_wait_ms=4.0, max_iterations=2000,
+            max_batch_size=4, max_iterations=2000,
             warm_start=False, seed=12,
         )
         parsed = strict_loads(json.dumps(payload, allow_nan=False))

@@ -70,14 +70,14 @@ def _assert_equivalent(served, direct) -> None:
 
 
 @pytest.mark.parametrize("dispatch_workers", [1, 4])
-def test_mixed_stream_matches_direct_solves(dispatch_workers):
+def test_mixed_stream_matches_direct_solves(dispatch_workers, hold_dispatch):
     stream = _stream(per_cell=2)
     config = ServerConfig(
-        max_batch_size=4, max_wait_ms=100.0, warm_start=False,
-        dispatch_workers=dispatch_workers,
+        max_batch_size=4, warm_start=False, dispatch_workers=dispatch_workers,
     )
     with IKServer(config) as srv:
-        futures = [srv.submit(req) for req in stream]
+        with hold_dispatch(srv):
+            futures = [srv.submit(req) for req in stream]
         served = [f.result(timeout=120) for f in futures]
 
     for req, result in zip(stream, served):
@@ -94,7 +94,7 @@ def test_mixed_stream_matches_direct_solves(dispatch_workers):
     assert stats.mean_occupancy > 1.0
 
 
-def test_served_results_independent_of_batch_composition():
+def test_served_results_independent_of_batch_composition(hold_dispatch):
     # The same request must solve identically whether it rides a singleton
     # batch or shares one with strangers.
     chain = named_robot("dadu-12dof")
@@ -105,20 +105,19 @@ def test_served_results_independent_of_batch_composition():
 
     def run(server_config, indices):
         with IKServer(server_config) as srv:
-            futures = [
-                srv.submit(SolveRequest(
-                    "dadu-12dof", targets[i], seed=1000 + i,
-                    tolerance=TOLERANCE, max_iterations=MAX_ITERATIONS,
-                ))
-                for i in indices
-            ]
+            with hold_dispatch(srv):
+                futures = [
+                    srv.submit(SolveRequest(
+                        "dadu-12dof", targets[i], seed=1000 + i,
+                        tolerance=TOLERANCE, max_iterations=MAX_ITERATIONS,
+                    ))
+                    for i in indices
+                ]
             return [f.result(timeout=120) for f in futures]
 
-    coalesced = run(ServerConfig(max_batch_size=3, max_wait_ms=10_000.0,
-                                 warm_start=False),
+    coalesced = run(ServerConfig(max_batch_size=3, warm_start=False),
                     [0, 1, 2])
-    singletons = run(ServerConfig(max_batch_size=1, max_wait_ms=0.0,
-                                  warm_start=False),
+    singletons = run(ServerConfig(max_batch_size=1, warm_start=False),
                      [0, 1, 2])
     for a, b in zip(coalesced, singletons):
         np.testing.assert_array_equal(a.q, b.q)
@@ -138,7 +137,7 @@ def test_served_results_identical_across_dispatch_worker_counts():
 
     def run(dispatch_workers):
         config = ServerConfig(
-            max_batch_size=3, max_wait_ms=5.0, warm_start=False,
+            max_batch_size=3, warm_start=False,
             dispatch_workers=dispatch_workers,
         )
         with IKServer(config) as srv:
@@ -160,7 +159,7 @@ def test_served_results_identical_across_dispatch_worker_counts():
         assert a.fk_evaluations == b.fk_evaluations
 
 
-def test_sharded_serving_matches_inline():
+def test_sharded_serving_matches_inline(hold_dispatch):
     # workers=2 shards every micro-batch across processes; PR 2's
     # bit-identity guarantee must survive the serving layer.
     chain = named_robot("dadu-12dof")
@@ -171,18 +170,19 @@ def test_sharded_serving_matches_inline():
 
     def run(workers):
         config = ServerConfig(
-            max_batch_size=4, max_wait_ms=10_000.0,
+            max_batch_size=4,
             options=ExecutionOptions(workers=workers, on_error="skip"),
             warm_start=False,
         )
         with IKServer(config) as srv:
-            futures = [
-                srv.submit(SolveRequest(
-                    "dadu-12dof", t, seed=2000 + i,
-                    tolerance=TOLERANCE, max_iterations=MAX_ITERATIONS,
-                ))
-                for i, t in enumerate(targets)
-            ]
+            with hold_dispatch(srv):
+                futures = [
+                    srv.submit(SolveRequest(
+                        "dadu-12dof", t, seed=2000 + i,
+                        tolerance=TOLERANCE, max_iterations=MAX_ITERATIONS,
+                    ))
+                    for i, t in enumerate(targets)
+                ]
             return [f.result(timeout=300) for f in futures]
 
     inline = run(workers=None)

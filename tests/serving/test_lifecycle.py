@@ -48,8 +48,7 @@ class TestCloseRaces:
         # must raise ServerClosed, and their counts must cover the stream.
         targets = reachable_targets(24)
         srv = IKServer(ServerConfig(
-            max_batch_size=4, max_wait_ms=2.0, dispatch_workers=2,
-            warm_start=False,
+            max_batch_size=4, dispatch_workers=2, warm_start=False,
         )).start()
         futures, rejected = [], []
         started = threading.Event()
@@ -81,8 +80,7 @@ class TestCloseRaces:
     def test_concurrent_and_double_close_are_safe(self):
         targets = reachable_targets(6, seed=1)
         srv = IKServer(ServerConfig(
-            max_batch_size=3, max_wait_ms=50.0, dispatch_workers=2,
-            warm_start=False,
+            max_batch_size=3, dispatch_workers=2, warm_start=False,
         )).start()
         futures = [srv.submit(request(t, seed=i))
                    for i, t in enumerate(targets)]
@@ -106,17 +104,19 @@ class TestCloseRaces:
             with pytest.raises(ServerClosed):
                 srv.submit(request(target))
 
-    def test_no_drain_close_fails_pending_not_inflight_semantics(self):
+    def test_no_drain_close_fails_pending_not_inflight_semantics(
+        self, hold_dispatch
+    ):
         # close(drain=False) fails queued futures with ServerClosed; the
         # futures list is fully accounted either way.
         targets = reachable_targets(5, seed=3)
         srv = IKServer(ServerConfig(
-            max_batch_size=100, max_wait_ms=60_000.0, dispatch_workers=2,
-            warm_start=False,
+            max_batch_size=100, dispatch_workers=2, warm_start=False,
         )).start()
-        futures = [srv.submit(request(t, seed=i))
-                   for i, t in enumerate(targets)]
-        srv.close(drain=False)
+        with hold_dispatch(srv):
+            futures = [srv.submit(request(t, seed=i))
+                       for i, t in enumerate(targets)]
+            srv.close(drain=False)
         outcomes = [f.exception(timeout=60) for f in futures]
         assert all(isinstance(exc, ServerClosed) for exc in outcomes)
 
@@ -131,8 +131,8 @@ class TestStress:
         threads_n, per_thread = 4, 25
         targets = reachable_targets(threads_n * per_thread, seed=7)
         srv = IKServer(ServerConfig(
-            max_batch_size=8, max_wait_ms=1.0,
-            dispatch_workers=dispatch_workers, warm_start=False,
+            max_batch_size=8, dispatch_workers=dispatch_workers,
+            warm_start=False,
         ))
         futures: list = [None] * (threads_n * per_thread)
 

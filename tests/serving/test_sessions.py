@@ -104,7 +104,6 @@ def assert_bit_identical(served, direct) -> None:
 
 def server_config(dispatch_workers: int = 1, **kwargs) -> ServerConfig:
     kwargs.setdefault("max_batch_size", 8)
-    kwargs.setdefault("max_wait_ms", 1.0)
     kwargs.setdefault("seed_cache_capacity", 0)
     return ServerConfig(dispatch_workers=dispatch_workers, **kwargs)
 
