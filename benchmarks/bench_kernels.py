@@ -30,6 +30,18 @@ shapes the Quick-IK pipeline actually runs:
 * ``jacobian_batch`` — the lock-step engines' per-iteration Jacobian over
   all unconverged problems.
 
+Two tables time the sweep across sizes (``sweep_sizes`` in the payload):
+
+* ``fold_crossover`` — the fold against a tree of ``(3, 4)`` blocks (the
+  vectorized ``fk_batch``, the sweep before the fold) and the scalar
+  oracle, at 1 to 2048 explicit rows: where the fold's per-joint fixed
+  cost stops mattering.
+* ``ray_grid_served`` — the served grid sizes, 1 to 8 problems of
+  ``Max = 64``, swept as a ``SpeculationGrid`` and as the explicit block
+  of the same candidates (built beforehand).
+
+Each cell is the best of ``repeats`` rounds that time the columns in turn.
+
 Timings are best-of-``repeats`` over an inner loop (the container this repo
 is typically benchmarked in has one noisy CPU; the minimum is the standard
 robust estimator).  Every section also records the max absolute deviation
@@ -68,21 +80,67 @@ SERVED_PROBLEMS, SERVED_SPECULATIONS = 4, 64
 #: ``frame_pass_served``: rows in one served iteration's frame pass.
 SERVED_FRAME_ROWS = 8
 
+#: ``fold_crossover`` rows and ``ray_grid_served`` problems (x ``Max = 64``).
+CROSSOVER_ROWS = (1, 4, 8, 16, 32, 64, 128, 256, 512, 2048)
+GRID_PROBLEMS = (1, 2, 4, 8)
+
 #: Engine-level solve workload: iteration cap for the 50-DOF batch solve
 #: (the paper tolerance converges well before this on reachable targets).
 ENGINE_MAX_ITERATIONS = 200
 
 
+def _best_of_each(fns: dict, repeats: int, inner: int) -> dict:
+    """Best-of-``repeats`` mean seconds per call over an ``inner`` loop,
+    for each of ``fns``, timed in turn within every round."""
+    for fn in fns.values():
+        fn()  # warm caches / allocator before timing
+    best = dict.fromkeys(fns, float("inf"))
+    for _ in range(repeats):
+        for name, fn in fns.items():
+            start = time.perf_counter()
+            for _ in range(inner):
+                fn()
+            best[name] = min(best[name], (time.perf_counter() - start) / inner)
+    return best
+
+
 def _best_of(fn, repeats: int, inner: int) -> float:
     """Best-of-``repeats`` mean seconds per call over an ``inner`` loop."""
-    fn()  # warm caches / allocator before timing
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - start) / inner)
-    return best
+    return _best_of_each({"fn": fn}, repeats, inner)["fn"]
+
+
+def _microseconds(fns: dict, repeats: int, inner: int) -> dict:
+    return {
+        name: seconds * 1e6
+        for name, seconds in _best_of_each(fns, repeats, inner).items()
+    }
+
+
+def _sweep_sizes(scalar, vectorized, repeats: int, seed: int) -> dict:
+    """The ``fold_crossover`` and ``ray_grid_served`` tables."""
+    crossover = {}
+    for rows in CROSSOVER_ROWS:
+        qs = _candidates(scalar, rows, seed + rows)
+        crossover[rows] = _microseconds({
+            "tree_us": lambda: vectorized.kernels.fk_batch(qs)[:, :3, 3],
+            "fold_us": lambda: vectorized.end_positions_batch(qs),
+            "scalar_us": lambda: scalar.end_positions_batch(qs),
+        }, repeats, inner=max(1, 256 // rows))
+        print(f"fold_crossover {rows} rows: " + ", ".join(
+            f"{name} {us:.0f}" for name, us in crossover[rows].items()
+        ))
+    grids = {}
+    for problems in GRID_PROBLEMS:
+        grid = _grid(scalar, problems, SERVED_SPECULATIONS, seed + problems)
+        block = grid.candidates()
+        grids[problems] = _microseconds({
+            "explicit_us": lambda: vectorized.end_positions_batch(block),
+            "grid_us": lambda: vectorized.end_positions_batch(grid),
+        }, repeats, inner=10)
+        print(f"ray_grid_served {problems} x {SERVED_SPECULATIONS}: " + ", ".join(
+            f"{name} {us:.0f}" for name, us in grids[problems].items()
+        ))
+    return {"fold_crossover": crossover, "ray_grid_served": grids}
 
 
 def _candidates(chain, rows: int, seed: int) -> np.ndarray:
@@ -259,6 +317,8 @@ def run_kernel_bench(
         repeats=max(5, repeats), seed=seed,
     )
 
+    sweep_sizes = _sweep_sizes(scalar, vectorized, repeats, seed + 8)
+
     headline = sections["candidate_sweep_lockstep"]["speedup"]
     return {
         "benchmark": "kernel-speedup",
@@ -273,6 +333,7 @@ def run_kernel_bench(
         "sections": sections,
         "kernel_matrix": kernel_matrix,
         "engine": engine,
+        "sweep_sizes": sweep_sizes,
         "notes": (
             "best-of-repeats timings on the speculative-evaluation shapes of "
             "Quick-IK; candidate_sweep_lockstep (all B x Max rows of one "
@@ -408,6 +469,8 @@ def test_kernel_bench_smoke():
         bound = 1e-12 if label.endswith("float64") else 1e-4
         assert row["max_abs_deviation_vs_oracle"] <= bound, label
         assert row["us"] > 0.0
+    assert set(payload["sweep_sizes"]["fold_crossover"]) == set(CROSSOVER_ROWS)
+    assert set(payload["sweep_sizes"]["ray_grid_served"]) == set(GRID_PROBLEMS)
     # The engine matrix: every dtype case solved the batch.
     cases = payload["engine"]["cases"]
     assert set(cases) == {"vectorized/float64", "vectorized/float32"}

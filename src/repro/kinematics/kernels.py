@@ -18,32 +18,37 @@ analogue: every :class:`~repro.kinematics.chain.KinematicChain` owns a
     the end *position* of each of its ``B x Max`` candidates (Algorithm 1
     line 10), so :meth:`~VectorizedKernels.end_positions_batch` never
     builds a transform.  It carries the tool point from the tool to the
-    base, one link at a time, in structure-of-arrays layout: the point's
-    ``x`` / ``y`` / ``z`` are ``(R,)`` rows, the joint angles' ``cos`` /
-    ``sin`` are ``(N, R)`` planes computed once, and each link applies its
-    static factor ``Tx(a) Rx(alpha)`` (Python-float coefficients) and its
-    screw ``Tz(d)`` then ``Rz(theta)`` in the order its DH convention
-    multiplies them — about 14 flops per row per joint, where a tree of
-    ``(3, 4)`` blocks pays a local transform *and* a compose.  The fold's
-    cost is about 8 ufunc calls per joint whatever the row count, so its
-    fixed cost is paid per joint, not per row: it beats a tree of blocks
-    from about 64 rows up and loses below that (``docs/performance.md``
-    has the table).  It uses real elementwise ufuncs only: a 2-D
-    ``(R, 3) @ (3, 3)`` matmul, or a complex multiply in place on a
-    strided view, can round a row differently depending on how many rows
-    share the call (both did on an AVX-512 x86 host).  So every row
-    carries the same bits alone as in any batch, at any offset.
+    base, one link at a time, in structure-of-arrays layout: the point is
+    two complex ``(R,)`` rows, ``w = x + iy`` and ``v = y + iz``, the
+    joint angles arrive as an ``(N, R)`` block ``e^{i theta}`` computed
+    once, and each link applies its static factor ``Tx(a) Rx(alpha)`` and
+    its screw ``Tz(d)`` then ``Rz(theta)`` in the order its DH convention
+    multiplies them: each rotation is one complex multiply (``v
+    e^{i alpha}``, ``w e^{i theta}``), each shift one complex add, and the
+    rotated ``y`` is copied into the other row — 6 calls per link, where a
+    tree of ``(3, 4)`` blocks pays a local transform *and* a compose.
+    The fold's fixed cost is paid per joint, not per row: it beats a tree
+    of blocks from a few dozen rows up and loses below that
+    (``docs/performance.md`` has the table).  **The bit rule:** complex
+    multiplies run only out of place, on contiguous rows or by a 0-d
+    constant, and only complex adds and copies run in place — one IEEE
+    add per component or a move, exact elementwise.  numpy rounds a
+    complex multiply the same way at any row count and offset under that
+    rule (not in place on a strided view, and not a 2-D ``(R, 3) @ (3,
+    3)`` matmul: both rounded a row differently depending on how many
+    rows shared the call on an AVX-512 x86 host).  So every row carries
+    the same bits alone as in any batch, at any offset.
   - **Quick-IK's candidates are swept as rays.**  Under Eq. 9 a problem's
     ``Max`` candidates lie on one ray, ``theta + (k / Max) alpha_base
     dtheta``, and Quick-IK hands them over as a :class:`SpeculationGrid`.
     On a float64 chain the ``cos`` / ``sin`` planes then come from two
     angles per problem and joint and a recurrence along the ray,
     ``e^{i theta_k} = e^{i theta} w^k`` (:meth:`~VectorizedKernels.
-    _ray_planes`), instead of ``B x Max x N`` trigonometric calls; the
-    fold that follows is the same.  Its complex multiplies run out of
-    place on contiguous runs of one problem's candidates, so a problem's
-    rows carry the same bits alone as in any grid.  The scalar oracle and
-    float32 chains materialise the grid's candidates.
+    _ray_planes`), instead of ``B x Max x N`` trigonometric calls, and
+    the fold takes that block as it is.  Its complex multiplies run out
+    of place on contiguous runs of one problem's candidates, so a
+    problem's rows carry the same bits alone as in any grid.  The scalar
+    oracle and float32 chains materialise the grid's candidates.
   - **Static link factors are precomputed once.**  For the frame pass, a
     DH link transform is ``S(theta, d) @ C`` (standard) or ``C @ S(theta,
     d)`` (modified) with ``C`` constant; because ``S`` is a z-screw, the
@@ -425,28 +430,34 @@ class VectorizedKernels:
         """Statics of the tool-point fold (:meth:`end_positions_batch`).
 
         Both conventions share the static factor ``C = Tx(a) Rx(alpha)``
-        (the two commute), so each link contributes ``cos(alpha)`` as a
-        Python float, ``(-sin(alpha), sin(alpha))`` as a ``(2, 1)`` column
-        that turns the rotation into one paired multiply-add, ``a``, and
-        ``d`` (``None`` for a prismatic joint, whose ``d`` varies per row).
-        Links are listed tool side first, the order the fold visits them.
+        (the two commute).  Per link, tool side first (the order the fold
+        visits them): the joint index, ``e^{i alpha}``, ``a + 0i`` and
+        ``i d`` as 0-d arrays of the chain's complex dtype, and whether
+        the joint is prismatic.  A constant that is zero is ``None``, and
+        so is ``d`` on a prismatic joint, whose ``d`` varies per row.
         """
         chain = self.chain
-        dtype = chain.dtype
+        cdtype = np.result_type(chain.dtype, np.complex64)
         const = chain._const
+
+        def constant(value):
+            return np.array(value, cdtype) if value else None
+
         links = []
         for i in reversed(range(chain.dof)):
-            sin_a = const[i, 2, 1]
+            revolute = bool(chain._revolute_mask[i])
             links.append((
                 i,
-                float(const[i, 1, 1]),
-                np.array([[-sin_a], [sin_a]], dtype=dtype),
-                float(const[i, 0, 3]),
-                float(self._d_offset[i]) if chain._revolute_mask[i] else None,
+                np.array(complex(const[i, 1, 1], const[i, 2, 1]), cdtype),
+                constant(float(const[i, 0, 3])),
+                constant(1j * float(self._d_offset[i])) if revolute else None,
+                not revolute,
             ))
         self._fold_links = tuple(links)
+        self._fold_cdtype = cdtype
         self._prismatic = np.flatnonzero(~chain._revolute_mask)
-        self._fold_tool = np.ascontiguousarray(chain.tool[:3, 3:])
+        x, y, z = (float(v) for v in chain.tool[:3, 3])
+        self._fold_tool = (complex(x, y), complex(y, z))  # w, v
         # Base columns, each ``(3, 1)``: world = sum_k base[:, k] * p_k.
         self._fold_base = tuple(
             np.ascontiguousarray(chain.base[:3, k:k + 1]) for k in range(4)
@@ -561,8 +572,8 @@ class VectorizedKernels:
         This is the speculative-sweep hot path: Quick-IK calls it with its
         ``Max`` candidates and the lock-step engine with all ``B x Max``
         (problem, candidate) rows at once, either as an explicit ``(R, N)``
-        block or as a :class:`SpeculationGrid`.  The joint-angle planes
-        come from :meth:`_planes` or, for a float64 grid, from
+        block or as a :class:`SpeculationGrid`.  The ``e^{i theta}`` block
+        comes from :meth:`_planes` or, for a float64 grid, from
         :meth:`_ray_planes`; the fold that follows is the same for both.
         A float32 chain materialises a grid: its ``cos`` / ``sin`` cost
         about what the recurrence does, whose steps would have to run in
@@ -576,28 +587,27 @@ class VectorizedKernels:
         return self._fold(*self._planes(qs))
 
     def _planes(self, qs: np.ndarray):
-        """``cos`` ``(N, R)`` and ``(-sin, sin)`` ``(N, 2, R)`` planes of
-        explicit rows, and each joint's variable row (the fold reads those
-        of prismatic joints)."""
+        """The ``(N, R)`` block ``e^{i theta}`` of explicit rows, in the
+        chain's complex dtype, and each joint's variable row (the fold
+        reads those of prismatic joints)."""
         n, rows = self.chain.dof, qs.shape[0]
         qt = qs.T
-        # One allocation holds every plane, for the reason _ray_planes
-        # gives: as three arrays their peak met glibc's trim threshold.
-        # Contiguous planes, one row per joint, so every row of a plane is
-        # a contiguous (R,) vector.
-        buffer = np.empty((4 * n, rows), self.chain.dtype)
-        cos, theta = buffer[:n], buffer[n : 2 * n]
-        sin2 = buffer[2 * n :].reshape(n, 2, rows)  # (-sin, sin) per joint
+        # One allocation holds the block and the angles, for the reason
+        # _ray_planes gives.  Each row of the block is a contiguous (R,)
+        # vector.
+        buffer = np.empty(3 * n * rows, self.chain.dtype)
+        block = buffer[: 2 * n * rows].view(self._fold_cdtype).reshape(n, rows)
+        theta = buffer[2 * n * rows:].reshape(n, rows)
         # theta = theta_offset + q (revolute).
         np.multiply(qt, self._rev[:, None], out=theta)
         theta += self._theta_offset[:, None]
-        np.cos(theta, out=cos)
-        np.sin(theta, out=sin2[:, 1])
-        np.negative(sin2[:, 1], out=sin2[:, 0])
-        return cos, sin2, qt
+        np.cos(theta, out=block.real)
+        np.sin(theta, out=block.imag)
+        return block, qt
 
     def _ray_planes(self, grid: SpeculationGrid):
-        """The planes of a float64 grid by stepping along each problem's ray.
+        """The ``e^{i theta}`` block of a float64 grid by stepping along
+        each problem's ray.
 
         Candidate ``k`` of a problem turns revolute joint ``j`` to
         ``theta_j + (k + 1) delta_j``, where ``theta`` is the ray origin's
@@ -607,13 +617,13 @@ class VectorizedKernels:
         ``cos`` / ``sin``.  An ``(N, B, count)`` block ``z`` starts at
         ``e^{i theta} w`` and doubles, ``z[..., s + k] = z[..., k] w^s``
         with ``w^s`` squared per level: ``log2(count)`` complex multiplies
-        of contiguous ``k`` runs, giving the planes in row order.  Every
-        multiply writes to memory its inputs do not share: numpy rounds a
-        complex multiply in place on a strided view differently depending
-        on the call's shape, out of place on contiguous runs it does not,
-        so a problem's rows carry the same bits alone as in any grid.
-        Prismatic joints (``w = 1``) keep their angle; only their slide
-        rows are materialised.
+        of contiguous ``k`` runs, giving the ``(N, R)`` block in row order,
+        which the fold takes as it is.  Every multiply writes to memory
+        its inputs do not share: numpy rounds a complex multiply in place
+        on a strided view differently depending on the call's shape, out
+        of place on contiguous runs it does not, so a problem's rows carry
+        the same bits alone as in any grid.  Prismatic joints (``w = 1``)
+        keep their angle; only their slide rows are materialised.
         """
         n, problems, count = self.chain.dof, grid.problems, grid.count
         rows = len(grid)
@@ -628,96 +638,99 @@ class VectorizedKernels:
             out[..., 0].imag = np.sin(angles)
             return out
 
-        # One allocation holds z and then the sine planes, which serve the
-        # doubling as scratch first.  As separate arrays, each half of the
-        # peak, they met glibc's trim threshold (twice the largest chunk),
-        # so every call returned them to the system and faulted them back.
-        buffer = np.empty(4 * n * rows)
-        z = buffer[: 2 * n * rows].view(np.complex128).reshape(n, problems, count)
-        spare = buffer[2 * n * rows:]
+        # One allocation holds z and the doubling's scratch.  As separate
+        # arrays they met glibc's trim threshold (twice the largest
+        # chunk), so every call returned them to the system and faulted
+        # them back.
+        buffer = np.empty(n * (rows + problems * (count // 2)), np.complex128)
+        z = buffer[: n * rows].reshape(n, problems, count)
+        spare = buffer[n * rows:]
         power = unit(delta)  # w^done
         z[..., :1] = unit(theta) * power
         done = 1
         while done < count:
             more = min(done, count - done)
-            out = spare[: 2 * n * problems * more].view(np.complex128)
-            out = out.reshape(n, problems, more)
+            out = spare[: n * problems * more].reshape(n, problems, more)
             np.multiply(z[..., :more], power, out=out)
             z[..., done:done + more] = out
             done += more
             if done < count:
                 power = power * power
-        z = z.reshape(n, rows)
 
-        sin2 = spare.reshape(n, 2, rows)
-        sin2[:, 1] = z.imag
-        np.negative(sin2[:, 1], out=sin2[:, 0])
         slides = {}
         if self._prismatic.size:
             columns = grid.candidates(self._prismatic).astype(np.float64, copy=False)
             slides = dict(zip(self._prismatic.tolist(), columns.T))
-        return z.real, sin2, slides
+        return z.reshape(n, rows), slides
 
-    def _fold(self, cos: np.ndarray, sin2: np.ndarray, slides) -> np.ndarray:
+    def _fold(self, e: np.ndarray, slides) -> np.ndarray:
         """Carry the tool point to the world through every link.
 
         The point ``p`` starts at the tool and moves through each link,
         last joint first: ``p <- Rz(theta) Tz(d) Tx(a) Rx(alpha) p``
         (standard) or ``p <- Rx(alpha) Tx(a) Rz(theta) Tz(d) p``
-        (modified); then the base maps it to the world.  A rotation of two
-        coordinates is one paired multiply-add: ``(x, y) <- c (x, y) +
-        (-s, s) (y, x)``.  ``slides[j]`` is prismatic joint ``j``'s
-        variable row.  Every step is elementwise, so a row's bits do not
-        depend on the rows it shares the call with.
+        (modified); then the base maps it to the world.  ``p`` is held as
+        two complex rows, ``w = x + iy`` and ``v = y + iz``, so each
+        rotation is one complex multiply: ``Rz(theta)`` is ``w e^{i
+        theta}`` with ``e`` the ``(N, R)`` block, ``Rx(alpha)`` is ``v
+        e^{i alpha}``, and the rotated ``y`` is copied into the other row.
+        ``Tx(a)`` adds ``a`` to ``w`` and ``Tz(d)`` adds ``i d`` to ``v``
+        (``slides[j]`` is prismatic joint ``j``'s variable row): six calls
+        per link.  Both rows are double-buffered, so every multiply runs
+        out of place, on contiguous rows or by a 0-d constant, and only
+        adds and copies, exact elementwise, run in place: a row's bits do
+        not depend on the rows it shares the call with.
         """
         dtype = self.chain.dtype
-        rows = cos.shape[1]
-        p = np.empty((3, rows), dtype)
-        p[...] = self._fold_tool
-        x, z = p[0], p[2]
-        xy, yz = p[:2], p[1:]
-        yx, zy = xy[::-1], yz[::-1]
-        t = np.empty((2, rows), dtype)
-        u = np.empty((2, rows), dtype)
-        mul, add = np.multiply, np.add
+        rows = e.shape[1]
+        buffers = np.empty((4, rows), self._fold_cdtype)
+        w = (buffers[0], buffers[1])
+        v = (buffers[2], buffers[3])
+        w_imag = (w[0].imag, w[1].imag)
+        v_real = (v[0].real, v[1].real)
+        v_imag = (v[0].imag, v[1].imag)
+        w[0][...], v[0][...] = self._fold_tool
+        mul, add, copy = np.multiply, np.add, np.copyto
+        d_offset = self._d_offset
+        k = 0
         if self.chain.is_standard_convention:
-            for i, cos_a, sin_pair, a, d in self._fold_links:
-                mul(yz, cos_a, out=t)  # Rx(alpha)
-                mul(zy, sin_pair, out=u)
-                add(t, u, out=yz)
-                if a:
-                    add(x, a, out=x)  # Tx(a)
-                if d is None:
-                    add(z, add(slides[i], self._d_offset[i]), out=z)  # Tz(d)
-                elif d:
-                    add(z, d, out=z)
-                mul(xy, cos[i], out=t)  # Rz(theta)
-                mul(yx, sin2[i], out=u)
-                add(t, u, out=xy)
+            for i, turn, a, d, prismatic in self._fold_links:
+                j = 1 - k
+                mul(v[k], turn, out=v[j])  # Rx(alpha)
+                copy(w_imag[k], v_real[j])
+                if a is not None:
+                    add(w[k], a, out=w[k])  # Tx(a)
+                if prismatic:
+                    add(v_imag[j], add(slides[i], d_offset[i]), out=v_imag[j])
+                elif d is not None:
+                    add(v[j], d, out=v[j])  # Tz(d)
+                mul(w[k], e[i], out=w[j])  # Rz(theta)
+                copy(v_real[j], w_imag[j])
+                k = j
         else:
-            for i, cos_a, sin_pair, a, d in self._fold_links:
-                if d is None:
-                    add(z, add(slides[i], self._d_offset[i]), out=z)  # Tz(d)
-                elif d:
-                    add(z, d, out=z)
-                mul(xy, cos[i], out=t)  # Rz(theta)
-                mul(yx, sin2[i], out=u)
-                add(t, u, out=xy)
-                if a:
-                    add(x, a, out=x)  # Tx(a)
-                mul(yz, cos_a, out=t)  # Rx(alpha)
-                mul(zy, sin_pair, out=u)
-                add(t, u, out=yz)
+            for i, turn, a, d, prismatic in self._fold_links:
+                j = 1 - k
+                if prismatic:
+                    add(v_imag[k], add(slides[i], d_offset[i]), out=v_imag[k])
+                elif d is not None:
+                    add(v[k], d, out=v[k])  # Tz(d)
+                mul(w[k], e[i], out=w[j])  # Rz(theta)
+                copy(v_real[k], w_imag[j])
+                if a is not None:
+                    add(w[j], a, out=w[j])  # Tx(a)
+                mul(v[k], turn, out=v[j])  # Rx(alpha)
+                copy(w_imag[j], v_real[j])
+                k = j
 
         # World = base @ p, elementwise; written straight into (R, 3) rows.
         out = np.empty((rows, 3), dtype)
         world = out.T
         b0, b1, b2, b3 = self._fold_base
         scratch = np.empty((3, rows), dtype)
-        mul(b0, x, out=world)
-        mul(b1, p[1], out=scratch)
+        mul(b0, w[k].real, out=world)
+        mul(b1, w_imag[k], out=scratch)
         add(world, scratch, out=world)
-        mul(b2, z, out=scratch)
+        mul(b2, v_imag[k], out=scratch)
         add(world, scratch, out=world)
         add(world, b3, out=world)
         return out

@@ -32,6 +32,7 @@ __all__ = [
     "guard_target",
     "guard_targets",
     "reach_bound",
+    "reach_sphere",
 ]
 
 KIND_NONFINITE_TARGET = "nonfinite_target"
@@ -63,6 +64,15 @@ class GuardViolation(ValueError):
 def reach_bound(chain, margin: float = 0.0) -> float:
     """The rejection radius: ``total_reach`` plus a relative ``margin``."""
     return float(chain.total_reach()) * (1.0 + margin) + _REACH_SLACK
+
+
+def reach_sphere(chain, margin: float = 0.0) -> tuple[np.ndarray, float]:
+    """The base origin and :func:`reach_bound`: a target passes inside.
+
+    Both are constants of the chain, so a caller guarding many batches of
+    one chain computes them once and hands them to :func:`guard_targets`.
+    """
+    return np.asarray(chain.base[:3, 3], dtype=float), reach_bound(chain, margin)
 
 
 def guard_target(
@@ -101,17 +111,32 @@ def guard_target(
 
 
 def guard_targets(
-    chain, targets: np.ndarray, reach_margin: float = 0.0
+    chain,
+    targets: np.ndarray,
+    reach_margin: float = 0.0,
+    sphere: tuple[np.ndarray, float] | None = None,
 ) -> list[FailureRecord]:
     """Classify a ``(M, 3)`` batch; one record per offending row.
 
     The batch-level shape contract (``(M, 3)``) is still enforced by the
     callers' existing ``ValueError`` — this vectorised pass only classifies
-    rows of an already well-shaped batch.
+    rows of an already well-shaped batch.  ``sphere`` is
+    :func:`reach_sphere` of ``chain`` and ``reach_margin``, precomputed;
+    without it the call computes it.  A batch that passes every check
+    costs one radius check.
     """
     targets = np.asarray(targets, dtype=float)
-    records: list[FailureRecord] = []
+    base_origin, bound = (
+        sphere if sphere is not None else reach_sphere(chain, reach_margin)
+    )
+    offsets = targets - base_origin
+    radii = np.sqrt((offsets * offsets).sum(axis=1))  # np.linalg.norm's sum
+    # A non-finite coordinate makes its radius NaN or inf, which fails the
+    # radius check too: a batch that passes it passes every check.
+    if (radii <= bound).all():
+        return []
     finite = np.all(np.isfinite(targets), axis=1)
+    records: list[FailureRecord] = []
     for i in np.flatnonzero(~finite):
         records.append(
             FailureRecord(
@@ -121,9 +146,6 @@ def guard_targets(
                 message=f"target contains non-finite values: {targets[i].tolist()}",
             )
         )
-    base_origin = np.asarray(chain.base[:3, 3], dtype=float)
-    bound = reach_bound(chain, reach_margin)
-    radii = np.linalg.norm(targets - base_origin[None, :], axis=1)
     with np.errstate(invalid="ignore"):
         far = finite & (radii > bound)
     for i in np.flatnonzero(far):

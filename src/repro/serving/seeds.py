@@ -228,9 +228,19 @@ class SeedCache:
             self._robots.move_to_end(fingerprint)
         return entries
 
-    def record(self, chain, target: np.ndarray, q: np.ndarray) -> None:
-        """Store a solved (target, q) pair for ``chain``'s current geometry."""
-        self._entries(chain_fingerprint(chain)).add(
+    def record(
+        self, chain, target: np.ndarray, q: np.ndarray,
+        fingerprint: bytes | None = None,
+    ) -> None:
+        """Store a solved (target, q) pair for ``chain``'s geometry.
+
+        ``fingerprint`` is ``chain_fingerprint(chain)`` taken earlier (a
+        server takes it once per run); without it the current geometry's
+        is computed.
+        """
+        if fingerprint is None:
+            fingerprint = chain_fingerprint(chain)
+        self._entries(fingerprint).add(
             np.asarray(target, dtype=float).copy(),
             np.asarray(q, dtype=float).copy(),
         )

@@ -88,6 +88,7 @@ from repro.resilience.guards import (
     FATAL_GUARD_KINDS,
     GuardViolation,
     guard_targets,
+    reach_sphere,
 )
 from repro.resilience.report import FailureReport
 from repro.resilience.resilient import rejected_result
@@ -99,7 +100,12 @@ from repro.serving.request import (
     SloShed,
     SolveRequest,
 )
-from repro.serving.seeds import DEFAULT_K, DEFAULT_LIMIT_PENALTY, SeedCache
+from repro.serving.seeds import (
+    DEFAULT_K,
+    DEFAULT_LIMIT_PENALTY,
+    SeedCache,
+    chain_fingerprint,
+)
 from repro.solvers.batched import LockStepRun
 from repro.solvers.registry import BATCH_REGISTRY, make_batch_solver
 from repro.telemetry.tracer import Tracer, get_tracer
@@ -723,12 +729,14 @@ class IKServer:
 
     def _finish(
         self, finished: "list[tuple[PendingEntry, Any]]", tr: Tracer,
-        key: GroupKey | None = None,
+        key: GroupKey | None = None, fingerprint: bytes | None = None,
     ) -> None:
         """Complete solved requests: telemetry first, then the futures.
 
         With ``key``, each result's ``wall_time`` (its time in the run)
-        also feeds the key's SLO estimate.
+        also feeds the key's SLO estimate.  ``fingerprint`` is the
+        requests' chain's, taken when their batch or run started: a
+        converged result is filed under it in the seed cache.
         """
         warm_iters = cold_iters = warm_n = cold_n = 0
         for entry, res in finished:
@@ -751,7 +759,9 @@ class IKServer:
         with self._cond:
             for entry, res in finished:
                 if self._seed_cache is not None and res.converged:
-                    self._seed_cache.record(entry.chain, entry.target, res.q)
+                    self._seed_cache.record(
+                        entry.chain, entry.target, res.q, fingerprint
+                    )
                 self._complete_future(entry.future, res)
                 if key is not None:
                     self._record_exec(key, res.wall_time)
@@ -770,6 +780,7 @@ class IKServer:
         live = self._triage(batch.key, batch.entries, now, tr)
         if not live:
             return
+        fingerprint = self._fingerprint(live[0].chain)
         start = time.perf_counter()
         try:
             result = api.solve_batch(
@@ -794,7 +805,7 @@ class IKServer:
             self._record_exec(batch.key, elapsed)
             self._stats.batches += 1
             self._stats.execute_s += elapsed
-        self._finish(list(zip(live, result)), tr)
+        self._finish(list(zip(live, result)), tr, fingerprint=fingerprint)
 
     # -- iteration-level admission ---------------------------------------
 
@@ -842,9 +853,14 @@ class IKServer:
         room = bool(run.live or entries) and run.live + len(entries) < limit
         return entries, self._set_room(key, has_room, room)
 
+    def _fingerprint(self, chain: KinematicChain) -> bytes | None:
+        """``chain``'s seed-cache fingerprint, ``None`` with no cache."""
+        return None if self._seed_cache is None else chain_fingerprint(chain)
+
     def _admit(
         self, run: LockStepRun, key: GroupKey,
         entries: "list[PendingEntry]", tr: Tracer,
+        sphere: "tuple[np.ndarray, float] | None",
     ) -> "list[tuple[PendingEntry, Any]]":
         """Admit ``entries`` into ``run``; returns the admitted rows that
         finished at once.
@@ -855,7 +871,9 @@ class IKServer:
         target gets its typed placeholder result under ``"skip"``, and a
         fatal one fails its own future with a ``GuardViolation`` under
         ``"raise"``.  A placeholder completes here: it never ran, so its
-        zero wall time stays out of the key's SLO estimate.
+        zero wall time stays out of the key's SLO estimate.  ``sphere``
+        is the run chain's :func:`~repro.resilience.guards.reach_sphere`,
+        taken once per run.
         """
         now = time.monotonic()
         entries = self._triage(key, entries, now, tr)
@@ -866,8 +884,11 @@ class IKServer:
         placeholders: list[tuple[PendingEntry, Any]] = []
         rejected = set()
         guarded = (
-            guard_targets(engine.chain, np.stack([e.target for e in entries]))
-            if self.config.options.needs_sharding else []
+            guard_targets(
+                engine.chain, np.stack([e.target for e in entries]),
+                sphere=sphere,
+            )
+            if sphere is not None else []
         )
         for record in guarded:
             entry = entries[record.index]
@@ -924,9 +945,16 @@ class IKServer:
                 tr.count("serve_batches")
             with self._cond:
                 self._stats.batches += 1
+            # Constants of the chain, taken once per run: results are
+            # filed under the geometry the run opened with.
+            sphere = (
+                reach_sphere(run.engine.chain)
+                if self.config.options.needs_sharding else None
+            )
+            fingerprint = self._fingerprint(entries[0].chain)
             while True:
                 rows.update((id(entry), entry) for entry in entries)
-                finished = self._admit(run, key, entries, tr)
+                finished = self._admit(run, key, entries, tr, sphere)
                 if run.live:
                     finished += run.step()
                 with self._cond:
@@ -934,7 +962,7 @@ class IKServer:
                 ended = not run.live and not entries
                 if ended:
                     self._end_run(run, start, tr)
-                self._finish(finished, tr, key)
+                self._finish(finished, tr, key, fingerprint)
                 rows = {k: e for k, e in rows.items() if not e.future.done()}
                 if ended:
                     return

@@ -90,12 +90,12 @@ __all__ = [
 DEFAULT_CHUNK = 128
 
 #: FK rows per chunk on the vectorized kernel, whose tool-point fold *wants*
-#: all ``B x Max`` (problem, candidate) rows in one call: it makes about
-#: eight ufunc calls per joint whatever the row count, so its fixed cost
+#: all ``B x Max`` (problem, candidate) rows in one call: it makes six
+#: numpy calls per joint whatever the row count, so its fixed cost
 #: amortises with rows.  The engine hands it a ``SpeculationGrid``, split
 #: by whole problems (128 of 64 candidates per call); its scratch (the
-#: complex ``(N, R)`` ray block and the ``(-sin, sin)`` planes) is about
-#: 13 MB at 50 DOF and 8192 rows.
+#: complex ``(N, R)`` ray block and the doubling's half-size scratch) is
+#: about 10 MB at 50 DOF and 8192 rows.
 VECTORIZED_CHUNK = 8192
 
 

@@ -12,6 +12,12 @@ is kept verbatim as the oracle.  This tier holds the fast path to it:
   candidates) agrees within 1e-12, so step selection cannot silently
   diverge — for an explicit candidate block and for the Eq. 9 ray that
   Quick-IK hands the vectorized kernel as a ``SpeculationGrid``.
+* **Row invariance on named geometry** — a problem's grid rows, and an
+  explicit block's rows, equal the same rows alone and at another offset,
+  bit for bit, on every registered robot, the planar and snake arms and
+  the dadu family, in both DH conventions and both dtypes.  Named
+  geometry has the zero ``a``, ``d`` and ``alpha`` (and stanford's
+  prismatic joint) that random chains never draw.
 * **Solver equivalence** — every registered solver (and every lock-step
   batch engine) run under ``kernel="vectorized"`` terminates with the same
   iteration count, status and convergence verdict as under
@@ -29,6 +35,7 @@ import pytest
 from repro.core.result import SolverConfig
 from repro.execution import ExecutionOptions, KernelSpec
 from repro.core.alpha import buss_alpha
+from repro.kinematics.chain import KinematicChain
 from repro.kinematics.kernels import KERNEL_MODES, SpeculationGrid
 from repro.kinematics.robots import ROBOT_NAMES, named_robot
 from repro.solvers.registry import (
@@ -158,6 +165,58 @@ def test_ray_sweep_errors_agree(robot):
     np.testing.assert_allclose(
         vectorized.end_positions_batch(grid), want, atol=ATOL, rtol=0.0
     )
+
+
+#: Named geometry for the row-invariance pins: the fold skips a zero
+#: ``a``, ``d`` or ``alpha`` constant, which only these chains have.
+INVARIANCE_ROBOTS = (
+    tuple(ROBOT_NAMES)
+    + ("planar-8dof", "snake-12dof")
+    + tuple(f"dadu-{dof}dof" for dof in SWEEP_DOFS)
+)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("convention", ["standard", "modified"])
+@pytest.mark.parametrize("robot", INVARIANCE_ROBOTS)
+def test_sweep_rows_do_not_depend_on_their_batch(robot, convention, dtype):
+    """Each problem's grid rows equal that problem alone and at another
+    offset, and each explicit row equals itself alone and in a suffix,
+    bit for bit: the lock-step engines' B = 1 == B = M rests on it."""
+    named = named_robot(robot)
+    chain = KinematicChain(
+        named.joints, base=named.base, tool=named.tool,
+        convention=convention, dtype=dtype,
+    ).with_kernel("vectorized")
+    rng = np.random.default_rng((SEED + 5, chain.dof))
+    problems, count = 3, 64
+    qs = np.stack(
+        [chain.random_configuration(rng) for _ in range(problems)]
+    ).astype(dtype)
+    grid = SpeculationGrid(
+        qs,
+        rng.normal(size=qs.shape).astype(dtype),
+        rng.uniform(1e-3, 0.5, size=problems).astype(dtype),
+        count,
+    )
+    whole = chain.end_positions_batch(grid)
+    for b in range(problems):
+        rows = whole[b * count:(b + 1) * count]
+        assert np.array_equal(chain.end_positions_batch(grid[b:b + 1]), rows)
+        order = np.r_[[i for i in range(problems) if i != b], b]
+        shifted = SpeculationGrid(
+            qs[order], grid.direction[order], grid.alpha_base[order], count
+        )
+        assert np.array_equal(
+            chain.end_positions_batch(shifted)[-count:], rows
+        )
+    block = grid.candidates()
+    explicit = chain.end_positions_batch(block)
+    for r in (0, 1, count + 7, len(block) - 1):
+        assert np.array_equal(
+            chain.end_positions_batch(block[r:r + 1])[0], explicit[r]
+        )
+        assert np.array_equal(chain.end_positions_batch(block[r:]), explicit[r:])
 
 
 # -- solver-level equivalence ------------------------------------------

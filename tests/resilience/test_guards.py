@@ -14,6 +14,7 @@ from repro.resilience import (
     guard_targets,
     reach_bound,
 )
+from repro.resilience.guards import reach_sphere
 
 CHAIN = paper_chain(6)
 
@@ -78,6 +79,32 @@ class TestGuardTargets:
             [CHAIN.end_position(CHAIN.random_configuration(rng)) for _ in range(5)]
         )
         assert guard_targets(CHAIN, targets) == []
+
+    @pytest.mark.parametrize("margin", [0.0, 0.2])
+    def test_precomputed_sphere_gives_identical_records(self, margin):
+        """A caller may take the origin and bound once per chain: the
+        records are those the call computes itself, on every guard input
+        above (rejected rows, a margin, and an all-pass batch)."""
+        rng = np.random.default_rng(1)
+        clean = np.stack(
+            [CHAIN.end_position(CHAIN.random_configuration(rng)) for _ in range(5)]
+        )
+        bound = reach_bound(CHAIN)
+        batches = [
+            np.array([
+                [0.1, 0.1, 0.1],
+                [np.nan, 0.0, 0.0],
+                [99.0, 0.0, 0.0],
+                [0.2, 0.0, 0.1],
+            ]),
+            np.array([[np.inf, 0.0, 0.0], [bound * 1.05, 0.0, 0.0]]),
+            clean,
+        ]
+        sphere = reach_sphere(CHAIN, margin)
+        for targets in batches:
+            assert guard_targets(CHAIN, targets, margin, sphere=sphere) == \
+                guard_targets(CHAIN, targets, margin)
+        assert guard_targets(CHAIN, clean, sphere=sphere) == []
 
 
 class TestGuardViolation:

@@ -19,6 +19,9 @@ the moment its own row retires.  The contract pinned here:
 * other keys keep the one-``solve_batch``-per-batch path;
 * a target the guards reject under ``on_error="skip"`` completes with its
   placeholder and leaves the key's SLO estimate alone.
+* a run takes its chain's seed-cache fingerprint once, when it opens, and
+  files its results under that geometry: a chain mutated in place mid-run
+  never warm-starts a later request from them.
 
 The slow batch-mate is an unreachable target under ``on_error="raise"``
 (no target guards), so it runs to its iteration cap while the others come
@@ -39,6 +42,7 @@ from repro.kinematics.chain import KinematicChain
 from repro.kinematics.robots import named_robot
 from repro.resilience.guards import GuardViolation
 from repro.serving import IKServer, ServerClosed, ServerConfig, SolveRequest
+from repro.serving import server as server_module
 from repro.solvers.batched import BatchedQuickIK, LockStepRun
 from repro.telemetry import SummaryTracer
 
@@ -352,3 +356,70 @@ def test_guard_placeholders_stay_out_of_the_slo_estimate():
             result = srv.submit(_request(FAR, q0[0])).result(timeout=TIMEOUT)
             assert result.status == "unreachable"
         assert list(srv._exec_ewma.values()) == [estimate]
+
+
+def _counting_fingerprints(monkeypatch) -> list:
+    """The chains the server fingerprints (seed-cache lookups hash in
+    :mod:`repro.serving.seeds` and are not counted)."""
+    digested = []
+    real = server_module.chain_fingerprint
+
+    def counting(chain):
+        digested.append(chain)
+        return real(chain)
+
+    monkeypatch.setattr(server_module, "chain_fingerprint", counting)
+    return digested
+
+
+def test_a_stream_is_fingerprinted_once_per_run_not_per_tick(monkeypatch):
+    """A stream of requests, each submitted when the last completes, joins
+    one live run: the run hashes its chain once, and every converged tick
+    is filed under that digest, where the live chain's lookup finds it."""
+    digested = _counting_fingerprints(monkeypatch)
+    targets, q0 = _problems(5, seed=11)
+    with IKServer(ServerConfig(options=ExecutionOptions(on_error="raise"))) as srv:
+        slow = _start_slow_run(srv)
+        for t, q in zip(targets, q0):
+            assert srv.submit(_request(t, q)).result(timeout=TIMEOUT).converged
+        assert not slow.done()
+        assert slow.result(timeout=TIMEOUT).status == "max_iterations"
+        assert srv._seed_cache.stats.records == len(targets)
+        assert srv.warm_seed(ROBOT, targets[-1]) is not None
+    assert srv.stats().batches == 1
+    assert len(digested) == 1
+
+
+def test_a_chain_mutated_mid_run_never_warm_starts_from_that_run(
+    monkeypatch,
+):
+    """The run files its results under the geometry it opened with.  A
+    chain lengthened in place mid-run hashes differently, so a later
+    request on it misses the cache and starts cold; restoring the
+    geometry finds the record again."""
+    chain = named_robot(ROBOT)  # an ad-hoc instance: mutated below
+    saved = chain._const.copy()
+    targets, q0 = _problems(1, seed=12)
+    _, slow_q0 = _problems(1, seed=99)
+
+    def request(target, **kwargs):
+        return SolveRequest(
+            chain, target, "JT-Speculation", tolerance=TOLERANCE,
+            max_iterations=CAP, **kwargs,
+        )
+
+    config = ServerConfig(options=ExecutionOptions(on_error="raise"))
+    with IKServer(config) as srv:
+        slow = srv.submit(request(FAR, q0=slow_q0[0]))
+        _wait_until(lambda: srv.stats().requests_batched == 1)
+        chain._const[0, 0, 3] += 0.25  # lengthen one link in place
+        assert srv.submit(request(targets[0], q0=q0[0])).result(
+            timeout=TIMEOUT
+        ).converged
+        later = srv.submit(request(targets[0])).result(timeout=TIMEOUT)
+        slow.result(timeout=TIMEOUT)
+        stats = srv.stats()
+        assert stats.cache_hits == 0 and stats.warm_requests == 0
+        assert later.iterations > 0
+        chain._const[...] = saved
+        assert srv.warm_seed(chain, targets[0]) is not None
