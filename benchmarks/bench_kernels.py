@@ -25,20 +25,24 @@ shapes the Quick-IK pipeline actually runs:
 * ``candidate_sweep_single`` — one problem's ``Max = 32`` candidates (the
   single-solve speculative sweep of Algorithm 1).
 * ``jacobian_single`` — one Jacobian build at ``B = 1`` (the scalar driver
-  loop's per-iteration cost; the vectorized path uses the log-depth
-  Brent-Kung prefix scan here).
+  loop's per-iteration cost; the vectorized path runs the frame pass's
+  log-depth rotation scan on one row here).
 * ``jacobian_batch`` — the lock-step engines' per-iteration Jacobian over
   all unconverged problems.
 
 Two tables time the sweep across sizes (``sweep_sizes`` in the payload):
 
-* ``fold_crossover`` — the fold against a tree of ``(3, 4)`` blocks (the
-  vectorized ``fk_batch``, the sweep before the fold) and the scalar
-  oracle, at 1 to 2048 explicit rows: where the fold's per-joint fixed
-  cost stops mattering.
+* ``fold_crossover`` — the fold against the frame pass's poses (the
+  vectorized ``fk_batch``) and the scalar oracle, at 1 to 2048 explicit
+  rows: where the fold's per-joint fixed cost stops mattering.
 * ``ray_grid_served`` — the served grid sizes, 1 to 8 problems of
   ``Max = 64``, swept as a ``SpeculationGrid`` and as the explicit block
   of the same candidates (built beforehand).
+
+One table times the frame pass across sizes (``frame_pass_sizes``):
+``fk_jacobian_batch`` at 1 to 64 rows, the sizes the lock-step engines
+run (the offline row families pass 9-19 rows a call, a served run about
+4), under both kernels, with the max deviation from the oracle.
 
 Each cell is the best of ``repeats`` rounds that time the columns in turn.
 
@@ -84,6 +88,9 @@ SERVED_FRAME_ROWS = 8
 CROSSOVER_ROWS = (1, 4, 8, 16, 32, 64, 128, 256, 512, 2048)
 GRID_PROBLEMS = (1, 2, 4, 8)
 
+#: ``frame_pass_sizes`` rows.
+FRAME_PASS_ROWS = (1, 4, 16, 32, 64)
+
 #: Engine-level solve workload: iteration cap for the 50-DOF batch solve
 #: (the paper tolerance converges well before this on reachable targets).
 ENGINE_MAX_ITERATIONS = 200
@@ -122,7 +129,7 @@ def _sweep_sizes(scalar, vectorized, repeats: int, seed: int) -> dict:
     for rows in CROSSOVER_ROWS:
         qs = _candidates(scalar, rows, seed + rows)
         crossover[rows] = _microseconds({
-            "tree_us": lambda: vectorized.kernels.fk_batch(qs)[:, :3, 3],
+            "frames_us": lambda: vectorized.kernels.fk_batch(qs)[:, :3, 3],
             "fold_us": lambda: vectorized.end_positions_batch(qs),
             "scalar_us": lambda: scalar.end_positions_batch(qs),
         }, repeats, inner=max(1, 256 // rows))
@@ -141,6 +148,35 @@ def _sweep_sizes(scalar, vectorized, repeats: int, seed: int) -> dict:
             f"{name} {us:.0f}" for name, us in grids[problems].items()
         ))
     return {"fold_crossover": crossover, "ray_grid_served": grids}
+
+
+def _frame_pass_sizes(scalar, vectorized, repeats: int, seed: int) -> dict:
+    """The ``frame_pass_sizes`` table: ``fk_jacobian_batch`` per kernel."""
+    table = {}
+    for rows in FRAME_PASS_ROWS:
+        qs = _candidates(scalar, rows, seed + rows)
+        table[rows] = _microseconds({
+            "vectorized_us": lambda: vectorized.fk_jacobian_batch(qs),
+            "scalar_us": lambda: scalar.fk_jacobian_batch(qs),
+        }, repeats, inner=max(1, 64 // rows))
+        table[rows]["max_abs_deviation"] = _frame_pass_deviation(
+            scalar, vectorized, qs
+        )
+        print(f"frame_pass_sizes {rows} rows: " + ", ".join(
+            f"{name} {value:.3g}" for name, value in table[rows].items()
+        ))
+    return table
+
+
+def _frame_pass_deviation(scalar, vectorized, qs: np.ndarray) -> float:
+    """Largest deviation of the vectorized frame pass (positions and
+    Jacobians) from the oracle's."""
+    return float(max(
+        np.abs(fast - oracle).max()
+        for fast, oracle in zip(
+            vectorized.fk_jacobian_batch(qs), scalar.fk_jacobian_batch(qs)
+        )
+    ))
 
 
 def _candidates(chain, rows: int, seed: int) -> np.ndarray:
@@ -231,13 +267,7 @@ def run_kernel_bench(
         "frame_pass_served",
         lambda: scalar.fk_jacobian_batch(frame_rows),
         lambda: vectorized.fk_jacobian_batch(frame_rows),
-        max(
-            np.abs(fast - oracle).max()
-            for fast, oracle in zip(
-                vectorized.fk_jacobian_batch(frame_rows),
-                scalar.fk_jacobian_batch(frame_rows),
-            )
-        ),
+        _frame_pass_deviation(scalar, vectorized, frame_rows),
         inner=20,
     )
     section(
@@ -318,6 +348,7 @@ def run_kernel_bench(
     )
 
     sweep_sizes = _sweep_sizes(scalar, vectorized, repeats, seed + 8)
+    frame_pass_sizes = _frame_pass_sizes(scalar, vectorized, repeats, seed + 9)
 
     headline = sections["candidate_sweep_lockstep"]["speedup"]
     return {
@@ -334,6 +365,7 @@ def run_kernel_bench(
         "kernel_matrix": kernel_matrix,
         "engine": engine,
         "sweep_sizes": sweep_sizes,
+        "frame_pass_sizes": frame_pass_sizes,
         "notes": (
             "best-of-repeats timings on the speculative-evaluation shapes of "
             "Quick-IK; candidate_sweep_lockstep (all B x Max rows of one "
@@ -437,7 +469,9 @@ def main(argv: list[str] | None = None) -> int:
         f" engine headline {payload['engine_headline_speedup']:.2f}x)"
     )
     worst = max(
-        s["max_abs_deviation"] for s in payload["sections"].values()
+        s["max_abs_deviation"]
+        for table in (payload["sections"], payload["frame_pass_sizes"])
+        for s in table.values()
     )
     return 1 if worst > 1e-12 else 0
 
@@ -471,6 +505,11 @@ def test_kernel_bench_smoke():
         assert row["us"] > 0.0
     assert set(payload["sweep_sizes"]["fold_crossover"]) == set(CROSSOVER_ROWS)
     assert set(payload["sweep_sizes"]["ray_grid_served"]) == set(GRID_PROBLEMS)
+    assert set(payload["frame_pass_sizes"]) == set(FRAME_PASS_ROWS)
+    for rows, cell in payload["frame_pass_sizes"].items():
+        assert set(cell) == {"vectorized_us", "scalar_us", "max_abs_deviation"}
+        assert cell["vectorized_us"] > 0.0 and cell["scalar_us"] > 0.0, rows
+        assert cell["max_abs_deviation"] <= 1e-12, rows
     # The engine matrix: every dtype case solved the batch.
     cases = payload["engine"]["cases"]
     assert set(cases) == {"vectorized/float64", "vectorized/float32"}

@@ -21,8 +21,9 @@ This is the substrate the whole paper sits on.  Design notes:
   :mod:`repro.kinematics.kernels`: every chain owns a kernel object
   (``kernel="scalar"`` keeps the original link-by-link loops as the
   differential oracle; ``"vectorized"`` swaps in a tool-point fold for the
-  candidate sweep and a cached log-depth prefix scan for frames and
-  Jacobians) and the methods below dispatch to it.  :meth:`~KinematicChain.
+  candidate sweep and, for frames and Jacobians, a cached log-depth scan
+  of the link rotations plus one cumulative sum of the link offsets) and
+  the methods below dispatch to it.  :meth:`~KinematicChain.
   with_kernel` / :meth:`~KinematicChain.astype` build each kernel / dtype
   twin once per chain and share it.
 """

@@ -25,10 +25,10 @@ analogue: every :class:`~repro.kinematics.chain.KinematicChain` owns a
     its screw ``Tz(d)`` then ``Rz(theta)`` in the order its DH convention
     multiplies them: each rotation is one complex multiply (``v
     e^{i alpha}``, ``w e^{i theta}``), each shift one complex add, and the
-    rotated ``y`` is copied into the other row — 6 calls per link, where a
-    tree of ``(3, 4)`` blocks pays a local transform *and* a compose.
-    The fold's fixed cost is paid per joint, not per row: it beats a tree
-    of blocks from a few dozen rows up and loses below that
+    rotated ``y`` is copied into the other row — 6 calls per link, where
+    the frame pass builds a local rotation *and* pays a product for it.
+    The fold's fixed cost is paid per joint, not per row: it beats the
+    frame pass's poses from a few dozen rows up and loses below that
     (``docs/performance.md`` has the table).  **The bit rule:** complex
     multiplies run only out of place, on contiguous rows or by a 0-d
     constant, and only complex adds and copies run in place — one IEEE
@@ -49,30 +49,40 @@ analogue: every :class:`~repro.kinematics.chain.KinematicChain` owns a
     of place on contiguous runs of one problem's candidates, so a
     problem's rows carry the same bits alone as in any grid.  The scalar
     oracle and float32 chains materialise the grid's candidates.
-  - **Static link factors are precomputed once.**  For the frame pass, a
-    DH link transform is ``S(theta, d) @ C`` (standard) or ``C @ S(theta,
-    d)`` (modified) with ``C`` constant; because ``S`` is a z-screw, the
-    product has closed form ``rows01 = e^{i theta} * (C_row0 + i C_row1)``
-    — one complex multiply assembles both rotation-mixed rows of *every*
-    link of *every* row in a single numpy call, with bit-identical
-    rounding to the naive ``c*C0 - s*C1`` / ``s*C0 + c*C1`` expressions.
-  - **Transforms are compact.**  Rigid transforms are carried as ``(3, 4)``
-    affine blocks (the constant ``[0 0 0 1]`` row is never materialised),
-    roughly halving both assembly writes and compose flops.
-  - **Chain products are log-depth.**  Full poses (:meth:`~VectorizedKernels.
-    fk_batch`) multiply the link blocks as a pairwise tree: ``ceil(log2
-    N)`` stacked matmuls instead of ``N`` Python iterations.
-  - **One FK pass per iteration is shared.**  The prefix transforms
-    (world frames of every joint) yield both the end position and the
-    Jacobian — the software analogue of the SPU pipeline reusing ``1TiC``
-    for both ``JiC`` and the end-effector pose.  A batch gets both from
-    one :meth:`~VectorizedKernels.screw_frames_batch` pass; a single
-    configuration caches its frames, so the driver's ``end_position`` /
-    ``fk`` of the same ``q`` reuses the Jacobian's pass.
-  - **One scan order.**  Prefix frames always come from one log-depth
-    scan (:func:`_affine_prefix_scan`), whatever the row count, so every
-    row of a batch carries the same bits as the same configuration alone
-    (and as any other batch it rides in).
+  - **The frame pass composes rotations and sums offsets.**  FK poses
+    and Jacobians come from :meth:`~VectorizedKernels._frames`, which
+    keeps every frame's world rotation apart from its origin.  A joint's
+    local rotation, ``Rz(theta) Rx(alpha)`` (standard) or ``Rx(alpha)
+    Rz(theta)`` (modified), is written entry by entry into a joint-major
+    ``(N + 1, R, 3, 3)`` block from the ``(N, R)`` planes ``cos theta``
+    and ``sin theta`` (two trigonometric calls for the whole batch) and
+    the ``(N, 1)`` columns ``cos alpha`` and ``sin alpha``; the base is
+    folded into the first joint's entry.  :func:`_rotation_prefix_scan`
+    multiplies the rotations in Brent-Kung order: about ``2 N`` ``3 x 3``
+    products in ``2 log2 N`` stacked matmuls, with no translation to
+    carry.  The origins are one cumulative sum: frame ``k`` sits ``a_k
+    x_k + d_k z_{k-1}`` (standard) or ``a_k x_{k-1} + d_k z_k``
+    (modified) past frame ``k - 1``, with ``x`` and ``z`` the first and
+    third columns of a world rotation, so the increments are formed in
+    bulk and summed by one ``np.cumsum`` along the joints.  The tool point
+    is ``o_N + R_N t_tool`` and the pose ``[R_N R_tool | p_ee]``.
+  - **One FK pass per iteration is shared.**  The world frames of every
+    joint yield both the end position and the Jacobian — the software
+    analogue of the SPU pipeline reusing ``1TiC`` for both ``JiC`` and the
+    end-effector pose.  A batch gets both from one
+    :meth:`~VectorizedKernels.screw_frames_batch` pass; a single
+    configuration caches its rotations and origins, so a scalar solve's
+    ``end_position`` / ``fk`` of the same ``q`` reuses the Jacobian's
+    pass.
+  - **A frame-pass row does not depend on its batch.**  The pass uses
+    only stacked matmuls (each ``3 x 3`` product is its own BLAS call of
+    one shape), real elementwise multiplies and adds, a cumulative sum
+    (sequential along the joints) and a per-row matrix-vector product, in
+    an order that depends on ``N`` alone.  It makes no complex multiply,
+    so the fold's bit rule does not apply: a row carries the same bits
+    alone as in any batch and at any offset, ``fk_batch`` rows equal
+    ``fk``, and the lock-step engines' ``B = 1 == B = M`` contracts hold
+    by construction.
 
 **Cache contract.**  A kernel snapshots its chain's joint parameters at
 construction.  Chains are API-immutable, so the snapshot normally lives for
@@ -200,66 +210,38 @@ class SpeculationGrid:
 
 
 # ----------------------------------------------------------------------
-# Stacked-matmul building blocks (pure functions, unit-tested directly)
+# Frame-pass building blocks (pure functions, unit-tested directly)
 # ----------------------------------------------------------------------
 
 
-def _affine_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Compose ``(..., 3, 4)`` rigid affine blocks: returns ``a @ b``."""
-    out = a[..., :, :3] @ b
-    out[..., :, 3] += a[..., :, 3]
-    return out
-
-
-def _affine_tree_product(mats: np.ndarray) -> np.ndarray:
-    """Ordered product of ``(..., N, 3, 4)`` affine blocks, log-depth.
-
-    Consumes ``mats``.
-    """
-    n = mats.shape[-3]
-    while n > 1:
-        if n % 2:
-            mats[..., n - 2, :, :] = _affine_compose(
-                mats[..., n - 2, :, :], mats[..., n - 1, :, :]
-            )
-            n -= 1
-        pairs = mats[..., :n, :, :].reshape(*mats.shape[:-3], n // 2, 2, 3, 4)
-        mats = _affine_compose(pairs[..., 0, :, :], pairs[..., 1, :, :])
-        n //= 2
-    return mats[..., 0, :, :]
-
-
-def _compose_strided(mats: np.ndarray, d: int, first: int) -> None:
-    """``mats[i] = mats[i - d] @ mats[i]`` for ``i = first, first + 2d, ...``
-    along axis ``-3``, in one stacked call."""
-    n = mats.shape[-3]
-    if first < n:
-        mats[..., first :: 2 * d, :, :] = _affine_compose(
-            mats[..., first - d : n - d : 2 * d, :, :],
-            mats[..., first :: 2 * d, :, :],
-        )
-
-
-def _affine_prefix_scan(mats: np.ndarray) -> np.ndarray:
-    """Inclusive scan over ``(..., N, 3, 4)`` affine blocks, log-depth.
+def _rotation_prefix_scan(rotations: np.ndarray) -> None:
+    """Inclusive scan, in place, over ``(N, ..., 3, 3)`` rotations along
+    axis 0: entry ``i`` becomes ``rotations[0] @ ... @ rotations[i]``.
 
     Brent-Kung order: an up-sweep leaves the product of every aligned run
     of ``2d`` joints in its last entry, then a down-sweep fills in the
-    prefixes between them — about ``2 N`` composes in ``2 log2 N``
-    stacked calls, where the Hillis-Steele doubling scan needs about
-    ``N log2 N`` composes.  The order depends on ``N`` alone, so a row's
-    frames do not depend on how many rows share its batch.  Consumes
-    ``mats``.
+    prefixes between them — about ``2 N`` products in ``2 log2 N``
+    stacked matmuls, where the Hillis-Steele doubling scan needs about
+    ``N log2 N``.  Each ``3 x 3`` product is its own matmul of one shape,
+    in an order that depends on ``N`` alone, so a row's rotations do not
+    depend on how many rows share its batch.
     """
-    n = mats.shape[-3]
+    n = rotations.shape[0]
+
+    def compose(d: int, first: int) -> None:
+        # rotations[i] = rotations[i - d] @ rotations[i], i = first, first + 2d, ...
+        if first < n:
+            rotations[first::2 * d] = (
+                rotations[first - d:n - d:2 * d] @ rotations[first::2 * d]
+            )
+
     d = 1
     while 2 * d <= n:
-        _compose_strided(mats, d, 2 * d - 1)
+        compose(d, 2 * d - 1)
         d *= 2
     while d > 1:
         d //= 2
-        _compose_strided(mats, d, 3 * d - 1)
-    return mats
+        compose(d, 3 * d - 1)
 
 
 def position_jacobian(
@@ -278,13 +260,22 @@ def position_jacobian(
     a0, a1, a2 = axes[..., 0], axes[..., 1], axes[..., 2]
     reach = p_ee[..., None, :] - origins
     r0, r1, r2 = reach[..., 0], reach[..., 1], reach[..., 2]
-    # ``np.cross``'s own products and differences, without its axis
-    # bookkeeping (this runs once per lock-step iteration).
-    cross = np.stack(
-        (a1 * r2 - a2 * r1, a2 * r0 - a0 * r2, a0 * r1 - a1 * r0), axis=-1
-    )
-    linear = np.where(revolute[:, None], cross, axes)
-    return np.swapaxes(linear, -1, -2)
+    # The transpose of a ``(..., N, 3)`` block: the memory layout every
+    # consumer's matmuls have always read, so their sums keep their bits.
+    out = np.swapaxes(np.empty(reach.shape, np.result_type(axes, reach)), -1, -2)
+    spare = np.empty_like(r0)
+    # ``np.cross``'s own products and differences, each written straight
+    # into its row of the output (this runs once per lock-step iteration).
+    for row, (u, v, w, x) in enumerate((
+        (a1, r2, a2, r1), (a2, r0, a0, r2), (a0, r1, a1, r0)
+    )):
+        np.multiply(u, v, out=out[..., row, :])
+        np.multiply(w, x, out=spare)
+        np.subtract(out[..., row, :], spare, out=out[..., row, :])
+    prismatic = np.flatnonzero(~revolute)
+    if prismatic.size:
+        out[..., prismatic] = np.swapaxes(axes[..., prismatic, :], -1, -2)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +369,7 @@ class ScalarKernels:
 
 
 class VectorizedKernels:
-    """Stacked-matmul FK/Jacobian kernels with prefix-transform caching.
+    """Stacked-matmul FK/Jacobian kernels with a per-configuration frame cache.
 
     See the module docstring for the construction; the public surface is
     identical to :class:`ScalarKernels` so the chain can dispatch blindly.
@@ -389,41 +380,48 @@ class VectorizedKernels:
     def __init__(self, chain: "KinematicChain") -> None:
         self.chain = chain
         self._snapshot_statics()
-        #: ``(q.tobytes(), frames)`` of the last single configuration,
-        #: written and read as one tuple so a thread sharing this kernel
-        #: never pairs one configuration's key with another's frames.
-        self._cache: tuple[bytes, np.ndarray] | None = None
+        #: ``(q.tobytes(), (rotations, origins))`` of the last single
+        #: configuration, written and read as one tuple so a thread sharing
+        #: this kernel never pairs one configuration's key with another's
+        #: frames.
+        self._cache: tuple[bytes, tuple[np.ndarray, np.ndarray]] | None = None
 
     # -- static precomputation -----------------------------------------
 
     def _snapshot_statics(self) -> None:
-        """Precompute every joint-variable-independent factor once."""
+        """Precompute every joint-variable-independent factor once.
+
+        Every link's constant factor ``C`` is ``[[1, 0, 0, a], [0, cos
+        alpha, -sin alpha, 0], [0, sin alpha, cos alpha, 0]]`` in both
+        conventions, so the frame pass keeps ``cos alpha``, ``sin alpha``
+        (and their negatives) as ``(N, 1)`` columns that broadcast over the
+        rows, each local rotation's fixed row (standard) or column
+        (modified) as ``(N, 1, 3)``, and ``a``.
+        """
         chain = self.chain
         self._fingerprint = self._chain_fingerprint()
         dtype = chain.dtype
-        cdtype = np.result_type(dtype, np.complex64)
         const = chain._const  # (N, 4, 4)
         self._rev = chain._revolute_mask.astype(dtype)
-        self._pris = (1.0 - self._rev).astype(dtype)
         self._theta_offset = chain._theta_offset.copy()
         self._d_offset = chain._d_offset.copy()
+        # theta = theta_offset + q (revolute), d = d_offset + q (prismatic).
+        self._variable = np.stack((self._rev, 1.0 - self._rev))[..., None]
+        self._offsets = np.stack((self._theta_offset, self._d_offset))[..., None]
+        cos_alpha, sin_alpha = const[:, 1, 1:2].copy(), const[:, 2, 1:2].copy()
+        zero = np.zeros_like(cos_alpha)
         if chain.is_standard_convention:
-            # T = S(theta, d) @ C mixes the top two *rows* of C by Rz(theta)
-            # and adds d to row 2's translation entry.
-            self._mix = (const[:, 0, :] + 1j * const[:, 1, :]).astype(cdtype)
-            self._row2 = np.ascontiguousarray(const[:, 2, :])
+            self._alpha_terms = (-cos_alpha, sin_alpha, cos_alpha, -sin_alpha)
+            fixed = (zero, sin_alpha, cos_alpha)
         else:
-            # T = C @ S(theta, d) mixes the top-3-row blocks of C's first
-            # two *columns* by Rz(-theta) and adds d * col2 to col3.
-            cols = const[:, :3, :]  # (N, 3, 4) top three rows, by column below
-            self._mix = (cols[:, :, 0] - 1j * cols[:, :, 1]).astype(cdtype)
-            self._col2 = np.ascontiguousarray(cols[:, :, 2])
-            self._col3 = np.ascontiguousarray(cols[:, :, 3])
-            # Constant screw-frame adjustment for the Jacobian (3, 4 blocks).
-            self._const_affine = np.ascontiguousarray(const[:, :3, :])
-        self._base_affine = np.ascontiguousarray(chain.base[:3, :])
-        self._tool_affine = np.ascontiguousarray(chain.tool[:3, :])
-        self._tool_t = np.ascontiguousarray(chain.tool[:3, 3])
+            self._alpha_terms = (cos_alpha, sin_alpha)
+            fixed = (zero, -sin_alpha, cos_alpha)
+        self._fixed = np.stack(fixed, axis=-1)  # (N, 1, 3)
+        self._a = const[:, 0, 3, None, None].copy()  # (N, 1, 1)
+        self._base_rotation = chain.base[:3, :3].copy()
+        self._base_origin = chain.base[:3, 3].copy()
+        self._tool_rotation = chain.tool[:3, :3].copy()
+        self._tool_t = chain.tool[:3, 3].copy()
         self._snapshot_fold()
 
     def _snapshot_fold(self) -> None:
@@ -483,7 +481,7 @@ class VectorizedKernels:
     # -- cache management ----------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop the per-configuration prefix-transform cache."""
+        """Drop the per-configuration frame cache."""
         self._cache = None
 
     def refresh(self) -> None:
@@ -491,8 +489,8 @@ class VectorizedKernels:
         self._snapshot_statics()
         self.invalidate()
 
-    def _cached_frames(self, q: np.ndarray) -> np.ndarray | None:
-        """The prefix frames for ``q`` if cached and still valid."""
+    def _cached_frames(self, q: np.ndarray):
+        """The ``(rotations, origins)`` for ``q`` if cached and still valid."""
         cache = self._cache
         if cache is None or q.tobytes() != cache[0]:
             return None
@@ -503,68 +501,16 @@ class VectorizedKernels:
             return None
         return cache[1]
 
-    # -- local transforms (compact affine form) ------------------------
-
-    def _locals_affine(self, qs: np.ndarray) -> np.ndarray:
-        """Per-joint link transforms as ``(..., N, 3, 4)`` affine blocks.
-
-        One complex multiply assembles both rotation-mixed rows (standard)
-        or columns (modified) of every link transform in the batch; the
-        rounding of each entry is bit-identical to the scalar path's
-        ``S @ C`` / ``C @ S`` matmul because the contractions involve the
-        same two-term sums.
-        """
-        theta = self._theta_offset + qs * self._rev
-        d = self._d_offset + qs * self._pris
-        cdtype = self._mix.dtype
-        z = np.empty(theta.shape, dtype=cdtype)
-        z.real = np.cos(theta)
-        z.imag = np.sin(theta)
-        out = np.empty(qs.shape + (3, 4), dtype=self.chain.dtype)
-        if self.chain.is_standard_convention:
-            rows01 = z[..., None] * self._mix
-            out[..., 0, :] = rows01.real
-            out[..., 1, :] = rows01.imag
-            out[..., 2, :] = self._row2
-            out[..., 2, 3] += d
-        else:
-            # z was built as e^{i theta}; the column mix needs Rz(-theta),
-            # which the conjugated static factor already encodes.
-            cols01 = z[..., None] * self._mix
-            out[..., :, 0] = cols01.real
-            out[..., :, 1] = -cols01.imag
-            out[..., :, 2] = self._col2
-            out[..., :, 3] = self._col3 + d[..., None] * self._col2
-        return out
-
     # -- forward kinematics --------------------------------------------
 
-    def _tool_position(self, pose: np.ndarray) -> np.ndarray:
-        """End-effector position of ``(..., 3, 4)`` world affine blocks."""
-        return pose[..., :, :3] @ self._tool_t + pose[..., :, 3]
-
     def fk(self, q: np.ndarray) -> np.ndarray:
-        frames = self._prefix_frames(q)
-        pose = np.empty((4, 4), dtype=self.chain.dtype)
-        pose[:3, :] = _affine_compose(frames[-1], self._tool_affine)
-        pose[3, :3] = 0.0
-        pose[3, 3] = 1.0
-        return pose
+        return self._poses(*self._prefix_frames(q))[0]
 
     def end_position(self, q: np.ndarray) -> np.ndarray:
-        frames = self._prefix_frames(q)
-        return self._tool_position(frames[-1])
+        return self._end_points(*self._prefix_frames(q))[0]
 
     def fk_batch(self, qs: np.ndarray) -> np.ndarray:
-        prod = _affine_tree_product(self._locals_affine(qs))
-        world = _affine_compose(
-            np.broadcast_to(self._base_affine, prod.shape), prod
-        )
-        poses = np.empty(qs.shape[:-1] + (4, 4), dtype=self.chain.dtype)
-        poses[..., :3, :] = _affine_compose(world, self._tool_affine)
-        poses[..., 3, :3] = 0.0
-        poses[..., 3, 3] = 1.0
-        return poses
+        return self._poses(*self._frames(qs))
 
     def end_positions_batch(self, qs) -> np.ndarray:
         """All candidate positions by one right-to-left tool-point fold.
@@ -735,57 +681,115 @@ class VectorizedKernels:
         add(world, b3, out=world)
         return out
 
-    # -- prefix transforms and Jacobians -------------------------------
+    # -- the frame pass -------------------------------------------------
 
-    def _prefix_frames(self, q: np.ndarray) -> np.ndarray:
-        """World affine frames ``(N + 1, 3, 4)`` for one configuration.
+    def _prefix_frames(self, q: np.ndarray):
+        """World ``(rotations, origins)`` of one configuration's frames,
+        as the one-row case of :meth:`_frames`.
 
-        Entry 0 is the base, entry ``i`` is ``base @ 0Ti``.  Cached per
-        configuration: a Jacobian and an FK of the same ``q`` share one
-        pass (the fused-SPU analogue).
+        Cached per configuration: a Jacobian and an FK of the same ``q``
+        share one pass (the fused-SPU analogue).
         """
         q = np.asarray(q, dtype=self.chain.dtype)
         cached = self._cached_frames(q)
         if cached is not None:
             return cached
-        frames = self._prefix_frames_batch(q[None, :])[0]
+        frames = self._frames(q[None, :])
         self._cache = (q.tobytes(), frames)
         return frames
 
-    def _prefix_frames_batch(self, qs: np.ndarray) -> np.ndarray:
-        """World affine frames ``(B, N + 1, 3, 4)`` for a batch (uncached)."""
-        locals_ = self._locals_affine(qs)  # (B, N, 3, 4)
-        # Fold the base into the first link before scanning: the scan then
-        # yields world frames directly, avoiding a whole-array compose.
-        locals_[:, 0] = _affine_compose(self._base_affine, locals_[:, 0])
-        frames = np.empty(
-            (qs.shape[0], self.chain.dof + 1, 3, 4), dtype=self.chain.dtype
-        )
-        frames[:, 0] = self._base_affine
-        frames[:, 1:] = _affine_prefix_scan(locals_)
-        return frames
+    def _frames(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """World rotations ``(N + 1, R, 3, 3)`` and origins ``(N + 1, R,
+        3)`` of every frame of a batch, joint-major (uncached): entry 0 is
+        the base, entry ``k`` frame ``k`` (``base @ 0Tk``), built as the
+        module docstring describes.  The rotations, the origins and the
+        joint planes share one allocation, for the reason
+        :meth:`_ray_planes` gives.
+        """
+        n, rows = self.chain.dof, qs.shape[0]
+        frames = (n + 1) * rows
+        buffer = np.empty(12 * frames + 2 * n * rows, self.chain.dtype)
+        rotations = buffer[:9 * frames].reshape(n + 1, rows, 3, 3)
+        origins = buffer[9 * frames:12 * frames].reshape(n + 1, rows, 3)
+        joints = buffer[12 * frames:].reshape(2, n, rows)
+        np.multiply(qs.T, self._variable, out=joints)
+        joints += self._offsets
+        theta, d = joints
 
-    def _jacobian_from_frames(
-        self, frames: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(axes, origins, p_ee)`` from ``(..., N + 1, 3, 4)`` frames."""
-        dof = self.chain.dof
-        p_ee = self._tool_position(frames[..., dof, :, :])
-        screw = frames[..., :dof, :, :]
-        if not self.chain.is_standard_convention:
-            screw = _affine_compose(screw, self._const_affine)
-        axes = screw[..., :, :3, 2]
-        origins = screw[..., :, :3, 3]
-        return axes, origins, p_ee
+        # The local rotations, entry by entry.
+        local = rotations[1:]
+        c = np.cos(theta, out=local[..., 0, 0])
+        if self.chain.is_standard_convention:
+            # Rz(theta) Rx(alpha) = [[c, -s ca, s sa], [s, c ca, -c sa],
+            # [0, sa, ca]].
+            neg_ca, sa, ca, neg_sa = self._alpha_terms
+            s = np.sin(theta, out=local[..., 1, 0])
+            np.multiply(s, neg_ca, out=local[..., 0, 1])
+            np.multiply(s, sa, out=local[..., 0, 2])
+            np.multiply(c, ca, out=local[..., 1, 1])
+            np.multiply(c, neg_sa, out=local[..., 1, 2])
+            local[..., 2, :] = self._fixed
+        else:
+            # Rx(alpha) Rz(theta) = [[c, -s, 0], [ca s, ca c, -sa],
+            # [sa s, sa c, ca]].
+            ca, sa = self._alpha_terms
+            s = np.sin(theta, out=local[..., 0, 1])
+            np.multiply(s, ca, out=local[..., 1, 0])
+            np.multiply(c, ca, out=local[..., 1, 1])
+            np.multiply(s, sa, out=local[..., 2, 0])
+            np.multiply(c, sa, out=local[..., 2, 1])
+            np.negative(s, out=s)
+            local[..., :, 2] = self._fixed
+        rotations[0] = self._base_rotation
+        # Fold the base into the first link: the scan then yields world
+        # rotations directly.
+        local[0] = self._base_rotation @ local[0]
+        _rotation_prefix_scan(local)
+
+        steps = origins[1:]
+        if self.chain.is_standard_convention:
+            np.multiply(rotations[1:, ..., 0], self._a, out=steps)
+            steps += d[..., None] * rotations[:-1, ..., 2]
+        else:
+            np.multiply(rotations[:-1, ..., 0], self._a, out=steps)
+            steps += d[..., None] * rotations[1:, ..., 2]
+        origins[0] = self._base_origin
+        np.cumsum(origins, axis=0, out=origins)
+        return rotations, origins
+
+    def _end_points(self, rotations, origins) -> np.ndarray:
+        """Tool points ``(R, 3)`` of a pass."""
+        return rotations[-1] @ self._tool_t + origins[-1]
+
+    def _poses(self, rotations, origins) -> np.ndarray:
+        """Tool poses ``(R, 4, 4)`` of a pass: ``[R_N R_tool | p_ee]``."""
+        poses = np.empty((rotations.shape[1], 4, 4), dtype=self.chain.dtype)
+        poses[:, :3, :3] = rotations[-1] @ self._tool_rotation
+        poses[:, :3, 3] = self._end_points(rotations, origins)
+        poses[:, 3, :3] = 0.0
+        poses[:, 3, 3] = 1.0
+        return poses
+
+    def _screws(self, rotations, origins) -> tuple[np.ndarray, np.ndarray]:
+        """Joint-major screw axes and origins ``(N, R, 3)`` of a pass:
+        joint ``k`` turns about ``(z_{k-1}, o_{k-1})`` (standard) or
+        ``(z_k, o_{k-1} + a_k x_{k-1})`` (modified)."""
+        if self.chain.is_standard_convention:
+            return rotations[:-1, ..., 2], origins[:-1]
+        return rotations[1:, ..., 2], origins[:-1] + rotations[:-1, ..., 0] * self._a
 
     def screw_frames(
         self, q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._jacobian_from_frames(self._prefix_frames(q))
+        frames = self._prefix_frames(q)
+        axes, origins = self._screws(*frames)
+        return axes[:, 0], origins[:, 0], self._end_points(*frames)[0]
 
     def screw_frames_batch(
         self, qs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One prefix-frame pass: ``(axes, origins, p_ee)`` per row, each
         row bit-identical to :meth:`screw_frames` of that configuration."""
-        return self._jacobian_from_frames(self._prefix_frames_batch(qs))
+        frames = self._frames(qs)
+        axes, origins = self._screws(*frames)
+        return axes.swapaxes(0, 1), origins.swapaxes(0, 1), self._end_points(*frames)

@@ -23,6 +23,12 @@ lengths, twists, offsets; revolute, mixed and all-prismatic joints):
   of the grid, and stay within the oracle's bound of the materialised
   candidates, on the same geometry axes and ``Max`` in {1, 2, 3, 64, 65};
   the winner rows a grid builds carry the materialised rows' bits.
+* **Row invariance of the frame pass** — every row of
+  ``fk_jacobian_batch`` (position and Jacobian) carries the same bits in a
+  suffix of its batch and alone on a cold kernel, and every ``fk_batch``
+  pose equals ``fk`` of its row, on the same geometry axes; the pass stays
+  within the oracle's bound.  Its Brent-Kung rotation scan equals the
+  running product at chain lengths from 1 to 100.
 """
 
 import numpy as np
@@ -33,6 +39,7 @@ from hypothesis import strategies as st
 from repro.kinematics.chain import KinematicChain
 from repro.kinematics.kernels import (
     SpeculationGrid,
+    _rotation_prefix_scan,
     make_kernels,
     position_jacobian,
 )
@@ -330,3 +337,65 @@ def test_ray_sweep_matches_oracle_of_materialised_candidates(
             swept, chain.end_positions_batch(grid.candidates())
         )
         assert np.allclose(swept, explicit, atol=FLOAT32_ATOL, rtol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=geometries,
+    rows=st.integers(min_value=1, max_value=300),
+    data=st.data(),
+)
+def test_frame_pass_rows_do_not_depend_on_their_batch(geometry, rows, data):
+    """Each row of the vectorized frame pass (``fk_jacobian_batch``:
+    positions and Jacobians) equals that row in a suffix of its batch and
+    the same configuration alone on a cold kernel, bit for bit: the
+    lock-step engines' B = 1 == B = M rests on it.  ``fk_batch`` takes its
+    poses from the same pass, so each equals ``fk`` of its row.  Up to 300
+    rows, so the vector tails of every SIMD width land at odd offsets."""
+    rng = np.random.default_rng(geometry["seed"])
+    joints = random_chain(
+        geometry["dof"], rng, prismatic_probability=geometry["prismatic"]
+    ).joints
+    dtype = geometry["dtype"]
+    oracle = KinematicChain(
+        joints, base=_random_rigid(rng, 0.5), tool=_random_rigid(rng, 0.2),
+        convention=geometry["convention"], dtype=dtype,
+    )
+    chain = oracle.with_kernel("vectorized")
+    qs = np.stack(
+        [oracle.random_configuration(rng) for _ in range(rows)]
+    ).astype(dtype)
+    positions, jacobians = chain.fk_jacobian_batch(qs)
+    start = data.draw(st.integers(min_value=0, max_value=rows - 1))
+    tail_positions, tail_jacobians = chain.fk_jacobian_batch(qs[start:])
+    assert np.array_equal(tail_positions, positions[start:])
+    assert np.array_equal(tail_jacobians, jacobians[start:])
+    poses = chain.fk_batch(qs)
+    for q, position, jacobian, pose in zip(qs, positions, jacobians, poses):
+        alone = make_kernels(chain, "vectorized")
+        assert np.array_equal(_kernel_jacobian(alone, q), jacobian)
+        assert np.array_equal(
+            make_kernels(chain, "vectorized").end_position(q), position
+        )
+        assert np.array_equal(make_kernels(chain, "vectorized").fk(q), pose)
+    bound = ATOL if dtype == np.float64 else FLOAT32_ATOL
+    expected_positions, expected_jacobians = oracle.fk_jacobian_batch(qs)
+    assert np.allclose(positions, expected_positions, atol=bound, rtol=0.0)
+    assert np.allclose(jacobians, expected_jacobians, atol=bound, rtol=0.0)
+    assert np.allclose(poses, oracle.fk_batch(qs), atol=bound, rtol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 31, 32, 33, 50, 75, 100])
+def test_rotation_prefix_scan_is_the_running_product(n):
+    """The Brent-Kung scan leaves ``R_0 @ ... @ R_i`` in entry ``i`` for
+    every chain length, including the non-powers of two whose last
+    aligned run is partial."""
+    rng = np.random.default_rng(n)
+    rotations = np.stack(
+        [_random_rigid(rng, 0.0)[:3, :3] for _ in range(2 * n)]
+    ).reshape(n, 2, 3, 3)
+    expected = rotations.copy()
+    for i in range(1, n):
+        expected[i] = expected[i - 1] @ expected[i]
+    _rotation_prefix_scan(rotations)
+    assert np.allclose(rotations, expected, atol=ATOL, rtol=0.0)
