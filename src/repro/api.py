@@ -200,8 +200,7 @@ def solve_batch(
     JT-Serial, JT-DLS, J-1-SVD, JT-SDLS, fdik, mdik) advance all
     unconverged problems simultaneously, with one prefix-frame pass per
     iteration; each result equals :func:`solve` of its target from the same
-    start bit for bit (on a float32 chain Quick-IK's engine keeps float32
-    state where :func:`solve` keeps float64).  CCD, J-1-SVD+nullspace,
+    start bit for bit, on either dtype.  CCD, J-1-SVD+nullspace,
     JT-Hybrid, and any ``config`` carrying a ``watchdog``, solve per target
     through the shared driver.
 

@@ -119,9 +119,14 @@ class IterativeIKSolver(ABC):
         traced = tr.enabled
         config = self.config
         start = time.perf_counter()
-        q = self.initial_configuration(q0, rng)
+        # The solve runs in the chain's dtype, as the lock-step engines do:
+        # the start and the target are cast once, and ``q`` goes back to
+        # float64 in the result, which reports the caller's target.
+        dtype = self.chain.dtype
+        x_t = target.astype(dtype, copy=False)
+        q = self.initial_configuration(q0, rng).astype(dtype, copy=False)
         position = self.chain.end_position(q)
-        error = float(task_errors(target, position))
+        error = float(task_errors(x_t, position))
         fk_evaluations = 1
         history = [error] if config.record_history else None
         if traced:
@@ -140,7 +145,7 @@ class IterativeIKSolver(ABC):
         converged = error < config.tolerance
         while not converged and iterations < config.max_iterations:
             prev_q, prev_position, prev_error = q, position, error
-            outcome = self._step(q, position, target)
+            outcome = self._step(q, position, x_t)
             iterations += 1
             fk_evaluations += outcome.fk_evaluations
             q = outcome.q
@@ -155,7 +160,7 @@ class IterativeIKSolver(ABC):
             else:
                 position = outcome.position
             if outcome.error is None:
-                error = float(task_errors(target, position))
+                error = float(task_errors(x_t, position))
             else:
                 error = float(outcome.error)
             if history is not None:
@@ -206,7 +211,7 @@ class IterativeIKSolver(ABC):
             )
             self._tracer = NULL_TRACER
         return IKResult(
-            q=q,
+            q=q.astype(float, copy=False),
             converged=converged,
             iterations=iterations,
             error=error,

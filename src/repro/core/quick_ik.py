@@ -28,7 +28,12 @@ import time
 
 import numpy as np
 
-from repro.core.alpha import ScheduleFn, buss_alpha, get_schedule, linear_schedule
+from repro.core.alpha import (
+    ScheduleFn,
+    buss_alpha_rows,
+    get_schedule,
+    linear_schedule,
+)
 from repro.core.base import IterativeIKSolver
 from repro.core.result import SolverConfig, StepOutcome
 from repro.kinematics.chain import KinematicChain
@@ -129,20 +134,23 @@ class QuickIKSolver(IterativeIKSolver):
         if timed:
             t1 = time.perf_counter()
             tr.add_phase("jacobian", t1 - t0)
-        alpha_base = buss_alpha(error_vec, jjte)  # line 5
+        # Line 5, in the chain's dtype as the lock-step engine keeps it.
+        alpha_base = buss_alpha_rows(error_vec[None], jjte[None]).astype(
+            q.dtype, copy=False
+        )
 
         # Lines 6-9: the candidates theta + alpha_k dtheta_base.
-        if self.schedule is linear_schedule and not self.config.respect_limits:
+        if self.schedule is linear_schedule:
             sweep = SpeculationGrid(
-                q[None], dq_base[None], np.array([alpha_base]), self.speculations
+                q[None], dq_base[None], alpha_base, self.speculations
             )
-        else:
-            alphas = self.schedule(alpha_base, self.speculations)
-            candidates = q[None, :] + alphas[:, None] * dq_base[None, :]
             if self.config.respect_limits:
-                candidates = np.clip(
-                    candidates, self.chain.lower_limits, self.chain.upper_limits
-                )
+                sweep = self.chain.clamp(sweep.candidates())[None]
+        else:
+            alphas = self.schedule(alpha_base[0], self.speculations)
+            candidates = q[None, :] + alphas.astype(q.dtype)[:, None] * dq_base
+            if self.config.respect_limits:
+                candidates = self.chain.clamp(candidates)
             sweep = candidates[None]
         if timed:
             tr.add_phase("alpha", time.perf_counter() - t1)

@@ -13,7 +13,7 @@ from repro.ikacc.power import (
 )
 from repro.ikacc.quantization import fk_precision_report, precision_margin
 from repro.ikacc.scheduler import ParallelSearchScheduler, Wave
-from repro.ikacc.selector import ParameterSelector, SelectionState
+from repro.ikacc.selector import ParameterSelector
 from repro.ikacc.spu import SerialProcessUnit
 from repro.ikacc.ssu import SpeculativeSearchUnit
 from repro.ikacc.trace import (
@@ -42,7 +42,6 @@ __all__ = [
     "ParallelSearchScheduler",
     "Wave",
     "ParameterSelector",
-    "SelectionState",
     "SerialProcessUnit",
     "SpeculativeSearchUnit",
     "IterationTrace",

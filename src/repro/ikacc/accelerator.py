@@ -1,9 +1,12 @@
 """IKAcc top level: the cycle-level accelerator simulator.
 
 Ties together the four modules of Figure 2 — Serial Process Unit, the SSU
-array, the Parallel Search Scheduler and the Parameter Selector — into a
-functional simulator that *actually solves* the IK problem (float32 datapath)
-while accounting cycles, operations, energy and power.
+array, the Parallel Search Scheduler and the Parameter Selector — as cost
+models of one solve.  The solve itself is Quick-IK's shared one
+(:class:`~repro.core.quick_ik.QuickIKSolver`, the step the lock-step engine
+also runs) on a float32 twin of the chain, the silicon's datapath; the
+simulator then prices its iterations in cycles, operations, energy and
+power.  Its answers are the float32 software solve's, bit for bit.
 
 Timing of one iteration::
 
@@ -12,27 +15,37 @@ Timing of one iteration::
         broadcast theta/dtheta/alpha       # scheduler
         SSU array latency (lock-step)      # one speculative search
         selector tree merge
-    (early exit: a wave whose best candidate met the threshold ends both the
-     wave loop and the solve, exactly like Algorithm 1 lines 12-13)
+
+Algorithm 1 returns at the first candidate within tolerance (lines 12-13),
+so only a converged solve's last iteration stops early: it runs the waves
+up to the one holding the winner, ``ceil(k / MaxSSUs)`` of them.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core.quick_ik import QuickIKSolver
 from repro.core.result import SolverConfig
+from repro.execution import KernelSpec
 from repro.ikacc.config import IKAccConfig
-from repro.ikacc.opcounts import OpCounts
+from repro.ikacc.opcounts import (
+    OpCounts,
+    error_ops,
+    fk_ops,
+    jacobian_serial_ops,
+    speculation_update_ops,
+)
 from repro.ikacc.power import IKAccPowerModel
 from repro.ikacc.scheduler import ParallelSearchScheduler
-from repro.ikacc.selector import ParameterSelector, SelectionState
+from repro.ikacc.selector import ParameterSelector
 from repro.ikacc.spu import SerialProcessUnit
 from repro.ikacc.ssu import SpeculativeSearchUnit
 from repro.kinematics.chain import KinematicChain
-from repro.telemetry.tracer import Tracer, get_tracer
+from repro.telemetry.tracer import NULL_TRACER, Tracer, get_tracer
 
 __all__ = ["IKAccRunResult", "IKAccSimulator"]
 
@@ -65,12 +78,16 @@ class IKAccRunResult:
 
 
 class IKAccSimulator:
-    """Cycle-level functional simulator of the IKAcc accelerator.
+    """Cycle-level simulator of the IKAcc accelerator.
+
+    :meth:`solve` runs Quick-IK's shared solve on :attr:`twin` and prices
+    it with the SPU, SSU, scheduler, selector and power models.
 
     Parameters
     ----------
     chain:
-        Manipulator (converted internally to the float32 datapath).
+        Manipulator; the solve runs on its twin in ``config.dtype`` (the
+        silicon's float32) and ``config.kernel``.
     config:
         Hardware configuration (default: the paper's 32-SSU / 64-speculation
         design at 1 GHz).
@@ -96,6 +113,10 @@ class IKAccSimulator:
         self.selector = ParameterSelector(self.config)
         self.power_model = power_model or IKAccPowerModel(self.config)
         self.scheduler.validate()
+        #: The chain on the datapath: the one solve :meth:`solve` prices.
+        self.twin = KernelSpec(
+            name=self.config.kernel, dtype=self.config.dtype
+        ).apply(chain)
 
     # ------------------------------------------------------------------
     # Static timing queries (used by Table 2 and the design-space example)
@@ -125,100 +146,94 @@ class IKAccSimulator:
         rng: np.random.Generator | None = None,
         tracer: Tracer | None = None,
     ) -> IKAccRunResult:
-        """Run the accelerator on one target position."""
+        """Run the accelerator on one target position.
+
+        ``QuickIKSolver.solve`` on :attr:`twin` from ``q0`` (random from
+        ``rng`` when omitted) gives the answer; each of its iterations
+        costs the SPU and every wave, except the last iteration of a
+        converged solve, which stops at the wave holding its winner.
+        """
         target = np.asarray(target, dtype=float)
         if target.shape != (3,):
             raise ValueError(f"target must be a 3-vector, got shape {target.shape}")
-        if rng is None:
-            rng = np.random.default_rng()
-        if q0 is None:
-            q = self.chain.random_configuration(rng)
-        else:
-            q = np.asarray(q0, dtype=float).copy()
-        q = q.astype(self.ssu.fku.chain32.dtype)
-
-        tr = tracer if tracer is not None else get_tracer()
-        traced = tr.enabled
         wall_start = time.perf_counter()
-        tolerance = self.solver_config.tolerance
-        breakdown = {"spu": 0, "ssu": 0, "scheduler": 0, "selector": 0, "init": 0}
-        ops = OpCounts()
+        solver = QuickIKSolver(
+            self.twin,
+            speculations=self.config.speculations,
+            # The telemetry's iteration events carry each iteration's error.
+            config=replace(self.solver_config, record_history=True),
+            track_chosen=True,
+        )
+        result = solver.solve(target, q0=q0, rng=rng, tracer=NULL_TRACER)
 
-        # Initial FK to seed the error check (one FKU evaluation).
-        position, fk_report = self.ssu.fku.run(q)
-        breakdown["init"] += fk_report.cycles
-        ops = ops + fk_report.ops
-        error = float(np.linalg.norm(target - position.astype(float)))
-        if traced:
-            tr.solve_start(
-                "IKAcc", self.chain.dof, target=target,
-                speculations=self.config.speculations, n_ssus=self.config.n_ssus,
-            )
-            tr.count("fk_evaluations")
-
-        iterations = 0
-        waves_executed = 0
-        while error >= tolerance and iterations < self.solver_config.max_iterations:
-            spu_result = self.spu.run(q, target)
-            breakdown["spu"] += spu_result.cycles
-            ops = ops + spu_result.ops
-
-            state = SelectionState()
-            wave_index = 0
-            for wave in self.scheduler.waves():
-                breakdown["scheduler"] += self.scheduler.broadcast_cycles()
-                results = self.ssu.run_wave(
-                    np.array(wave.speculation_indices),
-                    q,
-                    spu_result.dtheta_base,
-                    spu_result.alpha_base,
-                    target,
-                    tolerance,
-                )
-                breakdown["ssu"] += self.ssu.cycles_per_speculation()
-                for result in results:
-                    ops = ops + result.ops
-                self.selector.merge_wave(state, results)
-                waves_executed += 1
-                wave_index += 1
-                if traced:
-                    tr.count("fk_evaluations", wave.occupancy)
-                    tr.count("candidate_evaluations", wave.occupancy)
-                    tr.speculation_wave(
-                        wave_index,
-                        wave.occupancy,
-                        iteration=iterations + 1,
-                        hit=state.hit is not None,
-                        broadcast_cycles=self.scheduler.broadcast_cycles(),
-                        ssu_cycles=self.ssu.cycles_per_speculation(),
-                    )
-                if state.hit is not None:
-                    break  # threshold met: skip the remaining waves
-            breakdown["selector"] += state.cycles
-
-            winner = self.selector.outcome(state)
-            q = winner.q
-            error = winner.error
-            iterations += 1
-            if traced:
-                tr.count("jacobian_builds")
-                tr.iteration(
-                    iterations,
-                    error,
-                    spu_cycles=spu_result.cycles,
-                    selector_cycles=state.cycles,
-                    waves=wave_index,
-                )
-
+        dof = self.chain.dof
+        waves = self.scheduler.waves()
+        iterations = result.iterations
+        spu = self.spu.cycles_per_iteration()
+        broadcast = self.scheduler.broadcast_cycles()
+        ssu = self.ssu.cycles_per_speculation()
+        select = [self.selector.cycles_per_wave(w.occupancy) for w in waves]
+        # Waves of the last iteration: up to the winner's when it hit.
+        last = len(waves) if iterations else 0
+        if result.converged and iterations:
+            winner = solver.chosen_history[-1] + 1
+            last = self.scheduler.wave_for_speculation(winner) + 1
+        full = max(iterations - 1, 0)
+        waves_executed = full * len(waves) + last
+        candidates = full * self.config.speculations + sum(
+            w.occupancy for w in waves[:last]
+        )
+        breakdown = {
+            "spu": iterations * spu,
+            "ssu": waves_executed * ssu,
+            "scheduler": waves_executed * broadcast,
+            "selector": full * sum(select) + sum(select[:last]),
+            "init": self.ssu.fku.cycles_per_fk(),
+        }
+        ops = (
+            fk_ops(dof)  # the initial FK
+            + jacobian_serial_ops(dof).scaled(iterations)
+            + (
+                speculation_update_ops(dof) + fk_ops(dof) + error_ops()
+            ).scaled(candidates)
+        )
         cycles = sum(breakdown.values())
         seconds = self.config.cycles_to_seconds(cycles)
         energy = self.power_model.energy_j(ops, seconds)
-        if traced:
+
+        tr = tracer if tracer is not None else get_tracer()
+        if tr.enabled:
+            tr.solve_start(
+                "IKAcc", dof, target=target,
+                speculations=self.config.speculations, n_ssus=self.config.n_ssus,
+            )
+            tr.count("fk_evaluations")
+            for i in range(1, iterations + 1):
+                ran = waves if i < iterations else waves[:last]
+                for w, wave in enumerate(ran, 1):
+                    tr.count("fk_evaluations", wave.occupancy)
+                    tr.count("candidate_evaluations", wave.occupancy)
+                    tr.speculation_wave(
+                        w,
+                        wave.occupancy,
+                        iteration=i,
+                        hit=result.converged and i == iterations and w == last,
+                        broadcast_cycles=broadcast,
+                        ssu_cycles=ssu,
+                    )
+                tr.count("jacobian_builds")
+                tr.iteration(
+                    i,
+                    float(result.error_history[i]),
+                    spu_cycles=spu,
+                    selector_cycles=sum(select[:len(ran)]),
+                    waves=len(ran),
+                )
             tr.solve_end(
                 "IKAcc",
-                converged=bool(error < tolerance),
+                converged=result.converged,
                 iterations=iterations,
-                error=error,
+                error=result.error,
                 cycles=cycles,
                 seconds=seconds,
                 energy_j=energy,
@@ -226,10 +241,10 @@ class IKAccSimulator:
                 wall_time=time.perf_counter() - wall_start,
             )
         return IKAccRunResult(
-            q=q.astype(float),
-            converged=bool(error < tolerance),
+            q=result.q,
+            converged=result.converged,
             iterations=iterations,
-            error=error,
+            error=result.error,
             cycles=cycles,
             seconds=seconds,
             ops=ops,

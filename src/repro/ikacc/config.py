@@ -69,9 +69,10 @@ class IKAccConfig:
         Cycles for the Parallel Search Scheduler to broadcast
         ``theta, dtheta_base, alpha_base`` to the SSUs per wave.
     dtype:
-        Numpy dtype of the datapath (the silicon uses float32).
+        Numpy dtype of the datapath (the silicon uses float32): the
+        simulator solves on the chain's twin in this dtype.
     kernel:
-        FK/Jacobian kernel mode for the functional model (see
+        FK/Jacobian kernel mode of that twin (see
         :mod:`repro.kinematics.kernels`): ``None`` (the default) inherits
         the chain's kernel, ``"scalar"`` / ``"vectorized"`` force one.  The
         *timing* model is unaffected — it prices the silicon's sequential

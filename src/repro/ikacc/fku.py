@@ -13,54 +13,31 @@ with the generator for joint ``i+1`` overlapped with the multiply for joint
 ``i`` (the ``i-1Ti Registers`` / ``1Ti Registers`` double-buffering of
 Figure 2).  Steady-state throughput is therefore one joint per
 ``max(matmul4, sincos + assemble)`` cycles.
+
+This is the unit's cost model.  The positions it stands for are the
+simulator's float32 twin's (``chain.astype(np.float32)``), evaluated by
+Quick-IK's shared sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.ikacc.config import IKAccConfig
-from repro.ikacc.opcounts import OpCounts, fk_ops
 from repro.kinematics.chain import KinematicChain
 
-__all__ = ["FKUReport", "ForwardKinematicsUnit"]
+__all__ = ["ForwardKinematicsUnit"]
 
 #: Cycles to assemble a screw matrix from a computed sin/cos pair
 #: (multiplexing constants into the register file).
 ASSEMBLE_CYCLES = 2
 
 
-@dataclass(frozen=True)
-class FKUReport:
-    """Timing/arithmetic of one FK evaluation."""
-
-    cycles: int
-    ops: OpCounts
-
-
 class ForwardKinematicsUnit:
-    """Cycle-level functional model of one FKU.
-
-    The functional result is bit-identical to the float32 twin of the chain
-    (``chain.astype(np.float32)``), because that is exactly the computation
-    the unit performs: sequential float32 4x4 multiplies.
-    """
+    """Cycle-level model of one FKU."""
 
     def __init__(self, chain: KinematicChain, config: IKAccConfig) -> None:
         self.config = config
-        chain32 = (
-            chain if chain.dtype == np.dtype(config.dtype) else chain.astype(config.dtype)
-        )
-        if config.kernel is not None:
-            chain32 = chain32.with_kernel(config.kernel)
-        self.chain32 = chain32
-
-    @property
-    def dof(self) -> int:
-        """Joints handled per FK evaluation."""
-        return self.chain32.dof
+        #: Joints handled per FK evaluation.
+        self.dof = chain.dof
 
     def cycles_per_fk(self) -> int:
         """Latency of one complete FK evaluation.
@@ -73,22 +50,3 @@ class ForwardKinematicsUnit:
         fill = timing.sincos + ASSEMBLE_CYCLES
         steady = max(timing.matmul4, timing.sincos + ASSEMBLE_CYCLES)
         return fill + self.dof * steady + timing.matmul4
-
-    def run(self, q: np.ndarray) -> tuple[np.ndarray, FKUReport]:
-        """Evaluate ``f(q)`` in float32; returns ``(position, report)``."""
-        position = self.chain32.end_position(np.asarray(q, dtype=self.chain32.dtype))
-        return position, FKUReport(cycles=self.cycles_per_fk(), ops=fk_ops(self.dof))
-
-    def run_batch(self, qs: np.ndarray) -> tuple[np.ndarray, FKUReport]:
-        """Evaluate a batch of configurations on *one* FKU (serially).
-
-        Returns the ``(B, 3)`` positions and the cost of the whole batch.
-        """
-        qs = np.asarray(qs, dtype=self.chain32.dtype)
-        positions = self.chain32.end_positions_batch(qs)
-        batch = qs.shape[0]
-        report = FKUReport(
-            cycles=self.cycles_per_fk() * batch,
-            ops=fk_ops(self.dof).scaled(batch),
-        )
-        return positions, report

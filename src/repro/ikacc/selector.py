@@ -7,30 +7,18 @@ the last result at each schedule, but the overhead is negligible."
 
 Modelled as a binary comparator tree over the SSU array (depth ``ceil(log2
 MaxSSUs)``) plus one extra compare per wave against the stored running best.
-The selector also implements the Algorithm-1 early exit: if any speculation
-in the wave met the accuracy threshold, it reports the *lowest* ``k`` among
-them (matching the sequential ``for k`` semantics of lines 12-13).
+This is the unit's cost model.  Its rule — the lowest ``k`` within the
+threshold (Algorithm 1 lines 12-13, which also ends the solve), else the
+argmin — is :func:`~repro.core.quick_ik.speculate`'s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.ikacc.config import IKAccConfig
-from repro.ikacc.ssu import SSUResult
 
-__all__ = ["SelectionState", "ParameterSelector"]
-
-
-@dataclass
-class SelectionState:
-    """Running best across waves of one iteration."""
-
-    best: SSUResult | None = None
-    hit: SSUResult | None = None  # first speculation meeting the threshold
-    waves_merged: int = 0
-    cycles: int = 0
+__all__ = ["ParameterSelector"]
 
 
 class ParameterSelector:
@@ -46,28 +34,3 @@ class ParameterSelector:
             raise ValueError("occupancy must be >= 1")
         depth = math.ceil(math.log2(occupancy)) if occupancy > 1 else 0
         return (depth + 1) * self.config.timing.compare
-
-    def merge_wave(
-        self, state: SelectionState, results: list[SSUResult]
-    ) -> SelectionState:
-        """Fold one wave's results into the running selection state."""
-        if not results:
-            raise ValueError("cannot merge an empty wave")
-        state.waves_merged += 1
-        state.cycles += self.cycles_per_wave(len(results))
-        if state.hit is None:
-            hits = [r for r in results if r.below_threshold]
-            if hits:
-                state.hit = min(hits, key=lambda r: r.k)
-        wave_best = min(results, key=lambda r: (r.error, r.k))
-        if state.best is None or wave_best.error < state.best.error:
-            state.best = wave_best
-        return state
-
-    def outcome(self, state: SelectionState) -> SSUResult:
-        """The iteration's winner: the threshold hit if any, else the argmin."""
-        if state.hit is not None:
-            return state.hit
-        if state.best is None:
-            raise ValueError("selector has merged no waves")
-        return state.best

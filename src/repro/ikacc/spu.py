@@ -12,45 +12,30 @@ so one joint retires per initiation interval and no intermediate matrix is
 stored to memory.  The initiation interval is set by the slowest stage (the
 ``1TiC`` 4x4 multiply).
 
-The model here computes the true float32 values (Jacobian via the chain's
-float32 twin) and charges cycles for either the pipelined flow or — when
-``config.spu_pipelined`` is false — the original four-loop flow of Figure
-3(a), including the memory round-trips for the intermediate ``1Ti`` and ``J``
-arrays that the fused pipeline avoids.  That knob is the Figure-3 ablation.
+This is the unit's cost model.  The values the SPU produces are Quick-IK's
+shared step on the simulator's float32 twin (``QuickIKSolver._step``:
+``J``, ``J^T e`` and Eq. 8's ``buss_alpha_rows``).  The model charges
+cycles for either the pipelined flow or — when ``config.spu_pipelined`` is
+false — the original four-loop flow of Figure 3(a), including the memory
+round-trips for the intermediate ``1Ti`` and ``J`` arrays that the fused
+pipeline avoids.  That knob is the Figure-3 ablation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.core.alpha import buss_alpha
 from repro.ikacc.config import IKAccConfig
 from repro.ikacc.fku import ASSEMBLE_CYCLES
-from repro.ikacc.opcounts import OpCounts, jacobian_serial_ops
 from repro.kinematics.chain import KinematicChain
 
-__all__ = ["SPUResult", "SerialProcessUnit", "MEMORY_ROUNDTRIP_CYCLES"]
+__all__ = ["SerialProcessUnit", "MEMORY_ROUNDTRIP_CYCLES"]
 
 #: Cycles charged per intermediate-array element store+load in the
 #: unpipelined (Figure 3a) flow.
 MEMORY_ROUNDTRIP_CYCLES = 2
 
 
-@dataclass(frozen=True)
-class SPUResult:
-    """Outputs the scheduler broadcasts to the SSUs, plus timing."""
-
-    dtheta_base: np.ndarray
-    alpha_base: float
-    jacobian: np.ndarray
-    cycles: int
-    ops: OpCounts
-
-
 class SerialProcessUnit:
-    """Cycle-level functional model of the SPU."""
+    """Cycle-level model of the SPU."""
 
     #: Latencies of the two non-matmul pipeline stages (JiC: cross product on
     #: short multiplier/adder trees; JJTEC: two fused dot/MAC groups).
@@ -59,14 +44,8 @@ class SerialProcessUnit:
 
     def __init__(self, chain: KinematicChain, config: IKAccConfig) -> None:
         self.config = config
-        self.chain32 = (
-            chain if chain.dtype == np.dtype(config.dtype) else chain.astype(config.dtype)
-        )
-
-    @property
-    def dof(self) -> int:
-        """Joints processed per iteration."""
-        return self.chain32.dof
+        #: Joints processed per iteration.
+        self.dof = chain.dof
 
     def _stage_latencies(self) -> tuple[int, int, int, int]:
         timing = self.config.timing
@@ -97,23 +76,3 @@ class SerialProcessUnit:
         loops = sum(latency * self.dof for latency in stages)
         memory = MEMORY_ROUNDTRIP_CYCLES * self.dof * (16 + 3)
         return loops + memory + self._epilogue_cycles()
-
-    def run(self, q: np.ndarray, target: np.ndarray) -> SPUResult:
-        """Compute ``J``, ``dtheta_base`` and ``alpha_base`` in float32."""
-        q = np.asarray(q, dtype=self.chain32.dtype)
-        target = np.asarray(target, dtype=self.chain32.dtype)
-        jacobian = self.chain32.jacobian_position(q)
-        # 1TN.P comes from the winning speculation of the previous iteration
-        # (Section 5.3); functionally that equals the FK of the current q.
-        error_vec = target - self.chain32.end_position(q)
-        dtheta_base = jacobian.T @ error_vec
-        alpha_base = buss_alpha(
-            error_vec.astype(np.float64), (jacobian @ dtheta_base).astype(np.float64)
-        )
-        return SPUResult(
-            dtheta_base=dtheta_base,
-            alpha_base=float(alpha_base),
-            jacobian=jacobian,
-            cycles=self.cycles_per_iteration(),
-            ops=jacobian_serial_ops(self.dof),
-        )

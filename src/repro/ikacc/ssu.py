@@ -12,43 +12,28 @@ and a speculation index ``k``, then
 
 All SSUs in a wave run in lock-step on identical work, so a wave's latency is
 a single SSU's latency.
+
+This is the unit's cost model.  The candidates and their errors are
+Quick-IK's shared sweep (a :class:`~repro.kinematics.kernels.
+SpeculationGrid` through :func:`~repro.core.quick_ik.speculate`) on the
+simulator's float32 twin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.ikacc.config import IKAccConfig
 from repro.ikacc.fku import ForwardKinematicsUnit
-from repro.ikacc.opcounts import OpCounts, error_ops, fk_ops, speculation_update_ops
 from repro.kinematics.chain import KinematicChain
 
-__all__ = ["SSUResult", "SpeculativeSearchUnit"]
-
-
-@dataclass(frozen=True)
-class SSUResult:
-    """One speculation's outcome."""
-
-    k: int
-    alpha: float
-    q: np.ndarray
-    position: np.ndarray
-    error: float
-    below_threshold: bool
-    cycles: int
-    ops: OpCounts
+__all__ = ["SpeculativeSearchUnit"]
 
 
 class SpeculativeSearchUnit:
-    """Cycle-level functional model of one SSU (and its FKU)."""
+    """Cycle-level model of one SSU (and its FKU)."""
 
     def __init__(self, chain: KinematicChain, config: IKAccConfig) -> None:
         self.config = config
         self.fku = ForwardKinematicsUnit(chain, config)
-        self._dtype = self.fku.chain32.dtype
 
     def cycles_per_speculation(self) -> int:
         """Latency of one speculative search on one SSU.
@@ -68,81 +53,3 @@ class SpeculativeSearchUnit:
             + timing.compare
         )
         return alpha_gen + theta_fill + self.fku.cycles_per_fk() + error_tail
-
-    def run(
-        self,
-        k: int,
-        theta: np.ndarray,
-        dtheta_base: np.ndarray,
-        alpha_base: float,
-        target: np.ndarray,
-        threshold: float,
-    ) -> SSUResult:
-        """Execute speculation ``k`` (1-based, Algorithm 1 lines 7-13)."""
-        if not 1 <= k <= self.config.speculations:
-            raise ValueError(
-                f"speculation index {k} outside 1..{self.config.speculations}"
-            )
-        dtype = self._dtype
-        alpha_k = dtype.type(k / self.config.speculations) * dtype.type(alpha_base)
-        q_k = np.asarray(theta, dtype=dtype) + alpha_k * np.asarray(
-            dtheta_base, dtype=dtype
-        )
-        position, fk_report = self.fku.run(q_k)
-        error = float(
-            np.sqrt(np.sum((np.asarray(target, dtype=dtype) - position) ** 2))
-        )
-        ops = speculation_update_ops(self.fku.dof) + fk_report.ops + error_ops()
-        return SSUResult(
-            k=k,
-            alpha=float(alpha_k),
-            q=q_k,
-            position=position,
-            error=error,
-            below_threshold=error < threshold,
-            cycles=self.cycles_per_speculation(),
-            ops=ops,
-        )
-
-    def run_wave(
-        self,
-        ks: np.ndarray,
-        theta: np.ndarray,
-        dtheta_base: np.ndarray,
-        alpha_base: float,
-        target: np.ndarray,
-        threshold: float,
-    ) -> list[SSUResult]:
-        """Vectorised helper: run several speculation indices functionally.
-
-        Timing-wise this is what *one wave across many SSUs* does — the
-        caller charges a single :meth:`cycles_per_speculation` for the wave.
-        """
-        dtype = self._dtype
-        chain32 = self.fku.chain32
-        ks = np.asarray(ks, dtype=int)
-        alphas = (
-            ks.astype(dtype) / dtype.type(self.config.speculations)
-        ) * dtype.type(alpha_base)
-        candidates = np.asarray(theta, dtype=dtype)[None, :] + alphas[:, None] * (
-            np.asarray(dtheta_base, dtype=dtype)[None, :]
-        )
-        positions = chain32.end_positions_batch(candidates)
-        deltas = np.asarray(target, dtype=dtype)[None, :] - positions
-        errors = np.sqrt(np.sum(deltas**2, axis=1))
-        per_spec_ops = (
-            speculation_update_ops(self.fku.dof) + fk_ops(self.fku.dof) + error_ops()
-        )
-        return [
-            SSUResult(
-                k=int(ks[i]),
-                alpha=float(alphas[i]),
-                q=candidates[i],
-                position=positions[i],
-                error=float(errors[i]),
-                below_threshold=float(errors[i]) < threshold,
-                cycles=self.cycles_per_speculation(),
-                ops=per_spec_ops,
-            )
-            for i in range(ks.size)
-        ]

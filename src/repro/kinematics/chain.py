@@ -276,8 +276,14 @@ class KinematicChain:
         return np.array(bounds_rev[::-1])
 
     def clamp(self, q: np.ndarray) -> np.ndarray:
-        """Clamp a configuration into the joint limits."""
-        return np.clip(np.asarray(q, dtype=float), self._lower, self._upper)
+        """Clamp configurations into the joint limits, in the chain's dtype
+        (the limits cast to it)."""
+        dtype = self.dtype
+        return np.clip(
+            np.asarray(q, dtype=dtype),
+            self._lower.astype(dtype, copy=False),
+            self._upper.astype(dtype, copy=False),
+        )
 
     def within_limits(self, q: np.ndarray, tol: float = 0.0) -> bool:
         """True when every joint value respects its limits."""

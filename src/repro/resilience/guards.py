@@ -19,6 +19,8 @@ traceback names an einsum, not the bad input.  The guards classify targets
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.resilience.report import STAGE_GUARD, FailureRecord, FailureReport
@@ -78,7 +80,10 @@ def reach_sphere(chain, margin: float = 0.0) -> tuple[np.ndarray, float]:
 def guard_target(
     chain, target, index: int = -1, reach_margin: float = 0.0
 ) -> FailureRecord | None:
-    """Classify one target; ``None`` when it passes every check."""
+    """Classify one target; ``None`` when it passes every check.
+
+    A 3-vector gets :func:`guard_targets`' checks, as a batch of one row.
+    """
     arr = np.asarray(target, dtype=float)
     if arr.shape != (3,):
         return FailureRecord(
@@ -87,27 +92,8 @@ def guard_target(
             kind=KIND_BAD_SHAPE,
             message=f"target must be a 3-vector, got shape {arr.shape}",
         )
-    if not np.all(np.isfinite(arr)):
-        return FailureRecord(
-            index=index,
-            stage=STAGE_GUARD,
-            kind=KIND_NONFINITE_TARGET,
-            message=f"target contains non-finite values: {arr.tolist()}",
-        )
-    base_origin = np.asarray(chain.base[:3, 3], dtype=float)
-    radius = float(np.linalg.norm(arr - base_origin))
-    bound = reach_bound(chain, reach_margin)
-    if radius > bound:
-        return FailureRecord(
-            index=index,
-            stage=STAGE_GUARD,
-            kind=KIND_UNREACHABLE,
-            message=(
-                f"target radius {radius:.4g} m exceeds the chain's reach "
-                f"bound {bound:.4g} m"
-            ),
-        )
-    return None
+    records = guard_targets(chain, arr[None], reach_margin)
+    return replace(records[0], index=index) if records else None
 
 
 def guard_targets(

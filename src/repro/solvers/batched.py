@@ -189,8 +189,8 @@ class LockStepRun:
         self._history: list[list] | None = (
             [] if engine.config.record_history else None
         )
-        #: Row id -> (caller's tag, admission time).
-        self._tags: dict[int, tuple[Any, float]] = {}
+        #: Row id -> (caller's tag, admission time, float64 target).
+        self._tags: dict[int, tuple[Any, float, np.ndarray]] = {}
         #: Lock-step iterations run so far.
         self.steps = 0
         #: Rows admitted so far.
@@ -219,7 +219,10 @@ class LockStepRun:
         engine = self.engine
         dtype = engine.chain.dtype
         tags = list(tags)
-        targets = np.array(targets, dtype=dtype).reshape(len(tags), 3)
+        # The caller's targets go back in the results; the run computes
+        # with their copy in the chain's dtype.
+        requested = np.array(targets, dtype=float).reshape(len(tags), 3)
+        targets = requested.astype(dtype, copy=False)
         qs = np.array(q0, dtype=dtype).reshape(len(tags), engine.chain.dof)
         positions, self._carry, carry = engine._start(
             qs, self._q, self._carry, self.tracer
@@ -238,7 +241,9 @@ class LockStepRun:
         ids = np.arange(self.admitted, self.admitted + count)
         self.admitted += count
         now = time.perf_counter()
-        self._tags.update(zip(ids.tolist(), ((tag, now) for tag in tags)))
+        self._tags.update(
+            zip(ids.tolist(), ((tag, now, t) for tag, t in zip(tags, requested)))
+        )
         was_live = self.live
         (self._q, self._p, self._t, self._e, self._iterations, self._fk,
          *carry) = self._active.admit(
@@ -323,7 +328,9 @@ class LockStepRun:
             self._max_error = np.maximum(self._max_error, errors.max())
         retired = []
         for k, i in enumerate(rows.tolist()):
-            tag, admitted_at = self._tags.pop(int(self._active.indices[i]))
+            tag, admitted_at, target = self._tags.pop(
+                int(self._active.indices[i])
+            )
             status = (
                 "converged" if converged[k]
                 else "nonfinite" if nonfinite is not None and nonfinite[i]
@@ -334,7 +341,7 @@ class LockStepRun:
                 converged=bool(converged[k]),
                 iterations=int(iterations[k]),
                 error=float(errors[k]),
-                target=np.array(self._t[i], dtype=float),
+                target=target,
                 solver=engine.name,
                 dof=engine.chain.dof,
                 speculations=engine.speculations,
@@ -416,9 +423,6 @@ class LockStepEngine:
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
         self.chunk = int(chunk)
-        # Joint limits for ``respect_limits``, in the engine dtype.
-        self._lower = self.chain.lower_limits.astype(self.chain.dtype)
-        self._upper = self.chain.upper_limits.astype(self.chain.dtype)
 
     def _fk_chunked(self, qs) -> np.ndarray:
         """End positions of ``qs`` in calls of at most ``chunk`` rows; a
@@ -517,7 +521,7 @@ class LockStepEngine:
         is the batch's wall time divided evenly.
         """
         start_time = time.perf_counter()
-        targets = np.atleast_2d(np.asarray(targets, dtype=self.chain.dtype))
+        targets = np.atleast_2d(np.asarray(targets, dtype=float))
         if targets.shape[1] != 3:
             raise ValueError("targets must have shape (M, 3)")
         m = targets.shape[0]
@@ -605,9 +609,9 @@ class BatchedQuickIK(LockStepEngine):
         sweep = SpeculationGrid(q_c, dq_base, alpha_base, self.speculations)
         if self.config.respect_limits:
             # As QuickIKSolver._step: clamp every candidate before the sweep.
-            sweep = np.clip(
-                sweep.candidates(), self._lower, self._upper
-            ).reshape(len(q_c), self.speculations, dof)
+            sweep = self.chain.clamp(sweep.candidates()).reshape(
+                len(q_c), self.speculations, dof
+            )
         if timed:
             tracer.add_phase("alpha", time.perf_counter() - t1)
         q_new, p_new, e_new, _, _ = speculate(
@@ -647,7 +651,7 @@ class BatchedRowSolver(LockStepEngine):
         jacobians, state = carry[0], carry[1:]
         q_new = self.solver.update_rows(q_c, t_c - p_c, jacobians, state)
         if self.config.respect_limits:
-            q_new = np.clip(q_new, self._lower, self._upper)
+            q_new = self.chain.clamp(q_new)
         if timed:
             t1 = time.perf_counter()
             tracer.add_phase("alpha", t1 - t0)

@@ -109,3 +109,25 @@ def test_float32_sweep_is_tagged_but_results_stay_float64():
     assert starts and starts[0]["dtype"] == "float32"
     for r in out:
         assert r.q.dtype == np.float64
+
+
+def test_float32_results_report_the_callers_target():
+    """A float32 solve computes with a float32 copy of its target; every
+    path reports the caller's float64 target, not that copy."""
+    from repro import api
+    from repro.execution import ExecutionOptions
+    from repro.serving import SolveRequest
+
+    target = np.array([0.31234567891, 0.1, 0.2])
+    assert float(np.float32(target[0])) != target[0]
+    options = ExecutionOptions(kernel="vectorized:float32")
+    results = [
+        api.solve("dadu-12dof", target, options=options, seed=1),
+        api.solve_batch("dadu-12dof", target[None], options=options, seed=1)[0],
+    ]
+    with api.serve(options=options, warm_start=False) as server:
+        future = server.submit(SolveRequest("dadu-12dof", target, seed=1))
+        results.append(future.result(timeout=60))
+    for result in results:
+        assert result.target.dtype == np.float64
+        assert np.array_equal(result.target, target)

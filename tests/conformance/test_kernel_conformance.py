@@ -113,6 +113,29 @@ def test_jacobian_agrees(robot):
     )
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("kernel", KERNEL_MODES)
+def test_jacobians_are_transposed_row_major_blocks(kernel, dtype):
+    """Every Jacobian path returns the transpose of a C-contiguous
+    ``(..., N, 3)`` block.
+
+    The row updates' matmuls (``J^T e`` and ``J J^T e`` in
+    :mod:`repro.core.rows`) round differently by operand layout: the same
+    Jacobian values as a C-ordered ``(..., 3, N)`` array move the scalar
+    kernel's Quick-IK trajectories and the golden telemetry trace in their
+    last bits.  So the layout is part of the kernels' contract.
+    """
+    chain = KernelSpec(name=kernel, dtype=dtype).apply(named_robot("dadu-12dof"))
+    qs = _configurations(chain)
+    for jacobian in (
+        chain.jacobian_position(qs[0]),
+        chain.jacobian_position_batch(qs),
+        chain.fk_jacobian_batch(qs)[1],
+    ):
+        assert jacobian.dtype == np.dtype(dtype)
+        assert jacobian.swapaxes(-1, -2).flags.c_contiguous
+
+
 @pytest.mark.parametrize("robot", ROBOTS)
 def test_candidate_errors_agree(robot):
     """The speculative sweep's selection quantity agrees across kernels.

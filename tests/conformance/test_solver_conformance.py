@@ -214,6 +214,7 @@ def _assert_same_row(got, want, exact: bool = True) -> None:
     assert got.status == want.status
     assert got.converged == want.converged
     assert got.fk_evaluations == want.fk_evaluations
+    np.testing.assert_array_equal(got.target, want.target)
     if exact:
         np.testing.assert_array_equal(got.q, want.q)
         assert got.error == want.error
@@ -227,15 +228,18 @@ def _assert_same_row(got, want, exact: bool = True) -> None:
         )
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
 @pytest.mark.parametrize("name", LOCKSTEP)
-def test_lockstep_rows_equal_single_rows_and_scalar_solves(name, kernel):
+def test_lockstep_rows_equal_single_rows_and_scalar_solves(name, kernel, dtype):
     """B = 1 == B = M bit for bit, and each row == make_solver(name).solve
-    of its target from the same start, on every chain geometry."""
+    of its target from the same start, on every chain geometry and in
+    both dtypes: on a float32 chain the scalar driver keeps float32 state
+    as the engine does, and both report the caller's float64 target."""
     config = SolverConfig(tolerance=1e-2, max_iterations=150)
     for geometry in GEOMETRIES:
         chain, targets, q0 = _cold_batch(12, 8, geometry)
-        chain = KernelSpec(name=kernel).apply(chain)
+        chain = KernelSpec(name=kernel, dtype=dtype).apply(chain)
         engine = make_batch_solver(name, chain, config=config)
         many = engine.solve_batch(targets, q0=q0)
         assert len({r.iterations for r in many}) > 1, geometry

@@ -8,6 +8,7 @@ from repro.core.result import SolverConfig
 from repro.ikacc.accelerator import IKAccSimulator
 from repro.ikacc.config import IKAccConfig
 from repro.kinematics.robots import paper_chain
+from repro.solvers.batched import BatchedQuickIK
 
 
 @pytest.fixture
@@ -29,16 +30,27 @@ class TestSolve:
         assert np.allclose(chain.end_position(result.q), target, atol=2e-2)
 
     def test_matches_software_quick_ik_iterations(self, chain, rng):
-        """The accelerator runs the same algorithm: same restart => the same
-        iteration count as the float64 software solver (float32 round-off is
-        far below the 1e-2 tolerance)."""
-        sim = IKAccSimulator(chain)
-        software = QuickIKSolver(chain, speculations=64)
-        for seed in range(5):
-            target = chain.end_position(chain.random_configuration(rng))
-            a = sim.solve(target, rng=np.random.default_rng(seed))
-            b = software.solve(target, rng=np.random.default_rng(seed))
-            assert abs(a.iterations - b.iterations) <= 1
+        """The accelerator runs Quick-IK's shared solve on its float32 twin:
+        the same restart gives the software solve's q, error and iteration
+        count bit for bit, on the scalar driver and the lock-step engine."""
+        for arm in (chain, paper_chain(50)):
+            sim = IKAccSimulator(arm)
+            assert sim.twin.dtype == np.float32
+            config = sim.solver_config
+            software = QuickIKSolver(sim.twin, speculations=64, config=config)
+            engine = BatchedQuickIK(sim.twin, speculations=64, config=config)
+            for seed in range(5):
+                target = arm.end_position(arm.random_configuration(rng))
+                a = sim.solve(target, rng=np.random.default_rng(seed))
+                for b in (
+                    software.solve(target, rng=np.random.default_rng(seed)),
+                    engine.solve_batch(
+                        target[None], rng=np.random.default_rng(seed)
+                    )[0],
+                ):
+                    assert a.iterations == b.iterations
+                    assert a.error == b.error
+                    np.testing.assert_array_equal(a.q, b.q)
 
     def test_cycle_breakdown_sums_to_total(self, chain, sim, rng):
         target = chain.end_position(chain.random_configuration(rng))
@@ -69,14 +81,27 @@ class TestSolve:
         assert 0.08 < result.average_power_w < 0.32
 
     def test_wave_early_exit_skips_second_wave(self, chain, rng):
-        """With a generous tolerance the first wave already contains a hit;
-        the second wave of the final iteration must not execute."""
-        config = SolverConfig(tolerance=0.5)
-        sim = IKAccSimulator(chain, solver_config=config)
-        target = chain.end_position(chain.random_configuration(rng))
-        result = sim.solve(target, rng=rng)
-        if result.iterations > 0:
-            assert result.waves_executed < 2 * result.iterations + 1
+        """Only a converged solve's last iteration stops early, at the wave
+        holding its winner (the first candidate within tolerance): a
+        winner in the first wave skips the second."""
+        sim = IKAccSimulator(chain)
+        n_waves = sim.scheduler.n_waves
+        last_waves = set()
+        for seed in range(8):
+            target = chain.end_position(chain.random_configuration(rng))
+            result = sim.solve(target, rng=np.random.default_rng(seed))
+            assert result.converged and result.iterations > 0
+            software = QuickIKSolver(
+                sim.twin, config=sim.solver_config, track_chosen=True
+            )
+            software.solve(target, rng=np.random.default_rng(seed))
+            winner = software.chosen_history[-1] + 1  # 1-based k
+            last = -(-winner // sim.config.n_ssus)
+            assert result.waves_executed == (
+                n_waves * (result.iterations - 1) + last
+            )
+            last_waves.add(last)
+        assert 1 in last_waves  # some solve skipped its second wave
 
     def test_zero_iterations_when_start_is_solution(self, chain, rng):
         q0 = chain.random_configuration(rng)

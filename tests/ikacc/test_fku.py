@@ -1,8 +1,13 @@
-"""Tests for the Forward Kinematics Unit."""
+"""Tests for the Forward Kinematics Unit.
+
+The positions an FKU produces are the simulator's float32 twin's; the
+functional tests hold that twin to the chain it stands for.
+"""
 
 import numpy as np
 import pytest
 
+from repro.ikacc.accelerator import IKAccSimulator
 from repro.ikacc.config import DatapathTiming, IKAccConfig
 from repro.ikacc.fku import ForwardKinematicsUnit
 from repro.kinematics.robots import paper_chain
@@ -14,30 +19,31 @@ def chain():
 
 
 @pytest.fixture
-def fku(chain):
-    return ForwardKinematicsUnit(chain, IKAccConfig())
+def twin(chain):
+    return IKAccSimulator(chain).twin
 
 
 class TestFunctional:
-    def test_matches_float32_chain(self, chain, fku, rng):
+    def test_matches_float32_chain(self, chain, twin, rng):
         chain32 = chain.astype(np.float32)
+        assert twin is chain32
         for _ in range(5):
             q = chain.random_configuration(rng)
-            position, _ = fku.run(q)
+            position = twin.end_position(q)
+            assert position.dtype == np.float32
             assert np.array_equal(position, chain32.end_position(q))
 
-    def test_close_to_float64_reference(self, chain, fku, rng):
+    def test_close_to_float64_reference(self, chain, twin, rng):
         q = chain.random_configuration(rng)
-        position, _ = fku.run(q)
+        position = twin.end_position(q)
         assert np.linalg.norm(position.astype(float) - chain.end_position(q)) < 1e-5
 
-    def test_run_batch_matches_run(self, chain, fku, rng):
+    def test_run_batch_matches_run(self, chain, twin, rng):
         qs = np.stack([chain.random_configuration(rng) for _ in range(4)])
-        batch_positions, batch_report = fku.run_batch(qs)
+        batch_positions = twin.end_positions_batch(qs)
         for i in range(4):
-            single, single_report = fku.run(qs[i])
+            single = twin.end_position(qs[i])
             assert np.allclose(batch_positions[i], single, atol=1e-6)
-        assert batch_report.cycles == 4 * single_report.cycles
 
 
 class TestTiming:
@@ -57,13 +63,18 @@ class TestTiming:
         b = ForwardKinematicsUnit(chain, slow_screw).cycles_per_fk()
         assert b > a  # screw generation became the bottleneck
 
-    def test_report_ops_match_opcounts(self, chain, fku, rng):
+    def test_report_ops_match_opcounts(self, chain):
+        """A solve that starts at its solution runs one FK: the FKU's
+        cycles and ops."""
         from repro.ikacc.opcounts import fk_ops
 
-        _, report = fku.run(chain.random_configuration(rng))
-        assert report.ops == fk_ops(chain.dof)
+        q0 = chain.random_configuration(np.random.default_rng(0))
+        sim = IKAccSimulator(chain)
+        result = sim.solve(chain.end_position(q0), q0=q0)
+        assert result.iterations == 0
+        assert result.ops == fk_ops(chain.dof)
+        assert result.cycles == sim.ssu.fku.cycles_per_fk()
 
     def test_accepts_prebuilt_float32_chain(self, chain):
         chain32 = chain.astype(np.float32)
-        fku = ForwardKinematicsUnit(chain32, IKAccConfig())
-        assert fku.chain32 is chain32
+        assert IKAccSimulator(chain32).twin is chain32

@@ -1,9 +1,16 @@
-"""Tests for the Serial Process Unit."""
+"""Tests for the Serial Process Unit.
+
+The values the SPU produces are Quick-IK's shared step on the simulator's
+float32 twin; the functional tests read them from a simulated solve's
+first broadcast and hold them to the float64 reference.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.alpha import buss_alpha
+from repro.core.result import SolverConfig
+from repro.ikacc.accelerator import IKAccSimulator
 from repro.ikacc.config import IKAccConfig
 from repro.ikacc.spu import SerialProcessUnit
 from repro.kinematics.robots import paper_chain
@@ -19,30 +26,42 @@ def spu(chain):
     return SerialProcessUnit(chain, IKAccConfig())
 
 
-class TestFunctional:
-    def test_jacobian_matches_float32_chain(self, chain, spu, rng):
-        chain32 = chain.astype(np.float32)
-        q = chain.random_configuration(rng)
-        target = chain.end_position(chain.random_configuration(rng))
-        result = spu.run(q, target)
-        assert np.array_equal(result.jacobian, chain32.jacobian_position(q))
+@pytest.fixture
+def serial_block(chain, rng, broadcasts):
+    """``(q, dtheta_base, alpha_base, target)`` of one simulated iteration,
+    ``q`` and ``dtheta_base`` as the float32 twin computed them."""
+    sim = IKAccSimulator(chain, solver_config=SolverConfig(max_iterations=1))
+    q0 = chain.random_configuration(rng)
+    target = chain.end_position(chain.random_configuration(rng))
+    sim.solve(target, q0=q0)
+    (grid,) = broadcasts
+    return grid.q[0], grid.direction[0], float(grid.alpha_base[0]), target
 
-    def test_dtheta_base_is_transpose_times_error(self, chain, spu, rng):
-        q = chain.random_configuration(rng)
-        target = chain.end_position(chain.random_configuration(rng))
-        result = spu.run(q, target)
+
+class TestFunctional:
+    def test_jacobian_matches_float32_chain(self, chain, serial_block):
+        q, dtheta_base, _, target = serial_block
+        chain32 = chain.astype(np.float32)
+        assert q.dtype == dtheta_base.dtype == np.float32
+        error32 = target.astype(np.float32) - chain32.end_position(q)
+        assert np.array_equal(
+            dtheta_base, chain32.jacobian_position(q).T @ error32
+        )
+
+    def test_dtheta_base_is_transpose_times_error(self, chain, serial_block):
+        q, dtheta_base, _, target = serial_block
+        q = q.astype(float)
         error64 = target - chain.end_position(q)
         expected = chain.jacobian_position(q).T @ error64
-        assert np.allclose(result.dtheta_base.astype(float), expected, atol=1e-4)
+        assert np.allclose(dtheta_base.astype(float), expected, atol=1e-4)
 
-    def test_alpha_base_matches_equation_8(self, chain, spu, rng):
-        q = chain.random_configuration(rng)
-        target = chain.end_position(chain.random_configuration(rng))
-        result = spu.run(q, target)
+    def test_alpha_base_matches_equation_8(self, chain, serial_block):
+        q, _, alpha_base, target = serial_block
+        q = q.astype(float)
         jac = chain.jacobian_position(q)
         error = target - chain.end_position(q)
         expected = buss_alpha(error, jac @ (jac.T @ error))
-        assert result.alpha_base == pytest.approx(expected, rel=1e-3)
+        assert alpha_base == pytest.approx(expected, rel=1e-3)
 
 
 class TestTiming:
@@ -76,7 +95,12 @@ class TestTiming:
 
         assert ratio(100) > ratio(12) > 1.0
 
-    def test_reported_cycles_consistent(self, chain, spu, rng):
-        q = chain.random_configuration(rng)
+    def test_reported_cycles_consistent(self, chain, rng):
+        """A simulated solve charges the serial block once per iteration."""
+        sim = IKAccSimulator(chain)
         target = chain.end_position(chain.random_configuration(rng))
-        assert spu.run(q, target).cycles == spu.cycles_per_iteration()
+        result = sim.solve(target, rng=rng)
+        assert result.iterations > 0
+        assert result.cycle_breakdown["spu"] == (
+            result.iterations * sim.spu.cycles_per_iteration()
+        )

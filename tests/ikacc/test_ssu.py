@@ -1,12 +1,20 @@
-"""Tests for the Speculative Search Unit."""
+"""Tests for the Speculative Search Unit.
+
+The candidates and errors an SSU produces are Quick-IK's shared sweep
+(the step's ``SpeculationGrid`` through ``speculate``) on the simulator's
+float32 twin; the functional tests read a simulated iteration's grid.
+"""
 
 import numpy as np
 import pytest
 
+from repro.core.quick_ik import speculate
+from repro.core.result import SolverConfig
+from repro.ikacc.accelerator import IKAccSimulator
 from repro.ikacc.config import IKAccConfig
-from repro.ikacc.spu import SerialProcessUnit
 from repro.ikacc.ssu import SpeculativeSearchUnit
 from repro.kinematics.robots import paper_chain
+from repro.telemetry.tracer import NULL_TRACER
 
 
 @pytest.fixture
@@ -15,74 +23,59 @@ def chain():
 
 
 @pytest.fixture
-def setup(chain, rng):
-    """A realistic (theta, dtheta_base, alpha_base, target) tuple."""
-    config = IKAccConfig()
-    q = chain.random_configuration(rng)
+def setup(chain, rng, broadcasts):
+    """A simulated iteration's broadcast grid, the twin and the target."""
+    sim = IKAccSimulator(chain, solver_config=SolverConfig(max_iterations=1))
+    q0 = chain.random_configuration(rng)
     target = chain.end_position(chain.random_configuration(rng))
-    spu_result = SerialProcessUnit(chain, config).run(q, target)
-    return config, q, spu_result, target
+    sim.solve(target, q0=q0)
+    (grid,) = broadcasts
+    return sim.twin, grid, target
 
 
 class TestFunctional:
-    def test_alpha_k_follows_equation_9(self, chain, setup):
-        config, q, spu_result, target = setup
-        ssu = SpeculativeSearchUnit(chain, config)
+    def test_alpha_k_follows_equation_9(self, setup):
+        _, grid, _ = setup
+        alpha_base = float(grid.alpha_base[0])
         for k in (1, 17, 64):
-            result = ssu.run(
-                k, q, spu_result.dtheta_base, spu_result.alpha_base, target, 1e-2
-            )
-            assert result.alpha == pytest.approx(
-                (k / 64) * spu_result.alpha_base, rel=1e-5
+            assert float(grid.alphas[0, k - 1]) == pytest.approx(
+                (k / 64) * alpha_base, rel=1e-5
             )
 
-    def test_k_max_reproduces_full_buss_step(self, chain, setup):
-        config, q, spu_result, target = setup
-        ssu = SpeculativeSearchUnit(chain, config)
-        result = ssu.run(
-            64, q, spu_result.dtheta_base, spu_result.alpha_base, target, 1e-2
+    def test_k_max_reproduces_full_buss_step(self, setup):
+        _, grid, _ = setup
+        expected = grid.q[0].astype(float) + float(
+            grid.alpha_base[0]
+        ) * grid.direction[0].astype(float)
+        assert np.allclose(grid.candidates()[63].astype(float), expected, atol=1e-4)
+
+    def test_error_is_distance_to_target(self, setup):
+        twin, grid, target = setup
+        _, position, error, _, _ = speculate(
+            twin.end_positions_batch, grid, target.astype(np.float32)[None],
+            1e-2, NULL_TRACER,
         )
-        expected = q + spu_result.alpha_base * spu_result.dtheta_base.astype(float)
-        assert np.allclose(result.q.astype(float), expected, atol=1e-4)
+        expected = np.linalg.norm(target - position[0].astype(float))
+        assert float(error[0]) == pytest.approx(expected, rel=1e-5)
 
-    def test_error_is_distance_to_target(self, chain, setup):
-        config, q, spu_result, target = setup
-        ssu = SpeculativeSearchUnit(chain, config)
-        result = ssu.run(
-            10, q, spu_result.dtheta_base, spu_result.alpha_base, target, 1e-2
+    def test_below_threshold_flag(self, setup):
+        twin, grid, target = setup
+        _, _, _, chosen, below = speculate(
+            twin.end_positions_batch, grid, target.astype(np.float32)[None],
+            1e9, NULL_TRACER,
         )
-        expected = np.linalg.norm(target - result.position.astype(float))
-        assert result.error == pytest.approx(expected, rel=1e-5)
+        assert below[0]
+        assert chosen[0] == 0  # k = 1, the first within the threshold
 
-    def test_below_threshold_flag(self, chain, setup):
-        config, q, spu_result, target = setup
-        ssu = SpeculativeSearchUnit(chain, config)
-        result = ssu.run(
-            1, q, spu_result.dtheta_base, spu_result.alpha_base, target, 1e9
-        )
-        assert result.below_threshold
-
-    def test_invalid_k_rejected(self, chain, setup):
-        config, q, spu_result, target = setup
-        ssu = SpeculativeSearchUnit(chain, config)
-        with pytest.raises(ValueError):
-            ssu.run(0, q, spu_result.dtheta_base, spu_result.alpha_base, target, 1e-2)
-        with pytest.raises(ValueError):
-            ssu.run(65, q, spu_result.dtheta_base, spu_result.alpha_base, target, 1e-2)
-
-    def test_run_wave_matches_individual_runs(self, chain, setup):
-        config, q, spu_result, target = setup
-        ssu = SpeculativeSearchUnit(chain, config)
+    def test_run_wave_matches_individual_runs(self, setup):
+        twin, grid, _ = setup
         ks = np.array([1, 5, 33, 64])
-        wave = ssu.run_wave(
-            ks, q, spu_result.dtheta_base, spu_result.alpha_base, target, 1e-2
-        )
-        for result in wave:
-            single = ssu.run(
-                result.k, q, spu_result.dtheta_base, spu_result.alpha_base, target, 1e-2
-            )
-            assert result.error == pytest.approx(single.error, rel=1e-5)
-            assert np.allclose(result.q, single.q, atol=1e-6)
+        block = grid.candidates()
+        wave = twin.end_positions_batch(block[ks - 1])
+        for i, k in enumerate(ks):
+            assert np.array_equal(grid.rows(np.array([k - 1]))[0], block[k - 1])
+            single = twin.end_position(block[k - 1])
+            assert np.allclose(wave[i], single, atol=1e-6)
 
 
 class TestTiming:
@@ -92,11 +85,12 @@ class TestTiming:
         assert ssu.cycles_per_speculation() > ssu.fku.cycles_per_fk()
         assert ssu.cycles_per_speculation() < ssu.fku.cycles_per_fk() + 100
 
-    def test_wave_results_carry_single_speculation_latency(self, chain, setup):
-        config, q, spu_result, target = setup
-        ssu = SpeculativeSearchUnit(chain, config)
-        wave = ssu.run_wave(
-            np.array([1, 2, 3]), q, spu_result.dtheta_base, spu_result.alpha_base,
-            target, 1e-2,
+    def test_wave_results_carry_single_speculation_latency(self, chain, rng):
+        """A simulated solve charges one speculation's latency per wave."""
+        sim = IKAccSimulator(chain)
+        target = chain.end_position(chain.random_configuration(rng))
+        result = sim.solve(target, rng=rng)
+        assert result.waves_executed > 0
+        assert result.cycle_breakdown["ssu"] == (
+            result.waves_executed * sim.ssu.cycles_per_speculation()
         )
-        assert all(r.cycles == ssu.cycles_per_speculation() for r in wave)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.alpha import buss_alpha
+from repro.core.result import SolverConfig
 from repro.ikacc.accelerator import IKAccSimulator
-from repro.ikacc.config import IKAccConfig
 from repro.ikacc.opcounts import quick_ik_iteration_ops
 from repro.kinematics.robots import paper_chain
 from repro.platforms.atom import AtomModel
@@ -69,16 +69,19 @@ class TestAtomModelInternalConsistency:
 
 
 class TestFloat32SPUvsFloat64:
-    def test_spu_alpha_base_matches_double_precision(self, rng):
-        from repro.ikacc.spu import SerialProcessUnit
-
+    def test_spu_alpha_base_matches_double_precision(self, rng, broadcasts):
+        """Each simulated iteration's float32 ``alpha_base`` (the shared
+        step's Eq. 8 on the twin) matches the float64 value at its ``q``."""
         chain = paper_chain(50)
-        spu = SerialProcessUnit(chain, IKAccConfig())
+        sim = IKAccSimulator(chain, solver_config=SolverConfig(max_iterations=1))
         for _ in range(5):
-            q = chain.random_configuration(rng)
+            q0 = chain.random_configuration(rng)
             target = chain.end_position(chain.random_configuration(rng))
-            hw = spu.run(q, target)
+            sim.solve(target, q0=q0)
+            grid = broadcasts[-1]
+            q = grid.q[0].astype(float)
             jac = chain.jacobian_position(q)
             error = target - chain.end_position(q)
             sw_alpha = buss_alpha(error, jac @ (jac.T @ error))
-            assert hw.alpha_base == pytest.approx(sw_alpha, rel=1e-3)
+            assert float(grid.alpha_base[0]) == pytest.approx(sw_alpha, rel=1e-3)
+        assert len(broadcasts) == 5

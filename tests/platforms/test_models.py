@@ -1,7 +1,10 @@
 """Tests for the Atom/TX1/IKAcc platform cost models."""
 
+import numpy as np
 import pytest
 
+from repro.core.result import SolverConfig
+from repro.kinematics.robots import paper_chain
 from repro.platforms.atom import AtomModel
 from repro.platforms.base import METHOD_NAMES, iteration_ops
 from repro.platforms.ikacc_platform import IKAccPlatform
@@ -114,6 +117,15 @@ class TestIKAccPlatform:
 
     def test_avg_power_in_paper_band(self):
         assert 0.08 < IKAccPlatform().avg_power_w < 0.32
+
+    def test_simulate_applies_its_solver_config_to_a_cached_simulator(self):
+        platform, chain = IKAccPlatform(), paper_chain(12)
+        platform.simulator(chain)  # cached with the default config
+        (run,) = platform.simulate(
+            chain, np.array([[99.0, 0.0, 0.0]]), rng=np.random.default_rng(0),
+            solver_config=SolverConfig(max_iterations=3),
+        )
+        assert run.iterations == 3
 
 
 class TestCrossPlatformShape:
