@@ -5,6 +5,7 @@ from repro.kinematics.dh import DHConvention, DHLink, dh_transform
 from repro.kinematics.generic import GenericChain, GenericJoint, GenericJointType
 from repro.kinematics.io import chain_from_dict, chain_to_dict, load_chain, save_chain
 from repro.kinematics.joint import Joint, JointLimits, JointType
+from repro.kinematics.kernels import chain_fingerprint
 from repro.kinematics.robots import (
     PAPER_DOFS,
     hyper_redundant_chain,
@@ -26,6 +27,7 @@ __all__ = [
     "GenericJoint",
     "GenericJointType",
     "UrdfError",
+    "chain_fingerprint",
     "chain_from_dict",
     "chain_to_dict",
     "load_chain",

@@ -111,6 +111,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
 __all__ = [
     "KERNEL_MODES",
     "DEFAULT_KERNEL",
+    "chain_fingerprint",
     "resolve_kernel_mode",
     "make_kernels",
     "ScalarKernels",
@@ -125,6 +126,31 @@ KERNEL_MODES = ("scalar", "vectorized")
 #: The seed behaviour: link-by-link loops, bit-identical to every release
 #: before the kernel layer existed.
 DEFAULT_KERNEL = "scalar"
+
+
+def chain_fingerprint(chain: "KinematicChain") -> bytes:
+    """Digest of every chain parameter array a kinematics result depends on.
+
+    Convention, dtype and the raw bytes of the offset / mask /
+    constant-transform / base / tool arrays.  Identically built chains
+    share it, and in-place mutation of any of those arrays changes it:
+    the vectorized kernels drop their prefix cache on a change, the seed
+    cache never warm-starts from stale geometry, and the IKAcc platform
+    keys its simulators by it.
+    """
+    h = hashlib.sha1()
+    h.update(chain.convention.encode())
+    h.update(str(chain.dtype).encode())
+    for arr in (
+        chain._theta_offset,
+        chain._d_offset,
+        chain._revolute_mask,
+        chain._const,
+        chain.base,
+        chain.tool,
+    ):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.digest()
 
 
 def resolve_kernel_mode(mode: str | None) -> str:
@@ -399,7 +425,7 @@ class VectorizedKernels:
         (modified) as ``(N, 1, 3)``, and ``a``.
         """
         chain = self.chain
-        self._fingerprint = self._chain_fingerprint()
+        self._fingerprint = chain_fingerprint(chain)
         dtype = chain.dtype
         const = chain._const  # (N, 4, 4)
         self._rev = chain._revolute_mask.astype(dtype)
@@ -461,23 +487,6 @@ class VectorizedKernels:
             np.ascontiguousarray(chain.base[:3, k:k + 1]) for k in range(4)
         )
 
-    def _chain_fingerprint(self) -> bytes:
-        """Digest of every parameter array a kernel result depends on."""
-        chain = self.chain
-        h = hashlib.sha1()
-        h.update(chain.convention.encode())
-        h.update(str(chain.dtype).encode())
-        for arr in (
-            chain._theta_offset,
-            chain._d_offset,
-            chain._revolute_mask,
-            chain._const,
-            chain.base,
-            chain.tool,
-        ):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.digest()
-
     # -- cache management ----------------------------------------------
 
     def invalidate(self) -> None:
@@ -494,7 +503,7 @@ class VectorizedKernels:
         cache = self._cache
         if cache is None or q.tobytes() != cache[0]:
             return None
-        if self._chain_fingerprint() != self._fingerprint:
+        if chain_fingerprint(self.chain) != self._fingerprint:
             # Parameter arrays were mutated under us: the snapshot and the
             # cache are both stale.
             self.refresh()

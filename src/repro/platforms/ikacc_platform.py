@@ -17,7 +17,7 @@ from repro.ikacc.accelerator import IKAccRunResult, IKAccSimulator
 from repro.ikacc.config import IKAccConfig
 from repro.ikacc.opcounts import quick_ik_iteration_ops
 from repro.ikacc.power import IKAccPowerModel
-from repro.kinematics.chain import KinematicChain
+from repro.kinematics import KinematicChain, chain_fingerprint
 from repro.platforms.base import PlatformModel
 
 __all__ = ["IKAccPlatform"]
@@ -32,7 +32,10 @@ class IKAccPlatform(PlatformModel):
     def __init__(self, config: IKAccConfig | None = None) -> None:
         self.config = config or IKAccConfig()
         self.power_model = IKAccPowerModel(self.config)
-        self._simulators: dict[tuple[str, int], IKAccSimulator] = {}
+        #: Simulators by :func:`~repro.kinematics.chain_fingerprint` of
+        #: their chain: chains of one name and DOF but another geometry
+        #: get their own.
+        self._simulators: dict[bytes, IKAccSimulator] = {}
 
     @property
     def avg_power_w(self) -> float:  # type: ignore[override]
@@ -41,15 +44,13 @@ class IKAccPlatform(PlatformModel):
         Reported in Table 3; per-run averages come from the simulator.
         """
         # Leakage plus dynamic power of a fully busy iteration at 100 DOF.
-        sim = None  # avoid building a chain here; use the analytic mid-point
         ops = quick_ik_iteration_ops(100, self.config.speculations)
         dummy_seconds = 7.5e-6  # one 100-DOF iteration at the default config
-        del sim
         return self.power_model.average_power_w(ops, dummy_seconds)
 
     def simulator(self, chain: KinematicChain, solver_config: SolverConfig | None = None) -> IKAccSimulator:
-        """A (cached) simulator for ``chain``."""
-        key = (chain.name, chain.dof)
+        """A (cached) simulator for ``chain``'s geometry."""
+        key = chain_fingerprint(chain)
         if key not in self._simulators:
             self._simulators[key] = IKAccSimulator(
                 chain, config=self.config, solver_config=solver_config

@@ -15,11 +15,12 @@ toward the **most recently recorded** candidate, which favours trajectory
 locality (the freshest solution on a track is the closest in time, hence
 usually in configuration space too).
 
-The cache is keyed per robot by a **parameter fingerprint** — a digest of
-every chain array an FK result depends on, the same invalidation discipline
-as the PR-4 vectorized prefix cache: mutate a link length in place and the
-fingerprint changes, so stale solutions for the old geometry are simply
-never consulted (and are evicted by capacity pressure).  Entries live in a
+The cache is keyed per robot by a **parameter fingerprint**
+(:func:`repro.kinematics.chain_fingerprint`) — a digest of every chain
+array an FK result depends on, the same one the vectorized prefix cache
+invalidates by: mutate a link length in place and the fingerprint
+changes, so stale solutions for the old geometry are simply never
+consulted (and are evicted by capacity pressure).  Entries live in a
 bounded FIFO ring per robot.
 
 Warm starting trades bit-comparability with offline solves for iteration
@@ -30,11 +31,12 @@ one small copy.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.kinematics import chain_fingerprint
 
 __all__ = ["chain_fingerprint", "SeedCache", "SeedCacheStats"]
 
@@ -55,30 +57,6 @@ DEFAULT_K = 8
 #: limit).  Small by design: distance dominates, the penalty only breaks
 #: near-ties away from clamped seeds.
 DEFAULT_LIMIT_PENALTY = 0.05
-
-
-def chain_fingerprint(chain) -> bytes:
-    """Digest of every chain parameter array an IK solution depends on.
-
-    Mirrors the vectorized kernels' ``_chain_fingerprint``: convention,
-    dtype and the raw bytes of the offset / mask / constant-transform /
-    base / tool arrays.  In-place mutation of any of them changes the
-    digest, which is what invalidates cached solutions for the old
-    geometry.
-    """
-    h = hashlib.sha1()
-    h.update(chain.convention.encode())
-    h.update(str(chain.dtype).encode())
-    for arr in (
-        chain._theta_offset,
-        chain._d_offset,
-        chain._revolute_mask,
-        chain._const,
-        chain.base,
-        chain.tool,
-    ):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.digest()
 
 
 @dataclass

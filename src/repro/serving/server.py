@@ -14,10 +14,11 @@ key:
   ``on_error`` ``"raise"`` or ``"skip"``, no ``resilience`` and no
   watchdog — opens a resumable
   :class:`~repro.solvers.batched.LockStepRun` with whatever is queued.  At
-  every iteration boundary the loop admits that key's queued requests
-  into the run (up to ``max_batch_size`` live rows), and it completes each
-  request's future the moment its own row retires.  While the run is live
-  and has room, no other loop starts a second run for the key.
+  every iteration boundary the loop completes the futures of the rows
+  that retired, yields the GIL once so a client woken by a completion
+  can resubmit, and only then admits the key's queued requests (up to
+  ``max_batch_size`` live rows).  While the run is live and has room, no
+  other loop starts a second run for the key.
 * **Micro-batch.**  Every other key executes its queue (up to
   ``max_batch_size`` requests) through one :func:`repro.api.solve_batch`
   call under the server's ``options``: process sharding (``workers``),
@@ -83,7 +84,7 @@ import numpy as np
 
 from repro.api import _resolve_config, resolve_robot
 from repro.execution import ExecutionOptions
-from repro.kinematics.chain import KinematicChain
+from repro.kinematics import KinematicChain, chain_fingerprint
 from repro.resilience.guards import (
     FATAL_GUARD_KINDS,
     GuardViolation,
@@ -100,12 +101,7 @@ from repro.serving.request import (
     SloShed,
     SolveRequest,
 )
-from repro.serving.seeds import (
-    DEFAULT_K,
-    DEFAULT_LIMIT_PENALTY,
-    SeedCache,
-    chain_fingerprint,
-)
+from repro.serving.seeds import DEFAULT_K, DEFAULT_LIMIT_PENALTY, SeedCache
 from repro.solvers.batched import LockStepRun
 from repro.solvers.registry import BATCH_REGISTRY, make_batch_solver
 from repro.telemetry.tracer import Tracer, get_tracer
@@ -220,8 +216,8 @@ class ServingStats:
     For a key served by admission, a *batch* is one lock-step run:
     ``batches`` counts runs opened, ``requests_batched`` the requests
     admitted into them, ``occupancy_peak`` the most rows one run held at
-    once (never above ``max_batch_size``) and ``execute_s`` the runs'
-    lifetimes.
+    once (never above ``max_batch_size``) and ``execute_s`` the lifetimes
+    of the runs that have ended.
     ``coalesce_wait_s`` is each request's time from submission to
     admission.  For every other key a batch is one ``api.solve_batch``
     call, as before.
@@ -923,8 +919,15 @@ class IKServer:
 
     def _serve_run(self, batch: MicroBatch, tr: Tracer) -> None:
         """Serve ``batch``'s key on one resumable lock-step run until it
-        drains: admit the key's queued requests at every iteration
-        boundary, complete each request the moment its row retires."""
+        drains.
+
+        Each boundary steps the run, completes the retired rows' futures
+        and only then takes the key's next wave, so a client that
+        resubmits on completion joins at this boundary.  A boundary that
+        completed a future first yields the GIL once, outside the lock:
+        the woken client submits now, not when a GIL-releasing call in
+        the next iteration lets it run, too late to join before it.  The
+        run ends when no row is live after the wave."""
         key = batch.key
         entries = batch.entries
         has_room = len(entries) < self.config.max_batch_size
@@ -957,14 +960,14 @@ class IKServer:
                 finished = self._admit(run, key, entries, tr, sphere)
                 if run.live:
                     finished += run.step()
+                if finished:
+                    self._finish(finished, tr, key, fingerprint)
+                    rows = {k: e for k, e in rows.items() if not e.future.done()}
+                    time.sleep(0)
                 with self._cond:
                     entries, has_room = self._next_wave(run, key, has_room)
-                ended = not run.live and not entries
-                if ended:
+                if not run.live and not entries:
                     self._end_run(run, start, tr)
-                self._finish(finished, tr, key, fingerprint)
-                rows = {k: e for k, e in rows.items() if not e.future.done()}
-                if ended:
                     return
         except Exception as exc:
             # Bad numerics retire typed, so this is a defect (or, at the

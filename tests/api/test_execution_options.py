@@ -32,6 +32,7 @@ from repro.serving import IKServer, SessionManager, SolveRequest
 from repro.serving.server import ServerConfig
 from repro.solvers.registry import make_batch_solver
 from repro.workloads.suite import EvaluationSuite
+from tests.serving.runs import run_ends
 
 SEED = 20170619
 
@@ -230,11 +231,13 @@ class TestWiring:
         with api.serve(
             options=ExecutionOptions(kernel="vectorized", on_error="skip")
         ) as server:
-            # One request at a time: each opens (and drains) its own run.
+            # One request at a time, each sent once the last run ended:
+            # each opens (and drains) its own run.
             for target in targets:
-                server.submit(
-                    SolveRequest("dadu-12dof", target, seed=SEED)
-                ).result(timeout=60)
+                with run_ends(server):
+                    server.submit(
+                        SolveRequest("dadu-12dof", target, seed=SEED)
+                    ).result(timeout=60)
             assert server.stats().batches == len(targets)
         # The server's own dadu-12dof chain: one more twin, not one per run.
         assert built == ["dadu-12dof"] * 2

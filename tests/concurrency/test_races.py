@@ -12,6 +12,10 @@ Every join is time-bounded.
   ``jacobian_position`` must equal the scalar oracle's.
 * :class:`~repro.telemetry.tracer.TracerBase` counters are bumped from
   dispatch threads and client threads at once; no increment may be lost.
+* Closed-loop clients resubmit the moment a result arrives, while the
+  run yields the GIL between completing futures and taking its next
+  wave: every request still completes exactly once, nothing is left
+  queued or marked admitting, and each result equals offline.
 
 A third test forces one interleaving deterministically instead: a
 submission lands in the middle of :meth:`IKServer.stats`, which must
@@ -24,9 +28,11 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
+from repro import api
 from repro.kinematics.robots import named_robot
-from repro.serving import IKServer, SolveRequest
+from repro.serving import IKServer, ServerConfig, SolveRequest
 from repro.serving.seeds import SeedCacheStats
 from repro.telemetry import SummaryTracer
 
@@ -97,6 +103,56 @@ def test_tracer_counts_are_exact_across_threads():
     _hammer(8, work)
     assert tracer.counters["serve_requests"] == 8 * per_thread
     assert tracer.phase_seconds["serve_execute"] == 8.0 * per_thread / 10
+
+
+@pytest.mark.parametrize("dispatch_workers", [1, 2])
+def test_closed_loop_clients_on_one_key_complete_exactly_once(
+    dispatch_workers,
+):
+    clients, ticks = 4, 25
+    chain = named_robot("dadu-12dof")
+    rng = np.random.default_rng(21)
+    targets = np.stack([
+        chain.end_position(chain.random_configuration(rng))
+        for _ in range(clients * ticks)
+    ]).reshape(clients, ticks, 3)
+    q0 = np.stack([
+        chain.random_configuration(rng) for _ in range(clients * ticks)
+    ]).reshape(clients, ticks, chain.dof)
+    config = ServerConfig(dispatch_workers=dispatch_workers, warm_start=False)
+    server = IKServer(config).start()
+
+    def work(i):
+        # Each tick is sent when the last one returns, as a controller
+        # streaming one target per control period does.
+        return [
+            server.submit(SolveRequest(
+                "dadu-12dof", targets[i, k], q0=q0[i, k], tolerance=1e-2,
+                max_iterations=200,
+            )).result(timeout=JOIN_TIMEOUT)
+            for k in range(ticks)
+        ]
+
+    try:
+        served = _hammer(clients, work)
+    finally:
+        server.close()
+    stats = server.stats()
+    assert stats.submitted == stats.completed == stats.requests_batched
+    assert stats.completed == clients * ticks
+    assert server.queue_depth == 0
+    assert not server._admitting
+    offline = api.solve_batch(
+        "dadu-12dof", targets.reshape(-1, 3), q0=q0.reshape(-1, chain.dof),
+        tolerance=1e-2, max_iterations=200, options=config.options,
+    )
+    for result, expected in zip(
+        (r for thread in served for r in thread), offline
+    ):
+        assert result.iterations == expected.iterations
+        assert result.status == expected.status
+        assert np.array_equal(result.q, expected.q)
+        assert result.error == expected.error
 
 
 class _InterleavingStats(SeedCacheStats):

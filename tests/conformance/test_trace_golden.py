@@ -36,6 +36,7 @@ def generate_trace(path) -> None:
     from repro.execution import ExecutionOptions
     from repro.resilience import ResilienceConfig
     from repro.serving import IKServer, ServerConfig, SessionManager
+    from tests.serving.runs import run_ends
 
     chain = api.resolve_robot("dadu-12dof")
     rng = np.random.default_rng(1)
@@ -65,8 +66,9 @@ def generate_trace(path) -> None:
         )
         # Streaming session: sequential awaited ticks against a single
         # dispatch loop (no seed cache) keep the per-event counter
-        # snapshots deterministic — the server emits all batch telemetry
-        # before completing futures.
+        # snapshots deterministic: the server emits a request's telemetry
+        # before completing its future, and each tick is sent once the
+        # last tick's run has ended, so every tick opens its own run.
         server_config = ServerConfig(
             max_batch_size=4, dispatch_workers=1, warm_start=False,
             seed_cache_capacity=0,
@@ -78,7 +80,8 @@ def generate_trace(path) -> None:
                 tolerance=1e-2, max_iterations=60,
             )
             for target in targets[:2]:
-                session.tick(target).result(timeout=120)
+                with run_ends(server):
+                    session.tick(target).result(timeout=120)
             session.drain()
             manager.close_all()
 

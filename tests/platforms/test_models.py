@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.result import SolverConfig
-from repro.kinematics.robots import paper_chain
+from repro.ikacc.accelerator import IKAccSimulator
+from repro.kinematics.robots import paper_chain, random_chain
 from repro.platforms.atom import AtomModel
 from repro.platforms.base import METHOD_NAMES, iteration_ops
 from repro.platforms.ikacc_platform import IKAccPlatform
@@ -106,9 +107,6 @@ class TestIKAccPlatform:
             IKAccPlatform().seconds_per_iteration("JT-Serial", 12)
 
     def test_per_iteration_matches_simulator(self):
-        from repro.ikacc.accelerator import IKAccSimulator
-        from repro.kinematics.robots import paper_chain
-
         platform = IKAccPlatform()
         direct = IKAccSimulator(paper_chain(25)).seconds_per_full_iteration()
         assert platform.seconds_per_iteration("JT-Speculation", 25, 64) == pytest.approx(
@@ -126,6 +124,24 @@ class TestIKAccPlatform:
             solver_config=SolverConfig(max_iterations=3),
         )
         assert run.iterations == 3
+
+    def test_chains_sharing_a_name_and_dof_get_their_own_simulator(self):
+        a = random_chain(12, np.random.default_rng(1))
+        b = random_chain(12, np.random.default_rng(2))
+        assert (a.name, a.dof) == (b.name, b.dof)
+        target = np.array([[0.3, 0.2, 0.1]])
+        platform = IKAccPlatform()
+        platform.simulate(a, target, rng=np.random.default_rng(0))
+        (run,) = platform.simulate(b, target, rng=np.random.default_rng(0))
+        assert platform.simulator(b).chain is b
+        assert platform.simulator(a).chain is a
+        direct = IKAccSimulator(b).solve(target[0], rng=np.random.default_rng(0))
+        assert np.array_equal(run.q, direct.q)
+        # One geometry, one simulator: an identically built chain (as
+        # ``seconds_per_iteration`` builds one per call) finds it.
+        assert platform.simulator(paper_chain(12)) is platform.simulator(
+            paper_chain(12)
+        )
 
 
 class TestCrossPlatformShape:

@@ -10,6 +10,9 @@ the moment its own row retires.  The contract pinned here:
 * a run opens with whatever is queued when a dispatch loop is free;
 * a request converged at admission completes before a slow batch-mate,
   and costs the run no extra prefix-frame pass;
+* a run completes its retired rows' futures before it takes the next
+  wave, so a request submitted on its predecessor's completion joins at
+  that boundary and a chained stream keeps one run open;
 * a run never holds more than ``max_batch_size`` live rows;
 * a ``timeout`` with ``workers`` unset or 1 keeps a key on admission;
 * ``close(drain=False)`` fails only queued, unadmitted requests and still
@@ -195,6 +198,51 @@ def test_a_joiner_retired_at_admission_adds_no_frame_pass(monkeypatch):
     assert len(passes) == run.steps
     monkeypatch.undo()
     _assert_bit_identical(result, _offline(targets[0], q0[0]))
+
+
+def test_a_stream_chained_on_completion_stays_in_one_run(
+    monkeypatch, hold_dispatch
+):
+    """Each request is submitted from its predecessor's done-callback,
+    which runs in the dispatch thread while the run completes that
+    future.  The run takes its next wave only after that, so every
+    request joins at the boundary where its predecessor retired, and the
+    stream never leaves the run without a row to step."""
+    count = 5
+    targets, q0 = _problems(count, seed=13)
+    requests = [_request(t, q) for t, q in zip(targets, q0)]
+    admitted = []  # (the run's steps at admission, request)
+    admit = LockStepRun.admit
+
+    def recording(self, targets, q0, tags):
+        tags = list(tags)
+        admitted.extend((self.steps, entry.request) for entry in tags)
+        return admit(self, targets, q0, tags)
+
+    monkeypatch.setattr(LockStepRun, "admit", recording)
+    futures = []
+
+    def submit(i):
+        future = srv.submit(requests[i])
+        futures.append(future)
+        if i + 1 < count:
+            future.add_done_callback(lambda _f: submit(i + 1))
+
+    with IKServer(_config()) as srv:
+        with hold_dispatch(srv):
+            submit(0)
+        _wait_until(lambda: len(futures) == count)
+        served = [f.result(timeout=TIMEOUT) for f in futures]
+    monkeypatch.undo()
+    stats = srv.stats()
+    assert stats.batches == 1
+    assert stats.requests_batched == stats.completed == count
+    # Request i + 1 joined at the step where request i retired.
+    retired_at = np.cumsum([0] + [r.iterations for r in served[:-1]])
+    assert [steps for steps, _ in admitted] == retired_at.tolist()
+    assert all(a is b for (_, a), b in zip(admitted, requests))
+    for t, q, result in zip(targets, q0, served):
+        _assert_bit_identical(result, _offline(t, q))
 
 
 def test_a_timeout_with_one_worker_keeps_admission():
