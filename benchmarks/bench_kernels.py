@@ -44,6 +44,11 @@ One table times the frame pass across sizes (``frame_pass_sizes``):
 run (the offline row families pass 9-19 rows a call, a served run about
 4), under both kernels, with the max deviation from the oracle.
 
+One times the ray planes across sizes (``ray_planes_sizes``): the
+vectorized kernel's ``_ray_planes`` (the ``e^{i theta}`` block the fold
+takes) for 1, 4, 8 and 64 problems of ``Max = 64``, the sizes a served run
+and an offline batch sweep.
+
 Each cell is the best of ``repeats`` rounds that time the columns in turn.
 
 Timings are best-of-``repeats`` over an inner loop (the container this repo
@@ -90,6 +95,9 @@ GRID_PROBLEMS = (1, 2, 4, 8)
 
 #: ``frame_pass_sizes`` rows.
 FRAME_PASS_ROWS = (1, 4, 16, 32, 64)
+
+#: ``ray_planes_sizes`` problems (x ``Max = 64``).
+RAY_PLANE_PROBLEMS = (1, 4, 8, 64)
 
 #: Engine-level solve workload: iteration cap for the 50-DOF batch solve
 #: (the paper tolerance converges well before this on reachable targets).
@@ -165,6 +173,20 @@ def _frame_pass_sizes(scalar, vectorized, repeats: int, seed: int) -> dict:
         print(f"frame_pass_sizes {rows} rows: " + ", ".join(
             f"{name} {value:.3g}" for name, value in table[rows].items()
         ))
+    return table
+
+
+def _ray_planes_sizes(scalar, vectorized, repeats: int, seed: int) -> dict:
+    """The ``ray_planes_sizes`` table: the vectorized ``_ray_planes`` of
+    ``problems`` rays of ``Max = 64`` candidates."""
+    table = {}
+    for problems in RAY_PLANE_PROBLEMS:
+        grid = _grid(scalar, problems, SERVED_SPECULATIONS, seed + problems)
+        table[problems] = _microseconds({
+            "ray_planes_us": lambda: vectorized.kernels._ray_planes(grid),
+        }, repeats, inner=max(1, 64 // problems))
+        print(f"ray_planes_sizes {problems} x {SERVED_SPECULATIONS}: "
+              f"{table[problems]['ray_planes_us']:.1f} us")
     return table
 
 
@@ -349,6 +371,7 @@ def run_kernel_bench(
 
     sweep_sizes = _sweep_sizes(scalar, vectorized, repeats, seed + 8)
     frame_pass_sizes = _frame_pass_sizes(scalar, vectorized, repeats, seed + 9)
+    ray_planes_sizes = _ray_planes_sizes(scalar, vectorized, repeats, seed + 10)
 
     headline = sections["candidate_sweep_lockstep"]["speedup"]
     return {
@@ -366,6 +389,7 @@ def run_kernel_bench(
         "engine": engine,
         "sweep_sizes": sweep_sizes,
         "frame_pass_sizes": frame_pass_sizes,
+        "ray_planes_sizes": ray_planes_sizes,
         "notes": (
             "best-of-repeats timings on the speculative-evaluation shapes of "
             "Quick-IK; candidate_sweep_lockstep (all B x Max rows of one "
@@ -510,6 +534,10 @@ def test_kernel_bench_smoke():
         assert set(cell) == {"vectorized_us", "scalar_us", "max_abs_deviation"}
         assert cell["vectorized_us"] > 0.0 and cell["scalar_us"] > 0.0, rows
         assert cell["max_abs_deviation"] <= 1e-12, rows
+    assert set(payload["ray_planes_sizes"]) == set(RAY_PLANE_PROBLEMS)
+    for problems, cell in payload["ray_planes_sizes"].items():
+        assert set(cell) == {"ray_planes_us"}
+        assert cell["ray_planes_us"] > 0.0, problems
     # The engine matrix: every dtype case solved the batch.
     cases = payload["engine"]["cases"]
     assert set(cases) == {"vectorized/float64", "vectorized/float32"}

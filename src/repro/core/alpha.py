@@ -60,8 +60,11 @@ def buss_alpha_rows(error: np.ndarray, jjte: np.ndarray) -> np.ndarray:
     numerator = np.asarray(row_dot(error, jjte), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = numerator / denominator
-    bad = (denominator <= 0.0) | ~np.isfinite(alpha) | (alpha <= 0.0)
-    return np.where(bad, FALLBACK_ALPHA, alpha)
+    # Valid means 0 < alpha < inf (NaN fails both).  The denominator is a
+    # sum of squares, never negative, and a zero one makes the ratio
+    # infinite or NaN, so the mask needs no test of it of its own.
+    valid = (alpha > 0.0) & (alpha < np.inf)
+    return np.where(valid, alpha, FALLBACK_ALPHA)
 
 
 def buss_alpha(error: np.ndarray, jjte: np.ndarray) -> float:

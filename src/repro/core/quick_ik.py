@@ -40,11 +40,30 @@ from repro.kinematics.chain import KinematicChain
 from repro.kinematics.kernels import SpeculationGrid
 from repro.telemetry.tracer import Tracer
 
-__all__ = ["QuickIKSolver", "DEFAULT_SPECULATIONS", "speculate"]
+__all__ = [
+    "QuickIKSolver", "DEFAULT_SPECULATIONS", "candidate_errors", "speculate",
+]
 
 #: The paper's operating point: "we will set the number of speculations as 64"
 #: (Section 6.2, Figure 4 trade-off).
 DEFAULT_SPECULATIONS = 64
+
+
+def candidate_errors(targets: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``||X_t - f(theta_k)||`` of every candidate, ``(B, Max)``, from the
+    targets ``(B, 3)`` and the candidates' positions ``(B, Max, 3)``.
+
+    The bits of ``np.linalg.norm(targets[:, None] - positions, axis=2)``,
+    which squares the differences and sums each row's three squares in
+    order, ``(x^2 + y^2) + z^2``, before the root: the same operations in
+    five calls, without ``norm``'s argument handling and length-3 inner
+    reduction loop.
+    """
+    squares = targets[:, None, :] - positions
+    squares *= squares
+    errors = squares[..., 0] + squares[..., 1]
+    errors += squares[..., 2]
+    return np.sqrt(errors, out=errors)
 
 
 def speculate(fk, sweep, targets: np.ndarray, tolerance: float, tracer: Tracer):
@@ -67,7 +86,7 @@ def speculate(fk, sweep, targets: np.ndarray, tolerance: float, tracer: Tracer):
     if timed:
         t1 = time.perf_counter()
         tracer.add_phase("fk_sweep", t1 - t0)
-    errors = np.linalg.norm(targets[:, None, :] - positions, axis=2)  # line 11
+    errors = candidate_errors(targets, positions)  # line 11
     below = errors < tolerance
     early = below.any(axis=1)
     # Lines 12-13: the hardware returns the first candidate (in enumeration

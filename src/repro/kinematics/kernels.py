@@ -44,11 +44,12 @@ analogue: every :class:`~repro.kinematics.chain.KinematicChain` owns a
     On a float64 chain the ``cos`` / ``sin`` planes then come from two
     angles per problem and joint and a recurrence along the ray,
     ``e^{i theta_k} = e^{i theta} w^k`` (:meth:`~VectorizedKernels.
-    _ray_planes`), instead of ``B x Max x N`` trigonometric calls, and
-    the fold takes that block as it is.  Its complex multiplies run out
-    of place on contiguous runs of one problem's candidates, so a
-    problem's rows carry the same bits alone as in any grid.  The scalar
-    oracle and float32 chains materialise the grid's candidates.
+    _ray_planes`), instead of ``B x Max x N`` trigonometric calls: it
+    doubles a candidate-major block, one out-of-place complex multiply
+    of contiguous memory per level, and copies it into the row order the
+    fold takes, so a problem's rows carry the same bits alone as in any
+    grid.  The scalar oracle and float32 chains materialise the grid's
+    candidates.
   - **The frame pass composes rotations and sums offsets.**  FK poses
     and Jacobians come from :meth:`~VectorizedKernels._frames`, which
     keeps every frame's world rotation apart from its origin.  A joint's
@@ -100,6 +101,7 @@ protocol (``benchmarks/bench_kernels.py``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import TYPE_CHECKING
 
@@ -171,6 +173,16 @@ def make_kernels(chain: "KinematicChain", mode: str | None = None):
     return ScalarKernels(chain)
 
 
+@functools.lru_cache(maxsize=64)
+def _fractions(count: int, dtype: np.dtype) -> np.ndarray:
+    """Eq. 9's step fractions ``(k + 1) / count``, ``k < count``, in
+    ``dtype`` (a float64 row would upcast a float32 grid).  Cached per
+    ``count`` and dtype, and read-only, since every grid shares it."""
+    fractions = (np.arange(1, count + 1) / count).astype(dtype, copy=False)
+    fractions.flags.writeable = False
+    return fractions
+
+
 class SpeculationGrid:
     """Quick-IK's Eq. 9 candidates, one ray per problem.
 
@@ -185,7 +197,7 @@ class SpeculationGrid:
     float32 chains materialise the block.
     """
 
-    __slots__ = ("q", "direction", "alpha_base", "count", "alphas")
+    __slots__ = ("q", "direction", "alpha_base", "count", "fractions", "alphas")
 
     def __init__(
         self,
@@ -198,11 +210,8 @@ class SpeculationGrid:
         self.direction = direction  # (B, N)
         self.alpha_base = alpha_base  # (B,)
         self.count = int(count)
-        fractions = np.arange(1, self.count + 1) / self.count
-        # In alpha_base's dtype: a float64 grid would upcast a float32 one.
-        self.alphas = alpha_base[:, None] * fractions.astype(
-            alpha_base.dtype, copy=False
-        )
+        self.fractions = _fractions(self.count, alpha_base.dtype)  # (count,)
+        self.alphas = alpha_base[:, None] * self.fractions  # (B, count)
 
     @property
     def problems(self) -> int:
@@ -230,8 +239,10 @@ class SpeculationGrid:
 
     def rows(self, chosen: np.ndarray) -> np.ndarray:
         """Candidate ``chosen[b]`` of each problem ``b``, ``(B, N)``: the
-        bits of the matching row of :meth:`candidates`."""
-        alphas = self.alphas[np.arange(self.problems), chosen]
+        bits of the matching row of :meth:`candidates` (its step
+        ``alpha_base[b] * fractions[chosen[b]]`` is the same product as
+        ``alphas[b, chosen[b]]``)."""
+        alphas = self.alpha_base * self.fractions[chosen]
         return self.q + alphas[:, None] * self.direction
 
 
@@ -569,16 +580,19 @@ class VectorizedKernels:
         joint angle and ``delta = alphas[:, 0] direction`` one step, so
         ``e^{i theta_k} = e^{i theta} w^(k + 1)`` with ``w = e^{i delta}``.
         Only the ``N x B`` angles ``theta`` and ``delta`` pass through
-        ``cos`` / ``sin``.  An ``(N, B, count)`` block ``z`` starts at
-        ``e^{i theta} w`` and doubles, ``z[..., s + k] = z[..., k] w^s``
-        with ``w^s`` squared per level: ``log2(count)`` complex multiplies
-        of contiguous ``k`` runs, giving the ``(N, R)`` block in row order,
-        which the fold takes as it is.  Every multiply writes to memory
-        its inputs do not share: numpy rounds a complex multiply in place
-        on a strided view differently depending on the call's shape, out
-        of place on contiguous runs it does not, so a problem's rows carry
-        the same bits alone as in any grid.  Prismatic joints (``w = 1``)
-        keep their angle; only their slide rows are materialised.
+        ``cos`` / ``sin``.  A candidate-major ``(count, N, B)`` block
+        ``z`` starts at ``e^{i theta} w`` and doubles, ``z[s + k] = z[k]
+        w^s`` with ``w^s`` squared per level: ``log2(count)`` complex
+        multiplies, each one out-of-place call on contiguous memory
+        (``z[:s]`` into ``z[s:2s]``, ``w^s`` broadcast over the
+        candidates).  One copy then lays the block out problem-major, the
+        ``(N, R)`` row order the fold takes.  numpy rounds a complex
+        multiply in place on a strided view differently depending on the
+        call's shape, out of place on contiguous memory it does not, so a
+        problem's rows carry the same bits alone as in any grid, and the
+        same bits as a problem-major doubling (the property tier keeps one
+        as the reference).  Prismatic joints (``w = 1``) keep their angle;
+        only their slide rows are materialised.
         """
         n, problems, count = self.chain.dof, grid.problems, grid.count
         rows = len(grid)
@@ -587,36 +601,38 @@ class VectorizedKernels:
         delta = grid.direction.T * rev
         delta *= grid.alphas[:, 0]
 
-        def unit(angles):  # e^{i angles}, (N, B, 1)
-            out = np.empty(angles.shape + (1,), np.complex128)
-            out[..., 0].real = np.cos(angles)
-            out[..., 0].imag = np.sin(angles)
+        def unit(angles):  # e^{i angles}, (N, B)
+            out = np.empty(angles.shape, np.complex128)
+            out.real = np.cos(angles)
+            out.imag = np.sin(angles)
             return out
 
-        # One allocation holds z and the doubling's scratch.  As separate
-        # arrays they met glibc's trim threshold (twice the largest
-        # chunk), so every call returned them to the system and faulted
-        # them back.
-        buffer = np.empty(n * (rows + problems * (count // 2)), np.complex128)
-        z = buffer[: n * rows].reshape(n, problems, count)
-        spare = buffer[n * rows:]
-        power = unit(delta)  # w^done
-        z[..., :1] = unit(theta) * power
+        # One allocation holds the fold's block and z.  As separate arrays
+        # they met glibc's trim threshold (twice the largest chunk), so
+        # every call returned them to the system and faulted them back.
+        buffer = np.empty(2 * n * rows, np.complex128)
+        block = buffer[: n * rows].reshape(n, rows)
+        z = buffer[n * rows:].reshape(count, n, problems)
+        # w^done as a (1, N, B) block: every multiply below is then one
+        # of same-ndim operands, so a call of a single element (one joint,
+        # one problem) takes numpy's elementwise path, not a broadcast
+        # one that rounds a complex product differently.
+        power = unit(delta)[None]
+        np.multiply(unit(theta), power[0], out=z[0])
         done = 1
         while done < count:
             more = min(done, count - done)
-            out = spare[: n * problems * more].reshape(n, problems, more)
-            np.multiply(z[..., :more], power, out=out)
-            z[..., done:done + more] = out
+            np.multiply(z[:more], power, out=z[done:done + more])
             done += more
             if done < count:
                 power = power * power
+        block.reshape(n, problems, count)[...] = z.transpose(1, 2, 0)
 
         slides = {}
         if self._prismatic.size:
             columns = grid.candidates(self._prismatic).astype(np.float64, copy=False)
             slides = dict(zip(self._prismatic.tolist(), columns.T))
-        return z.reshape(n, rows), slides
+        return block, slides
 
     def _fold(self, e: np.ndarray, slides) -> np.ndarray:
         """Carry the tool point to the world through every link.
@@ -645,14 +661,14 @@ class VectorizedKernels:
         v_real = (v[0].real, v[1].real)
         v_imag = (v[0].imag, v[1].imag)
         w[0][...], v[0][...] = self._fold_tool
-        mul, add, copy = np.multiply, np.add, np.copyto
+        mul, add = np.multiply, np.add
         d_offset = self._d_offset
         k = 0
         if self.chain.is_standard_convention:
             for i, turn, a, d, prismatic in self._fold_links:
                 j = 1 - k
                 mul(v[k], turn, out=v[j])  # Rx(alpha)
-                copy(w_imag[k], v_real[j])
+                w_imag[k][...] = v_real[j]
                 if a is not None:
                     add(w[k], a, out=w[k])  # Tx(a)
                 if prismatic:
@@ -660,7 +676,7 @@ class VectorizedKernels:
                 elif d is not None:
                     add(v[j], d, out=v[j])  # Tz(d)
                 mul(w[k], e[i], out=w[j])  # Rz(theta)
-                copy(v_real[j], w_imag[j])
+                v_real[j][...] = w_imag[j]
                 k = j
         else:
             for i, turn, a, d, prismatic in self._fold_links:
@@ -670,11 +686,11 @@ class VectorizedKernels:
                 elif d is not None:
                     add(v[k], d, out=v[k])  # Tz(d)
                 mul(w[k], e[i], out=w[j])  # Rz(theta)
-                copy(v_real[k], w_imag[j])
+                v_real[k][...] = w_imag[j]
                 if a is not None:
                     add(w[j], a, out=w[j])  # Tx(a)
                 mul(v[k], turn, out=v[j])  # Rx(alpha)
-                copy(w_imag[j], v_real[j])
+                w_imag[j][...] = v_real[j]
                 k = j
 
         # World = base @ p, elementwise; written straight into (R, 3) rows.

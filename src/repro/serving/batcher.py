@@ -40,6 +40,17 @@ class GroupKey:
     solver: str
     config_key: Any
     options_key: Any
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # A key is looked up in several dicts and sets at every submission
+        # and iteration boundary: hash its fields once, not per lookup.
+        object.__setattr__(self, "_hash", hash(
+            (self.robot_key, self.solver, self.config_key, self.options_key)
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass

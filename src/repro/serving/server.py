@@ -216,8 +216,9 @@ class ServingStats:
     For a key served by admission, a *batch* is one lock-step run:
     ``batches`` counts runs opened, ``requests_batched`` the requests
     admitted into them, ``occupancy_peak`` the most rows one run held at
-    once (never above ``max_batch_size``) and ``execute_s`` the lifetimes
-    of the runs that have ended.
+    once (never above ``max_batch_size``) and ``execute_s`` the runs'
+    lifetimes so far: a live run adds its time at every iteration
+    boundary, not only when it ends.
     ``coalesce_wait_s`` is each request's time from submission to
     admission.  For every other key a batch is one ``api.solve_batch``
     call, as before.
@@ -857,9 +858,11 @@ class IKServer:
         self, run: LockStepRun, key: GroupKey,
         entries: "list[PendingEntry]", tr: Tracer,
         sphere: "tuple[np.ndarray, float] | None",
+        held: "dict[int, PendingEntry]",
     ) -> "list[tuple[PendingEntry, Any]]":
         """Admit ``entries`` into ``run``; returns the admitted rows that
-        finished at once.
+        finished at once.  The rows handed to the run are added to
+        ``held`` (keyed by ``id``) first.
 
         Deadline triage and SLO shedding apply as at dispatch.  The target
         guards apply where offline ``api.solve_batch`` applies them (it
@@ -871,6 +874,8 @@ class IKServer:
         is the run chain's :func:`~repro.resilience.guards.reach_sphere`,
         taken once per run.
         """
+        if not entries:
+            return []
         now = time.monotonic()
         entries = self._triage(key, entries, now, tr)
         if not entries:
@@ -879,11 +884,9 @@ class IKServer:
         skip = self.config.options.on_error == "skip"
         placeholders: list[tuple[PendingEntry, Any]] = []
         rejected = set()
+        targets = np.stack([entry.target for entry in entries])
         guarded = (
-            guard_targets(
-                engine.chain, np.stack([e.target for e in entries]),
-                sphere=sphere,
-            )
+            guard_targets(engine.chain, targets, sphere=sphere)
             if sphere is not None else []
         )
         for record in guarded:
@@ -905,17 +908,17 @@ class IKServer:
         if tr.enabled and placeholders:
             tr.count("guard_rejected", len(placeholders))
             tr.count("solve_failed", len(placeholders))
-        rows = [e for i, e in enumerate(entries) if i not in rejected]
+        rows = entries
+        if rejected:
+            kept = [i for i in range(len(entries)) if i not in rejected]
+            rows, targets = [entries[i] for i in kept], targets[kept]
         self._note_dispatch(entries, now, tr, occupancy=run.live + len(rows))
         if placeholders:
             self._finish(placeholders, tr)
         if not rows:
             return []
-        return run.admit(
-            np.stack([entry.target for entry in rows]),
-            np.stack([entry.q0 for entry in rows]),
-            rows,
-        )
+        held.update((id(entry), entry) for entry in rows)
+        return run.admit(targets, np.stack([entry.q0 for entry in rows]), rows)
 
     def _serve_run(self, batch: MicroBatch, tr: Tracer) -> None:
         """Serve ``batch``'s key on one resumable lock-step run until it
@@ -927,11 +930,14 @@ class IKServer:
         completed a future first yields the GIL once, outside the lock:
         the woken client submits now, not when a GIL-releasing call in
         the next iteration lets it run, too late to join before it.  The
-        run ends when no row is live after the wave."""
+        lock the boundary takes for the wave also adds the time since the
+        last boundary to ``execute_s`` (and the ``serve_execute`` phase),
+        so a long-lived run shows in :meth:`stats` as it goes.  The run
+        ends when no row is live after the wave."""
         key = batch.key
         entries = batch.entries
         has_room = len(entries) < self.config.max_batch_size
-        start = time.perf_counter()
+        start = last = time.perf_counter()
         #: Requests handed to the run and not completed yet.
         rows: dict[int, PendingEntry] = {}
         run = None
@@ -956,41 +962,44 @@ class IKServer:
             )
             fingerprint = self._fingerprint(entries[0].chain)
             while True:
-                rows.update((id(entry), entry) for entry in entries)
-                finished = self._admit(run, key, entries, tr, sphere)
+                finished = self._admit(run, key, entries, tr, sphere, rows)
                 if run.live:
                     finished += run.step()
                 if finished:
                     self._finish(finished, tr, key, fingerprint)
-                    rows = {k: e for k, e in rows.items() if not e.future.done()}
+                    for entry, _ in finished:
+                        del rows[id(entry)]
                     time.sleep(0)
+                now = time.perf_counter()
                 with self._cond:
+                    self._stats.execute_s += now - last
                     entries, has_room = self._next_wave(run, key, has_room)
+                if tr.enabled:
+                    tr.add_phase("serve_execute", now - last)
+                last = now
                 if not run.live and not entries:
-                    self._end_run(run, start, tr)
+                    run.close(wall_time=now - start)
                     return
         except Exception as exc:
             # Bad numerics retire typed, so this is a defect (or, at the
-            # engine build, a bad option): fail what the run still holds.
+            # engine build, a bad option): fail what the run still holds
+            # and the wave it was taking.
             with self._cond:
                 self._set_room(key, has_room, False)
             if run is None:
                 self._fail_batch(entries, exc)
                 return
-            self._end_run(run, start, tr)
-            pending = [e for e in rows.values() if not e.future.done()]
+            now = time.perf_counter()
+            run.close(wall_time=now - start)
+            if tr.enabled:
+                tr.add_phase("serve_execute", now - last)
+            held = {id(entry): entry for entry in (*rows.values(), *entries)}
+            pending = [e for e in held.values() if not e.future.done()]
             for entry in pending:
                 self._fail_future(entry.future, exc)
             with self._cond:
+                self._stats.execute_s += now - last
                 self._stats.failed += len(pending)
-
-    def _end_run(self, run: LockStepRun, start: float, tr: Tracer) -> None:
-        elapsed = time.perf_counter() - start
-        run.close(wall_time=elapsed)
-        if tr.enabled:
-            tr.add_phase("serve_execute", elapsed)
-        with self._cond:
-            self._stats.execute_s += elapsed
 
     def __repr__(self) -> str:
         return (

@@ -33,11 +33,12 @@ from __future__ import annotations
 import concurrent.futures
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
+from repro.api import _resolve_config
 from repro.control.trajectory import next_seed
 from repro.serving.request import DEFAULT_SOLVER, ServingRejected, SolveRequest
 from repro.telemetry.tracer import Tracer, get_tracer
@@ -189,9 +190,8 @@ class TrackingSession:
         self.robot = robot
         self.solver = solver
         self.seed = seed
-        self._config = config
-        self._tolerance = tolerance
-        self._max_iterations = max_iterations
+        # Resolved once: every tick submits this one config object.
+        self._config = _resolve_config(config, tolerance, max_iterations)
         self._options = dict(options) if options else {}
         self._chain = manager.server._resolve_chain(robot)
         if q0 is not None:
@@ -273,8 +273,6 @@ class TrackingSession:
                 solver=self.solver,
                 q0=self._seed_q,
                 config=self._config,
-                tolerance=self._tolerance,
-                max_iterations=self._max_iterations,
                 deadline_s=deadline_s,
                 options=dict(self._options),
             )
@@ -456,7 +454,9 @@ class SessionManager:
         a seed-cache hit provides a better start) exactly as
         ``api.solve(..., seed=s)`` would; ``q0`` pins the first seed
         explicitly.  The remaining keywords are the per-request solve
-        policy every tick inherits.
+        policy every tick inherits; ``config`` and ``tolerance`` /
+        ``max_iterations`` are resolved into one config here, so passing
+        both raises ``ValueError`` at the open.
         """
         tr = self._tracer()
         with self._lock:

@@ -219,16 +219,16 @@ class LockStepRun:
         engine = self.engine
         dtype = engine.chain.dtype
         tags = list(tags)
+        count = len(tags)
         # The caller's targets go back in the results; the run computes
         # with their copy in the chain's dtype.
-        requested = np.array(targets, dtype=float).reshape(len(tags), 3)
+        requested = np.array(targets, dtype=float).reshape(count, 3)
         targets = requested.astype(dtype, copy=False)
-        qs = np.array(q0, dtype=dtype).reshape(len(tags), engine.chain.dof)
+        qs = np.array(q0, dtype=dtype).reshape(count, engine.chain.dof)
         positions, self._carry, carry = engine._start(
             qs, self._q, self._carry, self.tracer
         )
         errors = task_errors(targets, positions)
-        count = len(tags)
         if self._traced:
             if not self._announced:
                 self._announced = True
@@ -238,16 +238,17 @@ class LockStepRun:
                     kernel=engine.chain.kernel, dtype=dtype.name,
                 )
             self.tracer.count("fk_evaluations", count)
-        ids = np.arange(self.admitted, self.admitted + count)
+        first = self.admitted
         self.admitted += count
         now = time.perf_counter()
-        self._tags.update(
-            zip(ids.tolist(), ((tag, now, t) for tag, t in zip(tags, requested)))
-        )
+        self._tags.update(zip(
+            range(first, first + count),
+            ((tag, now, t) for tag, t in zip(tags, requested)),
+        ))
         was_live = self.live
         (self._q, self._p, self._t, self._e, self._iterations, self._fk,
          *carry) = self._active.admit(
-            ids,
+            np.arange(first, first + count),
             (self._q, self._p, self._t, self._e, self._iterations, self._fk,
              *self._carry),
             (qs, positions, targets, errors, np.zeros(count, dtype=int),
@@ -255,9 +256,12 @@ class LockStepRun:
         )
         self._carry = tuple(carry)
         if self._history is not None:
-            self._history.extend([error] for error in errors)
+            self._history.extend([error] for error in errors.tolist())
+        stay = errors >= self._tolerance
+        if self._cap > 0 and stay.all():
+            return []
         keep = np.ones(self.live, dtype=bool)
-        keep[was_live:] = (errors >= self._tolerance) & (self._cap > 0)
+        keep[was_live:] = stay & (self._cap > 0)
         return self._retire(keep)
 
     def step(self) -> list[tuple[Any, IKResult]]:
@@ -276,7 +280,7 @@ class LockStepRun:
         self._iterations += 1
         self._fk += fk_per_problem
         if self._history is not None:
-            for history, error in zip(self._history, e_c):
+            for history, error in zip(self._history, e_c.tolist()):
                 history.append(error)
         if self._traced:
             tr.count("fk_evaluations", fk_per_problem * n_active)
@@ -320,38 +324,43 @@ class LockStepRun:
         now = time.perf_counter()
         rows = np.flatnonzero(~keep)
         errors = self._e[rows]
-        converged = errors < self._tolerance
+        # Compared in the run's dtype, as the step's retirement test is.
+        converged = (errors < self._tolerance).tolist()
         iterations = self._iterations[rows]
         if self._traced:
-            self._converged += int(converged.sum())
+            self._converged += sum(converged)
             self._iterations_done += int(iterations.sum())
             self._max_error = np.maximum(self._max_error, errors.max())
+        # One conversion per block, not one per row.
+        qs = self._q[rows].astype(float, copy=False)
+        ids = self._active.indices[rows].tolist()
+        fk = self._fk[rows].tolist()
+        errors, iterations = errors.tolist(), iterations.tolist()
+        bad = nonfinite[rows].tolist() if nonfinite is not None else None
+        history = self._history
         retired = []
         for k, i in enumerate(rows.tolist()):
-            tag, admitted_at, target = self._tags.pop(
-                int(self._active.indices[i])
-            )
-            status = (
-                "converged" if converged[k]
-                else "nonfinite" if nonfinite is not None and nonfinite[i]
-                else "max_iterations"
-            )
+            tag, admitted_at, target = self._tags.pop(ids[k])
             retired.append((tag, IKResult(
-                q=np.array(self._q[i], dtype=float),
-                converged=bool(converged[k]),
-                iterations=int(iterations[k]),
-                error=float(errors[k]),
+                q=qs[k],
+                converged=converged[k],
+                iterations=iterations[k],
+                error=errors[k],
                 target=target,
                 solver=engine.name,
                 dof=engine.chain.dof,
                 speculations=engine.speculations,
-                fk_evaluations=int(self._fk[i]),
+                fk_evaluations=fk[k],
                 wall_time=now - admitted_at,
                 error_history=(
-                    np.array(self._history[i], dtype=float)
-                    if self._history is not None else np.empty(0)
+                    np.array(history[i], dtype=float)
+                    if history is not None else np.empty(0)
                 ),
-                status=status,
+                status=(
+                    "converged" if converged[k]
+                    else "nonfinite" if bad is not None and bad[k]
+                    else "max_iterations"
+                ),
             )))
         (self._q, self._p, self._t, self._e, self._iterations, self._fk,
          *carry) = self._active.compact(
@@ -359,9 +368,9 @@ class LockStepRun:
             self._fk, *self._carry,
         )
         self._carry = tuple(carry)
-        if self._history is not None:
+        if history is not None:
             self._history = [
-                history for history, kept in zip(self._history, keep) if kept
+                past for past, kept in zip(history, keep.tolist()) if kept
             ]
         return retired
 

@@ -91,21 +91,32 @@ def solver_options(name: str, registry: dict | None = None) -> dict[str, inspect
     except KeyError:
         known = ", ".join(sorted(registry))
         raise KeyError(f"unknown solver {name!r}; known: {known}") from None
+    return _options(inspect.signature(factory).parameters)
+
+
+def _options(params) -> dict[str, inspect.Parameter]:
+    """The tunable keyword parameters among a constructor's ``params``."""
     return {
         pname: param
-        for pname, param in inspect.signature(factory).parameters.items()
+        for pname, param in params.items()
         if pname not in _NON_OPTION_PARAMS
         and param.kind
         not in (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
     }
 
 
-def _validate_kwargs(name: str, factory: Any, kwargs: dict, registry: dict) -> None:
-    """Reject keyword arguments the solver's constructor does not accept."""
+def _validate_kwargs(name: str, factory: Any, kwargs: dict) -> None:
+    """Reject keyword arguments the solver's constructor does not accept.
+
+    A build with no options has nothing to check, and one with options
+    reads the constructor's signature once.
+    """
+    if not kwargs:
+        return
     params = inspect.signature(factory).parameters
     if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
         return
-    accepted = solver_options(name, registry)
+    accepted = _options(params)
     unknown = sorted(set(kwargs) - set(accepted))
     if unknown:
         options = ", ".join(sorted(accepted)) or "(none)"
@@ -127,7 +138,7 @@ def make_solver(name: str, chain, config=None, **kwargs):
     except KeyError:
         known = ", ".join(sorted(SOLVER_REGISTRY))
         raise KeyError(f"unknown solver {name!r}; known: {known}") from None
-    _validate_kwargs(name, factory, kwargs, SOLVER_REGISTRY)
+    _validate_kwargs(name, factory, kwargs)
     return factory(chain, config=config, **kwargs)
 
 
@@ -176,7 +187,7 @@ def make_batch_solver(name: str, chain, config=None, options=None, **kwargs):
         else None
     )
     if engine is BatchedQuickIK:
-        _validate_kwargs(name, engine, kwargs, BATCH_REGISTRY)
+        _validate_kwargs(name, engine, kwargs)
         if spec is not None and spec.chunk is not None:
             kwargs.setdefault("chunk", spec.chunk)
         solver = engine(chain, config=config, **kwargs)

@@ -7,12 +7,14 @@ from repro.core.alpha import (
     FALLBACK_ALPHA,
     SCHEDULE_NAMES,
     buss_alpha,
+    buss_alpha_rows,
     extended_schedule,
     geometric_schedule,
     get_schedule,
     linear_schedule,
     single_schedule,
 )
+from repro.core.rows import row_dot
 
 
 class TestBussAlpha:
@@ -46,6 +48,57 @@ class TestBussAlpha:
         best = np.linalg.norm(error - alpha * jjte)
         for perturbed in (alpha * 0.9, alpha * 1.1):
             assert best <= np.linalg.norm(error - perturbed * jjte) + 1e-12
+
+
+def _reference_alpha_rows(error, jjte):
+    """Eq. 8 with every fallback case tested on its own: a denominator
+    that is not positive, a ratio that is not finite, and one that is not
+    positive."""
+    denominator = np.asarray(row_dot(jjte, jjte), dtype=float)
+    numerator = np.asarray(row_dot(error, jjte), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = numerator / denominator
+    bad = (denominator <= 0.0) | ~np.isfinite(alpha) | (alpha <= 0.0)
+    return np.where(bad, FALLBACK_ALPHA, alpha)
+
+
+class TestBussAlphaRows:
+    def test_matches_reference_on_degenerate_rows(self, rng):
+        """Zero, negative, non-finite and overflowing numerators, and
+        zero, subnormal, non-finite and overflowing denominators, give the
+        reference's value bit for bit (the fallback or the ratio)."""
+        tiny, huge = 1e-170, 1e170
+        unit = np.array([1.0, 0.0, 0.0])
+        rows = [
+            (unit, np.zeros(3)),  # 0 / 0
+            (np.zeros(3), unit),  # zero numerator
+            (unit, -unit),  # negative numerator
+            (unit, unit * tiny),  # denominator underflows to zero
+            (unit * huge, unit * tiny),  # overflowing ratio
+            (unit * huge, unit * huge),  # overflowing numerator and denominator
+            (unit, unit * huge),  # overflowing denominator, ratio 0
+            (unit * 1e-300, unit * 1e-160),  # subnormal denominator, 0 numerator
+            (np.array([np.inf, 0.0, 0.0]), unit),  # infinite numerator
+            (unit, np.array([np.inf, 0.0, 0.0])),  # infinite denominator
+            (np.array([np.nan, 0.0, 0.0]), unit),  # NaN numerator
+            (unit, np.array([np.nan, 1.0, 0.0])),  # NaN denominator
+            (-unit * huge, unit * huge),  # negative overflow
+            (np.array([0.3, -0.2, 0.5]), np.array([0.2, 0.1, 0.4])),  # ordinary
+        ]
+        rows += [(rng.normal(size=3), rng.normal(size=3)) for _ in range(64)]
+        error = np.array([e for e, _ in rows])
+        jjte = np.array([j for _, j in rows])
+        with np.errstate(all="ignore"):
+            got = buss_alpha_rows(error, jjte)
+            expected = _reference_alpha_rows(error, jjte)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert got[0] == got[1] == got[2] == got[3] == got[4] == FALLBACK_ALPHA
+        # float32 rows: the dots in float32, the ratio in float64.
+        with np.errstate(all="ignore"):
+            error32, jjte32 = error.astype(np.float32), jjte.astype(np.float32)
+            got32 = buss_alpha_rows(error32, jjte32)
+            expected32 = _reference_alpha_rows(error32, jjte32)
+        assert np.array_equal(got32.view(np.uint64), expected32.view(np.uint64))
 
 
 class TestLinearSchedule:

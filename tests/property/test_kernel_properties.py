@@ -23,6 +23,13 @@ lengths, twists, offsets; revolute, mixed and all-prismatic joints):
   of the grid, and stay within the oracle's bound of the materialised
   candidates, on the same geometry axes and ``Max`` in {1, 2, 3, 64, 65};
   the winner rows a grid builds carry the materialised rows' bits.
+* **The candidate-major ray doubling** — ``_ray_planes``'s block equals a
+  problem-major reference doubling bit for bit at B in {1, 2, 3, 5, 8,
+  64} and ``Max`` in {1, 2, 3, 7, 64, 65}, revolute, mixed and
+  all-prismatic, on chains of 1 to 16 joints.
+* **The selection's error norm** — ``candidate_errors`` equals
+  ``np.linalg.norm(..., axis=2)`` bit for bit, inf, NaN, overflowing and
+  subnormal rows included.
 * **Row invariance of the frame pass** — every row of
   ``fk_jacobian_batch`` (position and Jacobian) carries the same bits in a
   suffix of its batch and alone on a cold kernel, and every ``fk_batch``
@@ -36,6 +43,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.quick_ik import candidate_errors
 from repro.kinematics.chain import KinematicChain
 from repro.kinematics.kernels import (
     SpeculationGrid,
@@ -337,6 +345,106 @@ def test_ray_sweep_matches_oracle_of_materialised_candidates(
             swept, chain.end_positions_batch(grid.candidates())
         )
         assert np.allclose(swept, explicit, atol=FLOAT32_ATOL, rtol=0.0)
+
+
+def _problem_major_doubling(kernels, grid):
+    """A reference ``e^{i theta}`` block of a float64 grid, doubled in
+    problem-major ``(N, B, Max)`` order: each level multiplies the strided
+    ``k`` runs into contiguous scratch and copies them back into place."""
+    n, problems, count = kernels.chain.dof, grid.problems, grid.count
+    rev = kernels._rev[:, None]
+    theta = grid.q.T * rev + kernels._theta_offset[:, None]
+    delta = grid.direction.T * rev
+    delta *= grid.alphas[:, 0]
+
+    def unit(angles):
+        out = np.empty(angles.shape + (1,), np.complex128)
+        out[..., 0].real = np.cos(angles)
+        out[..., 0].imag = np.sin(angles)
+        return out
+
+    z = np.empty((n, problems, count), np.complex128)
+    spare = np.empty(n * problems * (count // 2), np.complex128)
+    power = unit(delta)
+    z[..., :1] = unit(theta) * power
+    done = 1
+    while done < count:
+        more = min(done, count - done)
+        out = spare[: n * problems * more].reshape(n, problems, more)
+        np.multiply(z[..., :more], power, out=out)
+        z[..., done:done + more] = out
+        done += more
+        if done < count:
+            power = power * power
+    return z.reshape(n, problems * count)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The raw 64-bit words of a float64 or complex128 block (tells -0.0
+    from 0.0 and one NaN from another)."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("prismatic", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 64, 65])
+@pytest.mark.parametrize("problems", [1, 2, 3, 5, 8, 64])
+def test_candidate_major_ray_planes_equal_problem_major_doubling(
+    problems, count, prismatic
+):
+    """The ray block doubled candidate-major and copied into row order
+    carries the bits of the problem-major doubling, for every problem
+    count, ``Max`` (powers of two and not), prismatic mix and chain
+    length down to one joint (where one problem's multiplies are calls
+    of a single element); the prismatic joints' slide rows are the grid's
+    candidate columns."""
+    for dof in (1, 2, 7, 16):
+        seed = 1000 * problems + 10 * count + int(10 * prismatic) + dof
+        _, chain, grid = _ray_workload(
+            seed=seed, dof=dof, prismatic=prismatic,
+            convention="standard" if seed % 2 else "modified",
+            dtype=np.float64, problems=problems, count=count,
+        )
+        kernels = chain.kernels
+        block, slides = kernels._ray_planes(grid)
+        reference = _problem_major_doubling(kernels, grid)
+        assert block.shape == (dof, len(grid))
+        assert np.array_equal(_bits(block), _bits(reference)), dof
+        prismatic_joints = np.flatnonzero(~chain._revolute_mask)
+        assert sorted(slides) == prismatic_joints.tolist()
+        for j in prismatic_joints:
+            assert np.array_equal(slides[j], grid.candidates()[:, j])
+
+
+def test_candidate_errors_equal_linalg_norm_bit_for_bit():
+    """The selection's error norm carries ``np.linalg.norm``'s bits on
+    ordinary rows and on rows with inf, NaN, squares that overflow and
+    squares that are subnormal or underflow, at sizes from one problem
+    and one candidate up."""
+    rng = np.random.default_rng(7)
+    specials = np.array([
+        np.inf, -np.inf, np.nan, 1e200, -1e200, 1.7e308, 1e-160, 5e-324,
+        -2.5e-310, 0.0, -0.0, 1e154, 3e-155,
+    ])
+    for problems, count in [(1, 1), (1, 64), (3, 7), (4, 64), (8, 65)]:
+        targets = rng.normal(size=(problems, 3))
+        positions = rng.normal(size=(problems, count, 3))
+        # Every other candidate takes its components from the specials,
+        # whose squares overflow, round to subnormals or vanish.
+        special = rng.choice(specials, size=(problems, count, 3))
+        positions[:, ::2] = special[:, ::2]
+        targets[0] = rng.choice(specials, size=3)
+        with np.errstate(all="ignore"):
+            expected = np.linalg.norm(targets[:, None, :] - positions, axis=2)
+            errors = candidate_errors(targets, positions)
+        assert errors.shape == (problems, count)
+        assert np.array_equal(_bits(errors), _bits(expected))
+    float32 = rng.normal(size=(4, 64, 3)).astype(np.float32)
+    float32[0, :3] = [[np.inf, 0, 0], [1e30, 1e30, 0], [1e-30, 0, np.nan]]
+    target32 = rng.normal(size=(4, 3)).astype(np.float32)
+    with np.errstate(all="ignore"):
+        errors32 = candidate_errors(target32, float32)
+        expected32 = np.linalg.norm(target32[:, None, :] - float32, axis=2)
+    assert np.array_equal(errors32.view(np.uint32), expected32.view(np.uint32))
 
 
 @settings(max_examples=40, deadline=None)

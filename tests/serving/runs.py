@@ -17,19 +17,28 @@ import time
 RUN_END_TIMEOUT_S = 60.0
 
 
+def _idle(server) -> bool:
+    """Nothing queued and no run or micro-batch in flight.
+
+    A dispatch loop counts itself in flight from the moment it takes a
+    queue (under the server lock that also guards the queue) until its
+    run has ended, so an idle server holds no open run.  ``execute_s``
+    cannot tell: a live run adds to it at every iteration boundary.
+    """
+    with server._cond:
+        return not server._inflight and not server._batcher.pending_count
+
+
 @contextlib.contextmanager
 def run_ends(server, timeout: float = RUN_END_TIMEOUT_S):
-    """``with run_ends(srv): ...`` returns only after one of ``srv``'s runs
-    (or micro-batches) has ended since the block began.
-
-    A run's end adds its lifetime to ``stats().execute_s``, so the wait
-    polls for that sum to advance; it raises :class:`TimeoutError` after
+    """``with run_ends(srv): ...`` returns only once every run (or
+    micro-batch) the block's requests went into has ended: it waits for
+    ``srv`` to be idle, and raises :class:`TimeoutError` after
     ``timeout`` seconds.
     """
-    before = server.stats().execute_s
     yield
     deadline = time.monotonic() + timeout
-    while server.stats().execute_s == before:
+    while not _idle(server):
         if time.monotonic() > deadline:
             raise TimeoutError(f"no served run ended within {timeout} s")
         time.sleep(0.001)

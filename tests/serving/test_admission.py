@@ -245,6 +245,39 @@ def test_a_stream_chained_on_completion_stays_in_one_run(
         _assert_bit_identical(result, _offline(t, q))
 
 
+def test_a_live_run_adds_its_time_to_execute_s_as_it_goes(hold_dispatch):
+    """A run adds the time since its last iteration boundary to
+    ``execute_s`` and the ``serve_execute`` phase at every boundary, not
+    only when it ends.  A stream chained on completion keeps one run
+    open; each request's done-callback runs inside it and reads a larger
+    ``execute_s`` than the last, and the run's end adds the rest."""
+    count = 4
+    targets, q0 = _problems(count, seed=14)
+    requests = [_request(t, q) for t, q in zip(targets, q0)]
+    seen = []  # execute_s as each request completed, the run still live
+    tracer = SummaryTracer()
+
+    def submit(i):
+        def done(_future):
+            seen.append(srv.stats().execute_s)
+            if i + 1 < count:
+                submit(i + 1)
+
+        srv.submit(requests[i]).add_done_callback(done)
+
+    with IKServer(_config(), tracer=tracer) as srv:
+        with hold_dispatch(srv):
+            submit(0)
+        _wait_until(lambda: len(seen) == count)
+    stats = srv.stats()
+    assert stats.batches == 1
+    assert stats.completed == count
+    assert 0.0 < seen[0] < seen[1] < seen[2] < seen[3] < stats.execute_s
+    assert tracer.phase_seconds["serve_execute"] == pytest.approx(
+        stats.execute_s
+    )
+
+
 def test_a_timeout_with_one_worker_keeps_admission():
     """With ``workers`` unset or 1 a batch runs inline, where a timeout
     bounds nothing, so the key joins requests into one live run."""

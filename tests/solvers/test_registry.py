@@ -63,6 +63,37 @@ class TestKwargValidation:
         assert "dampling" in message
         assert "damping" in message  # the accepted options are listed
 
+    @pytest.mark.parametrize("build, name, options, message", [
+        (make_solver, "JT-DLS", {"dampling": 0.2},
+         "solver 'JT-DLS' got unexpected option(s) ['dampling']; "
+         "accepted options: adaptive, damping, error_clamp"),
+        (make_batch_solver, "JT-Speculation", {"speculation": 8},
+         "solver 'JT-Speculation' got unexpected option(s) ['speculation']; "
+         "accepted options: chunk, speculations"),
+        (make_batch_solver, "mdik", {"x": 1, "a": 2},
+         "solver 'mdik' got unexpected option(s) ['a', 'x']; "
+         "accepted options: error_clamp, step_scale"),
+    ])
+    def test_unknown_kwarg_message_is_exact(self, build, name, options, message):
+        with pytest.raises(TypeError) as excinfo:
+            build(name, paper_chain(12), **options)
+        assert str(excinfo.value) == message
+
+    def test_build_without_options_reads_no_signature(self, monkeypatch):
+        """A build with no options has nothing to validate: it never
+        reads the constructor's signature (the facade builds an engine
+        per ``api.solve_batch`` and the server one per run)."""
+        import repro.solvers.registry as registry
+
+        def no_signature(_factory):
+            raise AssertionError("signature read for a build without options")
+
+        monkeypatch.setattr(registry.inspect, "signature", no_signature)
+        chain = paper_chain(12)
+        assert make_solver("JT-DLS", chain).name == "JT-DLS"
+        assert isinstance(make_batch_solver("JT-Speculation", chain), BatchedQuickIK)
+        assert isinstance(make_batch_solver("fdik", chain), BatchedRowSolver)
+
     def test_known_kwargs_still_forwarded(self):
         chain = paper_chain(12)
         solver = make_solver("JT-DLS", chain, damping=0.3, adaptive=True)
