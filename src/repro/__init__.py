@@ -24,75 +24,42 @@ the solver registries and the convergence config in one call; the classes
 below remain available for hand-wiring.)
 """
 
-from repro import api, telemetry
-from repro.api import serve, solve, solve_batch
-from repro.core import IKResult, QuickIKSolver, SolverConfig
-from repro.core.result import BatchResult
-from repro.execution import ExecutionOptions, KernelSpec
-from repro.kinematics import (
-    PAPER_DOFS,
-    KinematicChain,
-    Joint,
-    JointLimits,
-    hyper_redundant_chain,
-    named_robot,
-    paper_chain,
-    planar_chain,
-    puma560,
-    random_chain,
-    seven_dof_arm,
-    stanford_arm,
-)
-from repro.control import TrajectoryFollower
-from repro.solvers import (
-    CyclicCoordinateDescentSolver,
-    DampedLeastSquaresSolver,
-    JacobianTransposeSolver,
-    NullSpaceSolver,
-    PoseQuickIKSolver,
-    PseudoinverseSolver,
-    RandomRestartSolver,
-    SelectivelyDampedSolver,
-    make_batch_solver,
-    make_solver,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "api",
-    "telemetry",
-    "serve",
-    "solve",
-    "solve_batch",
-    "BatchResult",
-    "ExecutionOptions",
-    "KernelSpec",
-    "IKResult",
-    "QuickIKSolver",
-    "SolverConfig",
-    "PAPER_DOFS",
-    "KinematicChain",
-    "Joint",
-    "JointLimits",
-    "hyper_redundant_chain",
-    "named_robot",
-    "paper_chain",
-    "planar_chain",
-    "puma560",
-    "random_chain",
-    "seven_dof_arm",
-    "stanford_arm",
-    "CyclicCoordinateDescentSolver",
-    "DampedLeastSquaresSolver",
-    "JacobianTransposeSolver",
-    "NullSpaceSolver",
-    "PoseQuickIKSolver",
-    "PseudoinverseSolver",
-    "RandomRestartSolver",
-    "SelectivelyDampedSolver",
-    "TrajectoryFollower",
-    "make_solver",
-    "make_batch_solver",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro": ("api", "telemetry"),
+    "repro.api": ("serve", "solve", "solve_batch"),
+    "repro.core": ("IKResult", "QuickIKSolver", "SolverConfig"),
+    "repro.core.result": ("BatchResult",),
+    "repro.execution": ("ExecutionOptions", "KernelSpec"),
+    "repro.kinematics": (
+        "PAPER_DOFS",
+        "KinematicChain",
+        "Joint",
+        "JointLimits",
+        "hyper_redundant_chain",
+        "named_robot",
+        "paper_chain",
+        "planar_chain",
+        "puma560",
+        "random_chain",
+        "seven_dof_arm",
+        "stanford_arm",
+    ),
+    "repro.solvers": (
+        "CyclicCoordinateDescentSolver",
+        "DampedLeastSquaresSolver",
+        "JacobianTransposeSolver",
+        "NullSpaceSolver",
+        "PoseQuickIKSolver",
+        "PseudoinverseSolver",
+        "RandomRestartSolver",
+        "SelectivelyDampedSolver",
+        "make_solver",
+        "make_batch_solver",
+    ),
+    "repro.control": ("TrajectoryFollower",),
+})
+__all__.append("__version__")

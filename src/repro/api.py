@@ -28,7 +28,6 @@ from repro.execution import ExecutionOptions
 from repro.kinematics.chain import KinematicChain
 from repro.kinematics.robots import named_robot
 from repro.solvers.registry import make_batch_solver, make_solver
-from repro.solvers.restarts import RandomRestartSolver
 from repro.telemetry.tracer import Tracer
 
 __all__ = ["solve", "solve_batch", "serve", "resolve_robot"]
@@ -174,6 +173,8 @@ def solve(
             chain, primary=ik, config=ik.config, resilience=res_cfg
         )
     elif restarts > 1:
+        from repro.solvers.restarts import RandomRestartSolver
+
         ik = RandomRestartSolver(ik, max_restarts=restarts)
     return ik.solve(target, q0=q0, rng=_resolve_rng(rng, seed), tracer=tracer)
 

@@ -1,15 +1,12 @@
 """Control-loop utilities: Cartesian trajectory following on the IK solvers."""
 
-from repro.control.trajectory import (
-    TrackingReport,
-    TrajectoryFollower,
-    interpolate_line,
-    interpolate_waypoints,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TrackingReport",
-    "TrajectoryFollower",
-    "interpolate_line",
-    "interpolate_waypoints",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.control.trajectory": (
+        "TrackingReport",
+        "TrajectoryFollower",
+        "interpolate_line",
+        "interpolate_waypoints",
+    ),
+})

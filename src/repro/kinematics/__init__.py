@@ -1,57 +1,40 @@
 """Kinematics substrate: transforms, DH links, chains, Jacobians, robots."""
 
-from repro.kinematics.chain import KinematicChain
-from repro.kinematics.dh import DHConvention, DHLink, dh_transform
-from repro.kinematics.generic import GenericChain, GenericJoint, GenericJointType
-from repro.kinematics.io import chain_from_dict, chain_to_dict, load_chain, save_chain
-from repro.kinematics.joint import Joint, JointLimits, JointType
-from repro.kinematics.kernels import chain_fingerprint
-from repro.kinematics.robots import (
-    PAPER_DOFS,
-    hyper_redundant_chain,
-    named_robot,
-    paper_chain,
-    planar_chain,
-    puma560,
-    random_chain,
-    seven_dof_arm,
-    stanford_arm,
-    ur5,
-)
-from repro.kinematics.urdf import UrdfError, chain_to_urdf, load_urdf, load_urdf_file
-from repro.kinematics.workspace import WorkspaceReport, safe_shell_fraction, sample_workspace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KinematicChain",
-    "GenericChain",
-    "GenericJoint",
-    "GenericJointType",
-    "UrdfError",
-    "chain_fingerprint",
-    "chain_from_dict",
-    "chain_to_dict",
-    "load_chain",
-    "save_chain",
-    "chain_to_urdf",
-    "load_urdf",
-    "load_urdf_file",
-    "WorkspaceReport",
-    "safe_shell_fraction",
-    "sample_workspace",
-    "ur5",
-    "DHConvention",
-    "DHLink",
-    "dh_transform",
-    "Joint",
-    "JointLimits",
-    "JointType",
-    "PAPER_DOFS",
-    "hyper_redundant_chain",
-    "named_robot",
-    "paper_chain",
-    "planar_chain",
-    "puma560",
-    "random_chain",
-    "seven_dof_arm",
-    "stanford_arm",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.kinematics.chain": ("KinematicChain",),
+    "repro.kinematics.generic": ("GenericChain", "GenericJoint", "GenericJointType"),
+    "repro.kinematics.urdf": (
+        "UrdfError",
+        "chain_to_urdf",
+        "load_urdf",
+        "load_urdf_file",
+    ),
+    "repro.kinematics.kernels": ("chain_fingerprint",),
+    "repro.kinematics.io": (
+        "chain_from_dict",
+        "chain_to_dict",
+        "load_chain",
+        "save_chain",
+    ),
+    "repro.kinematics.workspace": (
+        "WorkspaceReport",
+        "safe_shell_fraction",
+        "sample_workspace",
+    ),
+    "repro.kinematics.dh": ("DHConvention", "DHLink", "dh_transform"),
+    "repro.kinematics.joint": ("Joint", "JointLimits", "JointType"),
+    "repro.kinematics.robots": (
+        "PAPER_DOFS",
+        "hyper_redundant_chain",
+        "named_robot",
+        "paper_chain",
+        "planar_chain",
+        "puma560",
+        "random_chain",
+        "seven_dof_arm",
+        "stanford_arm",
+        "ur5",
+    ),
+})

@@ -52,9 +52,9 @@ from repro.resilience.guards import (
     FATAL_GUARD_KINDS,
     GuardViolation,
     guard_targets,
+    rejected_result,
 )
 from repro.resilience.report import STAGE_WORKER, FailureRecord, FailureReport
-from repro.resilience.resilient import rejected_result
 from repro.solvers.batched import LockStepEngine
 from repro.telemetry.sinks import SummaryTracer, merge_summaries
 from repro.telemetry.tracer import Tracer, get_tracer

@@ -38,68 +38,43 @@ Usage::
 See ``docs/robustness.md`` for the failure taxonomy and knobs.
 """
 
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    DivergingSolver,
-    FlakySolver,
-    NaNJacobianChain,
-    SleepyStepSolver,
-    StallingSolver,
-    TargetTrigger,
-    poison_indices,
-)
-from repro.resilience.guards import (
-    FATAL_GUARD_KINDS,
-    GuardViolation,
-    guard_target,
-    guard_targets,
-    reach_bound,
-)
-from repro.resilience.report import (
-    STAGE_GUARD,
-    STAGE_SOLVER,
-    STAGE_WATCHDOG,
-    STAGE_WORKER,
-    FailureRecord,
-    FailureReport,
-)
-from repro.resilience.resilient import (
-    DEFAULT_FALLBACK_CHAIN,
-    ResilienceConfig,
-    ResilientSolver,
-    rejected_result,
-)
-from repro.resilience.watchdogs import (
-    WATCHDOG_STATUSES,
-    Watchdog,
-    WatchdogConfig,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_FALLBACK_CHAIN",
-    "DivergingSolver",
-    "FAULT_KINDS",
-    "FATAL_GUARD_KINDS",
-    "FailureRecord",
-    "FailureReport",
-    "FlakySolver",
-    "GuardViolation",
-    "NaNJacobianChain",
-    "ResilienceConfig",
-    "ResilientSolver",
-    "STAGE_GUARD",
-    "STAGE_SOLVER",
-    "STAGE_WATCHDOG",
-    "STAGE_WORKER",
-    "SleepyStepSolver",
-    "StallingSolver",
-    "TargetTrigger",
-    "WATCHDOG_STATUSES",
-    "Watchdog",
-    "WatchdogConfig",
-    "guard_target",
-    "guard_targets",
-    "poison_indices",
-    "reach_bound",
-    "rejected_result",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.resilience.faults": (
+        "FAULT_KINDS",
+        "DivergingSolver",
+        "FlakySolver",
+        "NaNJacobianChain",
+        "SleepyStepSolver",
+        "StallingSolver",
+        "TargetTrigger",
+        "poison_indices",
+    ),
+    "repro.resilience.guards": (
+        "FATAL_GUARD_KINDS",
+        "GuardViolation",
+        "guard_target",
+        "guard_targets",
+        "reach_bound",
+        "rejected_result",
+    ),
+    "repro.resilience.report": (
+        "STAGE_GUARD",
+        "STAGE_SOLVER",
+        "STAGE_WATCHDOG",
+        "STAGE_WORKER",
+        "FailureRecord",
+        "FailureReport",
+    ),
+    "repro.resilience.resilient": (
+        "DEFAULT_FALLBACK_CHAIN",
+        "ResilienceConfig",
+        "ResilientSolver",
+    ),
+    "repro.resilience.watchdogs": (
+        "WATCHDOG_STATUSES",
+        "Watchdog",
+        "WatchdogConfig",
+    ),
+})

@@ -23,6 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.core.result import IKResult
 from repro.resilience.report import STAGE_GUARD, FailureRecord, FailureReport
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "guard_targets",
     "reach_bound",
     "reach_sphere",
+    "rejected_result",
 ]
 
 KIND_NONFINITE_TARGET = "nonfinite_target"
@@ -148,3 +150,22 @@ def guard_targets(
         )
     records.sort(key=lambda r: r.index)
     return records
+
+
+def rejected_result(
+    chain, target, solver: str, status: str, q: np.ndarray | None = None
+) -> IKResult:
+    """Placeholder :class:`IKResult` for a problem that was never solved."""
+    target = np.asarray(target, dtype=float)
+    if target.shape != (3,):
+        target = np.full(3, np.nan)
+    return IKResult(
+        q=np.zeros(chain.dof) if q is None else np.asarray(q, dtype=float),
+        converged=False,
+        iterations=0,
+        error=float("nan"),
+        target=target,
+        solver=solver,
+        dof=chain.dof,
+        status=status,
+    )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.result import IKResult, SolverConfig
-from repro.resilience.guards import FATAL_GUARD_KINDS, guard_target
+from repro.resilience.guards import FATAL_GUARD_KINDS, guard_target, rejected_result
 from repro.resilience.report import (
     STAGE_SOLVER,
     FailureRecord,
@@ -34,7 +34,6 @@ __all__ = [
     "ResilienceConfig",
     "ResilientSolver",
     "DEFAULT_FALLBACK_CHAIN",
-    "rejected_result",
 ]
 
 #: Degradation order of the default fallback chain (paper Table 1 names):
@@ -76,25 +75,6 @@ class ResilienceConfig:
             raise ValueError("attempts_per_solver must be >= 1")
         if self.reach_margin < 0.0:
             raise ValueError("reach_margin must be >= 0")
-
-
-def rejected_result(
-    chain, target, solver: str, status: str, q: np.ndarray | None = None
-) -> IKResult:
-    """Placeholder :class:`IKResult` for a problem that was never solved."""
-    target = np.asarray(target, dtype=float)
-    if target.shape != (3,):
-        target = np.full(3, np.nan)
-    return IKResult(
-        q=np.zeros(chain.dof) if q is None else np.asarray(q, dtype=float),
-        converged=False,
-        iterations=0,
-        error=float("nan"),
-        target=target,
-        solver=solver,
-        dof=chain.dof,
-        status=status,
-    )
 
 
 class ResilientSolver:

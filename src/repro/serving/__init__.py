@@ -18,55 +18,35 @@ Quickstart::
 (or ``repro.api.serve(...)`` for the facade form.)
 """
 
-from repro.serving.batcher import GroupKey, MicroBatch, MicroBatcher, PendingEntry
-from repro.serving.loadgen import run_serve_bench
-from repro.serving.request import (
-    STAGE_SERVING,
-    DeadlineExceeded,
-    Overloaded,
-    ServerClosed,
-    ServingRejected,
-    SloShed,
-    SolveRequest,
-)
-from repro.serving.seeds import SeedCache, SeedCacheStats, chain_fingerprint
-from repro.serving.server import IKServer, ServerConfig, ServingStats
-from repro.serving.sessions import (
-    SessionClosed,
-    SessionConfig,
-    SessionExpired,
-    SessionLimit,
-    SessionManager,
-    SessionRejected,
-    SessionStats,
-    TrackingSession,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IKServer",
-    "ServerConfig",
-    "ServingStats",
-    "SolveRequest",
-    "ServingRejected",
-    "Overloaded",
-    "DeadlineExceeded",
-    "SloShed",
-    "ServerClosed",
-    "STAGE_SERVING",
-    "SeedCache",
-    "SeedCacheStats",
-    "chain_fingerprint",
-    "MicroBatcher",
-    "MicroBatch",
-    "GroupKey",
-    "PendingEntry",
-    "run_serve_bench",
-    "SessionManager",
-    "TrackingSession",
-    "SessionConfig",
-    "SessionStats",
-    "SessionRejected",
-    "SessionLimit",
-    "SessionExpired",
-    "SessionClosed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.serving.server": ("IKServer", "ServerConfig", "ServingStats"),
+    "repro.serving.request": (
+        "SolveRequest",
+        "ServingRejected",
+        "Overloaded",
+        "DeadlineExceeded",
+        "SloShed",
+        "ServerClosed",
+        "STAGE_SERVING",
+    ),
+    "repro.serving.seeds": ("SeedCache", "SeedCacheStats", "chain_fingerprint"),
+    "repro.serving.batcher": (
+        "MicroBatcher",
+        "MicroBatch",
+        "GroupKey",
+        "PendingEntry",
+    ),
+    "repro.serving.loadgen": ("run_serve_bench",),
+    "repro.serving.sessions": (
+        "SessionManager",
+        "TrackingSession",
+        "SessionConfig",
+        "SessionStats",
+        "SessionRejected",
+        "SessionLimit",
+        "SessionExpired",
+        "SessionClosed",
+    ),
+})

@@ -90,9 +90,9 @@ from repro.resilience.guards import (
     GuardViolation,
     guard_targets,
     reach_sphere,
+    rejected_result,
 )
 from repro.resilience.report import FailureReport
-from repro.resilience.resilient import rejected_result
 from repro.serving.batcher import GroupKey, MicroBatch, MicroBatcher, PendingEntry
 from repro.serving.request import (
     DeadlineExceeded,

@@ -31,6 +31,7 @@ Telemetry counters (through the standard tracer): ``serve_session_opened``
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -343,7 +344,8 @@ class SessionManager:
         :class:`SessionConfig` policy (bound + idle expiry).
     clock:
         Monotonic-seconds callable; injectable so expiry/eviction logic is
-        testable without wall-clock sleeps.
+        testable without wall-clock sleeps.  A tick sweeps the sessions
+        for idle ones only once the earliest idle deadline has passed.
     tracer:
         Telemetry sink for the ``serve_session_*`` counters; defaults to
         the server's tracer (falling back to the process-global one).
@@ -365,6 +367,9 @@ class SessionManager:
         self._next_id = 0
         self.opened = 0
         self.expired = 0
+        #: No open session was last used before this: a tick evicts
+        #: nothing until ``idle_expiry_s`` has passed since it.
+        self._oldest_use = math.inf
         #: Accounting folded in from closed/expired sessions, so
         #: :meth:`stats` totals survive session churn.
         self._retired = SessionStats()
@@ -395,6 +400,9 @@ class SessionManager:
             self._fold_retired(session)
             if tr.enabled:
                 tr.count("serve_session_expired")
+        self._oldest_use = min(
+            (s.last_used for s in self._sessions.values()), default=math.inf
+        )
         return evicted
 
     def _fold_retired(self, session: TrackingSession) -> None:
@@ -411,7 +419,9 @@ class SessionManager:
         """Lazy liveness check + idle-timestamp refresh for one tick."""
         with self._lock:
             now = self._now()
-            self._expire_locked(now, tr)
+            expiry = self.config.idle_expiry_s
+            if expiry is not None and now - self._oldest_use > expiry:
+                self._expire_locked(now, tr)
             if session.state == "expired":
                 raise SessionExpired.from_request(
                     f"session {session.session_id} idled past "
@@ -476,6 +486,7 @@ class SessionManager:
                 tolerance, max_iterations, options,
             )
             self._sessions[session_id] = session
+            self._oldest_use = min(self._oldest_use, session.last_used)
             self.opened += 1
             if tr.enabled:
                 tr.count("serve_session_opened")

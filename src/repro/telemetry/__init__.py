@@ -28,46 +28,29 @@ or process-wide (how ``repro bench --metrics-out`` hooks the harness)::
     print(registry.to_json())
 """
 
-from repro.telemetry.sinks import (
-    JsonlTracer,
-    MetricsRegistry,
-    SummaryTracer,
-    TelemetrySummary,
-    merge_summaries,
-    percentile,
-    read_jsonl_trace,
-)
-from repro.telemetry.tracer import (
-    COUNTER_NAMES,
-    GAUGE_NAMES,
-    NULL_TRACER,
-    PHASE_NAMES,
-    MultiTracer,
-    NullTracer,
-    Tracer,
-    TracerBase,
-    get_tracer,
-    set_tracer,
-    use_tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Tracer",
-    "TracerBase",
-    "NullTracer",
-    "NULL_TRACER",
-    "MultiTracer",
-    "COUNTER_NAMES",
-    "GAUGE_NAMES",
-    "PHASE_NAMES",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    "SummaryTracer",
-    "TelemetrySummary",
-    "JsonlTracer",
-    "read_jsonl_trace",
-    "MetricsRegistry",
-    "merge_summaries",
-    "percentile",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.telemetry.tracer": (
+        "Tracer",
+        "TracerBase",
+        "NullTracer",
+        "NULL_TRACER",
+        "MultiTracer",
+        "COUNTER_NAMES",
+        "GAUGE_NAMES",
+        "PHASE_NAMES",
+        "get_tracer",
+        "set_tracer",
+        "use_tracer",
+    ),
+    "repro.telemetry.sinks": (
+        "SummaryTracer",
+        "TelemetrySummary",
+        "JsonlTracer",
+        "read_jsonl_trace",
+        "MetricsRegistry",
+        "merge_summaries",
+        "percentile",
+    ),
+})

@@ -347,6 +347,49 @@ class TestLifecycle:
         assert manager.expire_idle() == []
         assert session.state == "open"
 
+    def test_ticks_sweep_only_past_the_earliest_deadline(
+        self, shared_server, monkeypatch
+    ):
+        clock = FakeClock()
+        manager = SessionManager(
+            shared_server,
+            SessionConfig(max_sessions=64, idle_expiry_s=10.0),
+            clock=clock,
+        )
+        sweeps = []
+        sweep = manager._expire_locked
+        monkeypatch.setattr(
+            manager, "_expire_locked",
+            lambda now, tr: sweeps.append(now) or sweep(now, tr),
+        )
+        chain = named_robot("dadu-12dof")
+        rng = np.random.default_rng(62)
+        starts = [chain.random_configuration(rng) for _ in range(64)]
+        sessions = [
+            manager.open(chain, solver="JT-DLS", q0=q0, tolerance=TOLERANCE)
+            for q0 in starts
+        ]
+        opened = len(sweeps)
+        # Each tick's target is its session's start: it converges at once.
+        for _ in range(3):
+            clock.advance(2.0)
+            for session, q0 in zip(sessions, starts):
+                session.tick(chain.end_position(q0)).result(timeout=120)
+        assert len(sweeps) == opened  # 192 ticks, no deadline passed
+
+        stale, live = sessions[0], sessions[1:]
+        clock.advance(4.0)
+        for session, q0 in zip(live, starts[1:]):
+            session.tick(chain.end_position(q0)).result(timeout=120)
+        clock.advance(6.5)  # 10.5 s since ``stale``'s last tick
+        with pytest.raises(SessionExpired):
+            stale.tick(chain.end_position(starts[0]))
+        assert len(sweeps) == opened + 1
+        assert manager.expired == 1
+        assert stale.state == "expired"
+        assert all(session.state == "open" for session in live)
+        manager.close_all()
+
     def test_open_evicts_expired_to_make_room(self, shared_server):
         clock = FakeClock()
         manager = SessionManager(
